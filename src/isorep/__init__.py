@@ -59,7 +59,6 @@ from .induced import (
     GridRep1,
     GridRep2,
     InducedCommutantReport,
-    PaddedGridRep,
     StepCocycle1,
     StepCocycle2,
     adjoint_1d,
@@ -71,7 +70,6 @@ from .induced import (
     induced_commutant_check_2d,
     lift_cocycle_1d,
     lift_cocycle_2d,
-    pad_to_d,
     shift_fiber,
 )
 from .suites import CheckResult, SuiteReport, induce_report, verify_suite

@@ -14,18 +14,22 @@ import sys
 import time
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .cocycle import index
 from .commutant import (
     are_unitarily_equivalent,
-    is_irreducible,
+    oracle_irreducibility,
     structured_commutant_dim,
     truncated_commutant_oracle,
 )
-from .linalg import ToleranceConfig, matrix_from_json
-from .repmodel import reflection_family, rep_from_config, strong_purity_check, validate
+from .linalg import ToleranceConfig
+from .repmodel import (
+    reflection_family,
+    rep_from_config,
+    strong_purity_check,
+    unit_a_vector,
+    validate,
+)
 from .suites import PRESETS, induce_report, verify_suite
 
 __all__ = ["main"]
@@ -157,8 +161,13 @@ def cmd_irreducible(args, tol: ToleranceConfig):
     results: dict = {}
     if rep.family is not None:
         results["structured_commutant_dim"] = structured_commutant_dim(rep.family, tol)
-    results["oracle_commutant_dim"] = truncated_commutant_oracle(rep, tol, args.seed)
-    results["irreducible"] = is_irreducible(rep, tol)
+    if rep.family is not None and rep.family.kind == "finite":
+        # the structured formula decides; the oracle is reported at L only
+        results["oracle_commutant_dim"] = truncated_commutant_oracle(rep, tol, args.seed)
+        results["irreducible"] = results["structured_commutant_dim"] == 1
+    else:
+        dims, results["irreducible"] = oracle_irreducibility(rep, tol, args.seed)
+        results["oracle_commutant_dim"] = dims[0]
     return config, results, 0
 
 
@@ -167,8 +176,8 @@ def cmd_equivalent(args, tol: ToleranceConfig):
     config2 = _second_config(args)
     both_reflection = config.get("family") == config2.get("family") == "reflection"
     if both_reflection:
-        fam_a = reflection_family(_unit(config["a_vector"]), tol)
-        fam_b = reflection_family(_unit(config2["a_vector"]), tol)
+        fam_a = reflection_family(unit_a_vector(config["a_vector"]), tol)
+        fam_b = reflection_family(unit_a_vector(config2["a_vector"]), tol)
         verdict = are_unitarily_equivalent(fam_a, fam_b, tol, args.seed)
     else:
         rep_a = rep_from_config(config, tol)
@@ -176,14 +185,6 @@ def cmd_equivalent(args, tol: ToleranceConfig):
         verdict = are_unitarily_equivalent(rep_a, rep_b, tol, args.seed)
     echo = {"first": config, "second": config2}
     return echo, verdict.to_json(), 0
-
-
-def _unit(vec) -> np.ndarray:
-    a = np.asarray(vec, dtype=complex)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        raise ValueError("config field a_vector: zero vector")
-    return a / norm
 
 
 def cmd_induce(args, tol: ToleranceConfig):

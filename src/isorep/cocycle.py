@@ -10,13 +10,21 @@ certified by agreement at two truncation levels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_to_json, nullspace
-from .repmodel import IsoRep2, ProjectionFamily, build_projection_family_rep, reparametrize, validate
+from .repmodel import (
+    IsoRep2,
+    ProjectionFamily,
+    TruncationParams,
+    build_projection_family_rep,
+    certify_two_truncations,
+    reparametrize,
+    validate,
+)
 
 __all__ = [
     "Cocycle2",
@@ -98,15 +106,15 @@ class CocycleSpace:
         }
 
 
-def cocycle_constraint_matrix(rep: IsoRep2) -> np.ndarray:
-    """The 3N×2N system over stacked pairs (eta10, eta01)."""
-    n = rep.dim
+def cocycle_constraint_matrix(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """The 3N×2N system over stacked pairs (eta10, eta01) of the pair (w1, w2)."""
+    n = w1.shape[0]
     eye = np.eye(n, dtype=complex)
     c = np.zeros((3 * n, 2 * n), dtype=complex)
-    c[0:n, 0:n] = rep.W1.conj().T
-    c[n : 2 * n, n : 2 * n] = rep.W2.conj().T
-    c[2 * n : 3 * n, 0:n] = eye - rep.W2
-    c[2 * n : 3 * n, n : 2 * n] = rep.W1 - eye
+    c[0:n, 0:n] = w1.conj().T
+    c[n : 2 * n, n : 2 * n] = w2.conj().T
+    c[2 * n : 3 * n, 0:n] = eye - w2
+    c[2 * n : 3 * n, n : 2 * n] = w1 - eye
     return c
 
 
@@ -119,7 +127,7 @@ def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSp
     report = validate(rep, tol)
     if not report.ok:
         raise ValueError(f"representation fails validation: {report.as_dict()}")
-    c = cocycle_constraint_matrix(rep)
+    c = cocycle_constraint_matrix(rep.W1, rep.W2)
     dim_full = nullspace(c, tol).shape[1]
 
     mask = np.concatenate([rep.trunc.level_mask(), rep.trunc.level_mask()])
@@ -161,12 +169,23 @@ class IndexResult:
         return body
 
 
-def probe_truncation(n: int, d: int) -> "TruncationParams":
+def probe_truncation(n: int, d: int) -> TruncationParams:
     """Lean truncation for growth probes: guard ≥ d-1 keeps the cocycle
     system exact while L stays proportional to d."""
-    from .repmodel import TruncationParams
-
     return TruncationParams(n=n, L=2 * d + 4, guard=d + 1)
+
+
+_UNSTABLE = "dimension or guard filtering disagrees across truncation levels"
+
+
+def _certified_cocycle_dim(
+    rep: IsoRep2, tol: ToleranceConfig
+) -> tuple[tuple[int, ...], bool]:
+    def measure(r: IsoRep2) -> tuple[int, bool]:
+        space = cocycle_space(r, tol)
+        return space.dim, space.stable
+
+    return certify_two_truncations(rep, measure, tol)
 
 
 def index(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
@@ -179,55 +198,32 @@ def index(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
     fam = rep.family
     if fam is not None and fam.kind == "truncated_infinite":
         return _index_growth_probe(fam, tol)
-
-    space1 = cocycle_space(rep, tol)
+    dims, certified = _certified_cocycle_dim(rep, tol)
+    if certified:
+        return IndexResult(kind="finite", value=dims[0], dims=dims)
     if rep.rebuild is None:
-        return IndexResult(
-            kind="unstable",
-            dims=(space1.dim,),
-            detail="no rebuild recipe; dimension observed at a single truncation",
-        )
-    bigger = replace(rep.trunc, L=rep.trunc.L + tol.stabilization_delta)
-    space2 = cocycle_space(rep.rebuild(bigger), tol)
-    dims = (space1.dim, space2.dim)
-    if space1.dim == space2.dim and space1.stable and space2.stable:
-        return IndexResult(kind="finite", value=space1.dim, dims=dims)
-    return IndexResult(
-        kind="unstable",
-        dims=dims,
-        detail="dimension or guard filtering disagrees across truncation levels",
-    )
+        detail = "no rebuild recipe; dimension observed at a single truncation"
+    else:
+        detail = _UNSTABLE
+    return IndexResult(kind="unstable", dims=dims, detail=detail)
 
 
 def _index_growth_probe(fam: ProjectionFamily, tol: ToleranceConfig) -> IndexResult:
     if fam.regenerate is None:
         raise ValueError("truncated_infinite family lacks a regenerate recipe")
-    dims = []
+    dims: tuple[int, ...] = ()
     for size in (fam.n, 2 * fam.n):
         fam_s = fam if size == fam.n else fam.regenerate(size)
-        dim_s = None
-        for extra in (0, tol.stabilization_delta):
-            tr = probe_truncation(size, fam_s.d)
-            tr = replace(tr, L=tr.L + extra)
-            space = cocycle_space(build_projection_family_rep(fam_s, tr, tol), tol)
-            if not space.stable:
-                return IndexResult(
-                    kind="unstable",
-                    dims=tuple(dims) + (space.dim,),
-                    detail=f"guard filtering fired at n={size}",
-                )
-            if dim_s is None:
-                dim_s = space.dim
-            elif dim_s != space.dim:
-                return IndexResult(
-                    kind="unstable",
-                    dims=tuple(dims) + (dim_s, space.dim),
-                    detail=f"dimension not stable in L at n={size}",
-                )
-        dims.append(dim_s)
+        rep = build_projection_family_rep(fam_s, probe_truncation(size, fam_s.d), tol)
+        pair, certified = _certified_cocycle_dim(rep, tol)
+        if not certified:
+            return IndexResult(
+                kind="unstable", dims=dims + pair, detail=f"{_UNSTABLE} at n={size}"
+            )
+        dims += pair[:1]
     if dims[1] > dims[0]:
-        return IndexResult(kind="unbounded_with_truncation", dims=tuple(dims))
-    return IndexResult(kind="finite", value=dims[0], dims=tuple(dims))
+        return IndexResult(kind="unbounded_with_truncation", dims=dims)
+    return IndexResult(kind="finite", value=dims[0], dims=dims)
 
 
 def index_formula_projection_family(

@@ -15,12 +15,12 @@ conservatively can only enlarge the candidate space, never lose solutions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, intertwiner_space, matrix_to_json, nullspace
-from .repmodel import IsoRep2, ProjectionFamily
+from .repmodel import IsoRep2, ProjectionFamily, certify_two_truncations
 
 __all__ = [
     "EquivalenceVerdict",
@@ -157,13 +157,6 @@ def _refined_star_commutant(
     return basis
 
 
-def _refined_commutant_for_tests(
-    mats: list[np.ndarray], tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> list[np.ndarray]:
-    """Cross-check hook: the refinement route regardless of problem size."""
-    return _refined_star_commutant([np.asarray(a, dtype=complex) for a in mats], tol, seed)
-
-
 def star_intertwiner_basis(
     pairs: list[tuple[np.ndarray, np.ndarray]],
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -208,15 +201,21 @@ def truncated_commutant_oracle(
     interior compressions of the generators. Heuristic at fixed L; trust it
     only when it agrees with the structured formula or is stable in L.
     """
-    basis = star_commutant_basis([rep.W1, rep.W2], tol, seed)
-    p = rep.interior_projector()
-    w_int = [p @ rep.W1 @ p, p @ rep.W2 @ p]
+    return interior_commutant_dim([rep.W1, rep.W2], rep.trunc.level_mask(), tol, seed)
+
+
+def interior_commutant_dim(
+    gens: list[np.ndarray], mask: np.ndarray, tol: ToleranceConfig, seed: int
+) -> int:
+    """Star commutant of ``gens``, counting only the elements whose interior
+    compression (rows and columns selected by ``mask``) still commutes with
+    the compressed generators."""
+    interior = np.ix_(mask, mask)
+    gens_int = [g[interior] for g in gens]
     survivors = 0
-    for t in basis:
-        t_int = p @ t @ p
-        dev = max(
-            float(np.max(np.abs(t_int @ w - w @ t_int))) for w in w_int
-        )
+    for t in star_commutant_basis(gens, tol, seed):
+        t_int = t[interior]
+        dev = max(float(np.max(np.abs(t_int @ g - g @ t_int))) for g in gens_int)
         if dev <= tol.identity_tol:
             survivors += 1
     return survivors
@@ -235,14 +234,18 @@ def is_irreducible(
         return structured_commutant_dim(obj, tol) == 1
     if obj.family is not None and obj.family.kind == "finite":
         return structured_commutant_dim(obj.family, tol) == 1
-    dim1 = truncated_commutant_oracle(obj, tol)
-    if obj.rebuild is None:
-        return None
-    bigger = replace(obj.trunc, L=obj.trunc.L + tol.stabilization_delta)
-    dim2 = truncated_commutant_oracle(obj.rebuild(bigger), tol)
-    if dim1 != dim2:
-        return None
-    return dim1 == 1
+    return oracle_irreducibility(obj, tol)[1]
+
+
+def oracle_irreducibility(
+    rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
+) -> tuple[tuple[int, ...], bool | None]:
+    """Truncated-oracle commutant dims at two truncations and the verdict
+    they support: None unless the two dims certify."""
+    dims, certified = certify_two_truncations(
+        rep, lambda r: (truncated_commutant_oracle(r, tol, seed), True), tol
+    )
+    return dims, dims[0] == 1 if certified else None
 
 
 @dataclass(frozen=True)

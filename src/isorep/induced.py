@@ -12,15 +12,14 @@ Orderings (everything downstream depends on these):
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import star_commutant_basis, structured_commutant_basis
-from .linalg import DEFAULT_TOL, ToleranceConfig, kron
-from .repmodel import IsoRep2, TruncationParams, truncated_shift
-from .cocycle import Cocycle2, evaluate, index as rep_index
+from .commutant import interior_commutant_dim, structured_commutant_basis
+from .linalg import DEFAULT_TOL, ToleranceConfig, kron, nullspace
+from .repmodel import IsoRep2, TruncationParams, sigma_power, truncated_shift
+from .cocycle import Cocycle2, evaluate
 
 __all__ = [
     "GridRep1",
@@ -28,7 +27,6 @@ __all__ = [
     "StepCocycle1",
     "StepCocycle2",
     "InducedCommutantReport",
-    "PaddedGridRep",
     "induce_1d",
     "adjoint_1d",
     "lift_cocycle_1d",
@@ -38,7 +36,6 @@ __all__ = [
     "adjoint_2d",
     "lift_cocycle_2d",
     "induced_commutant_check_2d",
-    "pad_to_d",
     "shift_fiber",
 ]
 
@@ -105,9 +102,6 @@ class GridRep1:
     sigma: np.ndarray
     fiber_interior: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @property
     def fiber_dim(self) -> int:
@@ -122,20 +116,15 @@ class GridRep1:
 
     def V(self, t) -> np.ndarray:
         j = self.grid_index(t)
-        with self._lock:
-            cached = self._cache.get(j)
-        if cached is not None:
-            return cached
-        mat = _induced_matrix(self.sigma, self.M, j)
-        with self._lock:
-            self._cache.setdefault(j, mat)
-        return mat
+        if j not in self._cache:
+            self._cache[j] = _induced_matrix(self.sigma, self.M, j)
+        return self._cache[j]
 
-    def interior_projector(self) -> np.ndarray:
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask over the grid space selecting interior coordinates."""
         if self.fiber_interior is None:
-            return np.eye(self.dim, dtype=complex)
-        mask = np.tile(self.fiber_interior, self.M)
-        return np.diag(mask.astype(complex))
+            return np.ones(self.dim, dtype=bool)
+        return np.tile(self.fiber_interior, self.M)
 
 
 def induce_1d(
@@ -258,8 +247,6 @@ def grid_cocycle_space_1d(
             block[:, (j - 1) * n : j * n] -= eye
             block[:, (k - 1) * n : k * n] -= vj
             rows.append(block)
-    from .linalg import nullspace
-
     return nullspace(np.vstack(rows), tol).shape[1]
 
 
@@ -270,9 +257,6 @@ class GridRep2:
     M: int
     rep: IsoRep2
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @property
     def fiber_dim(self) -> int:
@@ -287,18 +271,14 @@ class GridRep2:
 
     def _component(self, axis: int, j: int) -> np.ndarray:
         key = (axis, j)
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if axis == 0:
-            # translation in x: cells over x, fiber = (ycells ⊗ fiber)
-            mat = _induced_matrix(kron(np.eye(self.M), self.rep.W1), self.M, j)
-        else:
-            mat = kron(np.eye(self.M), _induced_matrix(self.rep.W2, self.M, j))
-        with self._lock:
-            self._cache.setdefault(key, mat)
-        return mat
+        if key not in self._cache:
+            if axis == 0:
+                # translation in x: cells over x, fiber = (ycells ⊗ fiber)
+                mat = _induced_matrix(kron(np.eye(self.M), self.rep.W1), self.M, j)
+            else:
+                mat = kron(np.eye(self.M), _induced_matrix(self.rep.W2, self.M, j))
+            self._cache[key] = mat
+        return self._cache[key]
 
     def V(self, s, t) -> np.ndarray:
         j1, j2 = self.grid_index(s), self.grid_index(t)
@@ -313,9 +293,9 @@ class GridRep2:
                 perm[cx * m + cy, cy * m + cx] = 1.0
         return kron(perm, np.eye(f))
 
-    def interior_projector(self) -> np.ndarray:
-        mask = np.tile(self.rep.trunc.level_mask(), self.M * self.M)
-        return np.diag(mask.astype(complex))
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask over the grid space selecting interior coordinates."""
+        return np.tile(self.rep.trunc.level_mask(), self.M * self.M)
 
 
 def induce_2d(rep: IsoRep2, m: int) -> GridRep2:
@@ -330,8 +310,6 @@ def adjoint_2d(grid: GridRep2, s, t) -> np.ndarray:
     Cells below the wrap line read the lower lattice power of the pair, cells
     past it pick up one extra generator adjoint per wrapped axis.
     """
-    from .repmodel import sigma_power
-
     m, f = grid.M, grid.fiber_dim
     q1, r1 = divmod(grid.grid_index(s), m)
     q2, r2 = divmod(grid.grid_index(t), m)
@@ -453,8 +431,9 @@ def induced_commutant_check_2d(
     grid = induce_2d(rep, m)
     eye_cells = np.eye(m * m)
     eye_levels = np.eye(rep.trunc.L)
-    p = grid.interior_projector()
-    eye = np.eye(grid.dim)
+    mask = grid.interior_mask()
+    interior = np.ix_(mask, mask)
+    eye = np.eye(int(mask.sum()))
 
     worst = 0.0
     times = [
@@ -462,11 +441,11 @@ def induced_commutant_check_2d(
     ]
     # non-isometric input shows up here; the generators see every defect and
     # their one-level climb stays inside the guard band
+    gens = [grid.V(1 / m, 0), grid.V(0, 1 / m)]
     iso_worst = 0.0
-    for s, t in ((1 / m, 0), (0, 1 / m)):
-        v = grid.V(s, t)
+    for v in gens:
         iso_worst = max(
-            iso_worst, float(np.max(np.abs(p @ (v.conj().T @ v - eye) @ p)))
+            iso_worst, float(np.max(np.abs((v.conj().T @ v)[interior] - eye)))
         )
     for t0 in base:
         g = kron(eye_cells, kron(t0, eye_levels))
@@ -474,16 +453,7 @@ def induced_commutant_check_2d(
             v = grid.V(s, t)
             worst = max(worst, float(np.max(np.abs(g @ v - v @ g))))
 
-    gens = [grid.V(1 / m, 0), grid.V(0, 1 / m)]
-    basis = star_commutant_basis(gens, tol, seed)
-    p = grid.interior_projector()
-    gens_int = [p @ g @ p for g in gens]
-    survivors = 0
-    for t in basis:
-        t_int = p @ t @ p
-        dev = max(float(np.max(np.abs(t_int @ g - g @ t_int))) for g in gens_int)
-        if dev <= tol.identity_tol:
-            survivors += 1
+    survivors = interior_commutant_dim(gens, mask, tol, seed)
 
     return InducedCommutantReport(
         structured_dim=len(base),
@@ -495,28 +465,3 @@ def induced_commutant_check_2d(
         generic_direction_ok=survivors == len(base),
         tolerance=tol.identity_tol,
     )
-
-
-@dataclass(frozen=True)
-class PaddedGridRep:
-    """d-parameter wrapper: time tuples act through their first two entries."""
-
-    base: GridRep2
-    d: int
-
-    def V(self, times) -> np.ndarray:
-        times = tuple(times)
-        if len(times) != self.d:
-            raise ValueError(f"expected a {self.d}-tuple of times")
-        for t in times[2:]:
-            _grid_index(t, self.base.M)
-        return self.base.V(times[0], times[1])
-
-    def index_result(self, tol: ToleranceConfig = DEFAULT_TOL):
-        return rep_index(self.base.rep, tol)
-
-
-def pad_to_d(grid: GridRep2, d: int) -> PaddedGridRep:
-    if d < 2:
-        raise ValueError("padding is defined for d >= 2")
-    return PaddedGridRep(base=grid, d=d)

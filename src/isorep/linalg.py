@@ -187,4 +187,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"matrix entries have length {re.size}/{im.size}, expected {rows * cols}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite")
     return (re + 1j * im).reshape((rows, cols), order="C")

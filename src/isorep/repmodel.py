@@ -17,7 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, kron, nullspace, numerical_rank
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    kron,
+    matrix_from_json,
+    nullspace,
+    numerical_rank,
+)
 
 __all__ = [
     "TruncationParams",
@@ -75,9 +82,6 @@ class TruncationParams:
         levels = np.arange(self.L) < self.interior_levels
         return np.tile(levels, self.n)
 
-    def interior_projector(self) -> np.ndarray:
-        return np.diag(self.level_mask().astype(complex))
-
 
 def default_truncation(n: int, d: int) -> TruncationParams:
     """House rule L = 8d, guard = 2d: keeps cocycle supports (≤ d-1 levels)
@@ -124,6 +128,8 @@ class ProjectionFamily:
         n = u.shape[0]
         if u.shape != (n, n):
             raise ValueError("unitary must be square")
+        if not np.isfinite(u).all():
+            raise ValueError("U has non-finite entries")
         eye = np.eye(n)
         if max(_dev(u.conj().T @ u, eye), _dev(u @ u.conj().T, eye)) > tol.identity_tol:
             raise ValueError("U is not unitary at identity_tol")
@@ -132,6 +138,8 @@ class ProjectionFamily:
             p = np.asarray(p, dtype=complex)
             if p.shape != (n, n):
                 raise ValueError(f"P_{i + 1} has shape {p.shape}, expected {(n, n)}")
+            if not np.isfinite(p).all():
+                raise ValueError(f"P_{i + 1} has non-finite entries")
             if _dev(p, p.conj().T) > tol.identity_tol:
                 raise ValueError(f"P_{i + 1} is not self-adjoint")
             if _dev(p @ p, p) > tol.identity_tol:
@@ -177,15 +185,31 @@ class IsoRep2:
     def dim(self) -> int:
         return self.trunc.dim
 
-    def interior_projector(self) -> np.ndarray:
-        return self.trunc.interior_projector()
-
     def generator(self, which: int) -> np.ndarray:
         if which == 1:
             return self.W1
         if which == 2:
             return self.W2
         raise ValueError("generator index must be 1 or 2")
+
+
+def certify_two_truncations(
+    rep: IsoRep2,
+    measure: Callable[[IsoRep2], tuple[int, bool]],
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple[tuple[int, ...], bool]:
+    """Measure a dimension at L and again rebuilt at L + stabilization_delta.
+
+    ``measure`` returns (dim, stable). Returns the observed dims and whether
+    they certify: both stable and equal. A representation without a rebuild
+    recipe is measured once and never certifies.
+    """
+    first, stable = measure(rep)
+    if rep.rebuild is None:
+        return (first,), False
+    bigger = replace(rep.trunc, L=rep.trunc.L + tol.stabilization_delta)
+    second, stable2 = measure(rep.rebuild(bigger))
+    return (first, second), stable and stable2 and first == second
 
 
 def sigma_power(rep: IsoRep2, m: int, n: int) -> np.ndarray:
@@ -327,7 +351,8 @@ class ValidationReport:
 
     @property
     def isometry_ok(self) -> bool:
-        return max(self.isometry_dev_w1, self.isometry_dev_w2) <= self.tol
+        # a comparison with NaN is False; max() would drop a NaN that is not first
+        return self.isometry_dev_w1 <= self.tol and self.isometry_dev_w2 <= self.tol
 
     @property
     def commutation_ok(self) -> bool:
@@ -351,13 +376,14 @@ class ValidationReport:
 
 def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Interior-compressed isometry and commutation deviations of the pair."""
-    p = rep.interior_projector()
-    eye = np.eye(rep.dim)
+    mask = rep.trunc.level_mask()
+    interior = np.ix_(mask, mask)
+    eye = np.eye(rep.trunc.interior_dim)
 
     def iso_dev(w: np.ndarray) -> float:
-        return float(np.max(np.abs(p @ (w.conj().T @ w - eye) @ p)))
+        return float(np.max(np.abs((w.conj().T @ w)[interior] - eye)))
 
-    comm = p @ (rep.W1 @ rep.W2 - rep.W2 @ rep.W1) @ p
+    comm = (rep.W1 @ rep.W2 - rep.W2 @ rep.W1)[interior]
     return ValidationReport(
         isometry_dev_w1=iso_dev(rep.W1),
         isometry_dev_w2=iso_dev(rep.W2),
@@ -419,7 +445,7 @@ def strong_purity_check(
         raise ValueError(
             f"depth {depth} exceeds interior levels {rep.trunc.interior_levels}"
         )
-    p_int = rep.interior_projector()
+    mask = rep.trunc.level_mask()
     interior_dim = rep.trunc.interior_dim
 
     verdicts: list[str] = []
@@ -432,7 +458,7 @@ def strong_purity_check(
         power = np.eye(rep.dim, dtype=complex)
         for _ in range(depth):
             power = w @ power
-            ranks.append(numerical_rank(p_int @ power, tol))
+            ranks.append(numerical_rank(power[mask], tol))
         climb = level_climb(w, rep.trunc)
         k_max = min(depth, rep.trunc.interior_levels // max(climb, 1))
         expected = [max(0, interior_dim - k * m) for k in range(1, k_max + 1)]
@@ -521,6 +547,28 @@ def reparametrize(
     return IsoRep2(W1=w1, W2=w2, trunc=new_trunc, family=None, rebuild=rebuild)
 
 
+def unit_a_vector(values) -> np.ndarray:
+    """The config's reflection vector scaled to unit norm.
+
+    Zero and non-finite vectors are rejected here, at the boundary, so they
+    never reach a solver.
+    """
+    a = np.asarray(values, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("config field a_vector: entries must be finite")
+    norm = np.linalg.norm(a)
+    if norm == 0.0:
+        raise ValueError("config field a_vector: zero vector")
+    return a / norm
+
+
+def _config_matrix(obj, name: str) -> np.ndarray:
+    try:
+        return matrix_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"config field {name}: {exc}") from exc
+
+
 def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2:
     """Build a representation from the JSON wire config.
 
@@ -528,10 +576,10 @@ def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2
     "guard", "unitary": Matrix, "projections": [Matrix, …] | "standard_basis",
     "a_vector": […], "W1": Matrix, "W2": Matrix, "kind": "finite" |
     "truncated_infinite"}. Reflection vectors are normalized here so callers
-    can pass unnormalized coordinates.
+    can pass unnormalized coordinates. A truncated_infinite reflection config
+    takes the uniform profile at every size, so its a_vector must be uniform:
+    one vector cannot fix the profile at other sizes.
     """
-    from .linalg import matrix_from_json
-
     kind = config.get("family")
     trunc = None
     if "L" in config:
@@ -542,28 +590,31 @@ def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2
             n=int(n), L=int(config["L"]), guard=int(config.get("guard", 2))
         )
     if kind == "reflection":
-        a = np.asarray(config["a_vector"], dtype=complex)
-        norm = np.linalg.norm(a)
-        if norm == 0.0:
-            raise ValueError("config field a_vector: zero vector")
-        a = a / norm
+        a = unit_a_vector(config["a_vector"])
         if config.get("kind") == "truncated_infinite":
-            fam = truncated_infinite_reflection_family(a.size, lambda m: uniform_profile(m), tol)
+            if np.max(np.abs(a - a[0])) > tol.identity_tol:
+                raise ValueError(
+                    "config field a_vector: kind truncated_infinite needs equal "
+                    "coordinates (the uniform profile)"
+                )
+            fam = truncated_infinite_reflection_family(a.size, tol=tol)
             return build_projection_family_rep(fam, trunc, tol)
         return build_reflection_rep(a, trunc, tol)
     if kind == "projection":
-        unitary = matrix_from_json(config["unitary"])
+        unitary = _config_matrix(config["unitary"], "unitary")
         projections = config.get("projections", "standard_basis")
         if projections == "standard_basis":
             n = unitary.shape[0]
             projections = [_coordinate_projection(n, i) for i in range(n)]
         else:
-            projections = [matrix_from_json(p) for p in projections]
+            projections = [
+                _config_matrix(p, f"projections[{i}]") for i, p in enumerate(projections)
+            ]
         fam = ProjectionFamily(projections=tuple(projections), unitary=unitary)
         return build_projection_family_rep(fam, trunc, tol)
     if kind == "custom":
-        w1 = matrix_from_json(config["W1"])
-        w2 = matrix_from_json(config["W2"])
+        w1 = _config_matrix(config["W1"], "W1")
+        w2 = _config_matrix(config["W2"], "W2")
         if trunc is None:
             raise ValueError("config field L: required for custom representations")
         if w1.shape != (trunc.dim, trunc.dim) or w2.shape != (trunc.dim, trunc.dim):

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import isorep.cli
+import isorep.commutant
 from isorep.cli import main
 from isorep.linalg import matrix_to_json
+from isorep.repmodel import TruncationParams, build_reflection_rep
 
 
 def run_cli(args, capsys):
@@ -186,3 +189,93 @@ def test_repeated_runs_identical_modulo_meta(tmp_path, capsys):
         obj.pop("meta")
         reports.append(json.dumps(obj, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def _custom_example2_config(tmp_path):
+    rep = build_reflection_rep(np.full(4, 0.5), TruncationParams(4, 8, 3))
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "family": "custom",
+                "n": 4,
+                "L": 8,
+                "guard": 3,
+                "W1": matrix_to_json(rep.W1),
+                "W2": matrix_to_json(rep.W2),
+            }
+        )
+    )
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize(
+    "case, oracle_levels, irreducible",
+    [
+        # the structured formula decides; the oracle is reported at L only
+        ("finite", [8], True),
+        # oracle at L and at L + stabilization_delta, each solved once
+        ("truncated_infinite", [8, 12], True),
+        # no rebuild recipe: one solve, no verdict
+        ("custom", [8], None),
+    ],
+)
+def test_irreducible_solves_each_truncation_once(
+    case, oracle_levels, irreducible, tmp_path, monkeypatch, capsys
+):
+    flags = {
+        "finite": ["--a", "0.5,0.5,0.5,0.5", "--L", "8", "--guard", "3"],
+        "truncated_infinite": [
+            "--a", "0.5,0.5,0.5", "--kind", "truncated_infinite", "--L", "8", "--guard", "3",
+        ],
+    }
+    args = flags[case] if case in flags else _custom_example2_config(tmp_path)
+    real = isorep.commutant.truncated_commutant_oracle
+    levels = []
+
+    def counting(rep, *rest, **kwargs):
+        levels.append(rep.trunc.L)
+        return real(rep, *rest, **kwargs)
+
+    monkeypatch.setattr(isorep.commutant, "truncated_commutant_oracle", counting)
+    monkeypatch.setattr(isorep.cli, "truncated_commutant_oracle", counting)
+    code, report = run_cli(["irreducible", *args], capsys)
+    assert code == 0
+    assert levels == oracle_levels
+    assert report["results"]["oracle_commutant_dim"] == 1
+    assert report["results"]["irreducible"] is irreducible
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["index", "--a", "nan,1,1,1"],
+        ["build", "--a", "1,inf,1,1", "--L", "8", "--guard", "3"],
+        ["equivalent", "--a", "0.5,0.5,0.5,0.5", "--b", "0.5,-inf,0.5,0.5"],
+        ["index", "--a", "0.9,0.1,0.3,0.2", "--kind", "truncated_infinite"],
+    ],
+)
+def test_bad_a_vector_exits_one_naming_the_field(args, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "a_vector" in json.loads(captured.err)["error"]
+
+
+def test_non_finite_unitary_file_exits_one_naming_the_field(tmp_path, capsys):
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = np.nan
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(matrix_to_json(u)))
+    code = main(["index", "--unitary-file", str(path)])
+    assert code == 1
+    assert "unitary" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_uniform_truncated_infinite_vector_probes_growth(capsys):
+    code, report = run_cli(
+        ["index", "--a", "2,2,2,2", "--kind", "truncated_infinite"], capsys
+    )
+    assert code == 0
+    assert report["results"]["index"] == {"unbounded_with_truncation": {"dims": [3, 7]}}

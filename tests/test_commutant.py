@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isorep.commutant import (
+    _refined_star_commutant,
     are_unitarily_equivalent,
     is_irreducible,
     star_commutant_basis,
@@ -92,9 +93,7 @@ def test_star_commutant_refinement_matches_dense():
         dense = intertwiner_space(
             [(a, a), (b, b), (a.conj().T, a.conj().T), (b.conj().T, b.conj().T)]
         )
-        from isorep.commutant import _refined_commutant_for_tests
-
-        refined = _refined_commutant_for_tests([a, b])
+        refined = _refined_star_commutant([a, b.astype(complex)], DEFAULT_TOL, seed=0)
         assert len(dense) == len(refined)
         for t in refined:
             assert np.max(np.abs(a @ t - t @ a)) < 1e-9

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isorep.cocycle import cocycle_space, index
+from isorep.cocycle import cocycle_space
 from isorep.induced import (
     GridRep2,
     adjoint_1d,
@@ -13,7 +13,6 @@ from isorep.induced import (
     induced_commutant_check_2d,
     lift_cocycle_1d,
     lift_cocycle_2d,
-    pad_to_d,
     shift_fiber,
 )
 from isorep.linalg import kron, nullspace
@@ -134,7 +133,7 @@ def test_kernel_of_adjoint_description():
 def test_interior_isometry_and_range_projection():
     sigma, mask = shift_fiber(2, 8)
     grid = induce_1d(sigma, 4, mask)
-    p = grid.interior_projector()
+    p = np.diag(np.tile(mask, 4).astype(complex))
     eye = np.eye(grid.dim)
     for j in (1, 2, 3, 4, 6):
         v = grid.V(j / 4)
@@ -336,32 +335,3 @@ def test_induced_commutant_requires_family():
     raw = IsoRep2(W1=rep.W1, W2=rep.W2, trunc=rep.trunc)
     with pytest.raises(ValueError, match="family"):
         induced_commutant_check_2d(raw, 2)
-
-
-# --- padding ------------------------------------------------------------------------------
-
-
-def test_pad_identity_wrapper():
-    grid = induce_2d(small_rep(), 2)
-    pad = pad_to_d(grid, 2)
-    assert np.array_equal(pad.V((0.5, 0.5)), grid.V(0.5, 0.5))
-
-
-def test_pad_projects_to_first_two_coordinates():
-    grid = induce_2d(small_rep(), 8)
-    pad = pad_to_d(grid, 3)
-    assert np.array_equal(pad.V((0.5, 0.5, 7 / 8)), grid.V(0.5, 0.5))
-    with pytest.raises(ValueError, match="3-tuple"):
-        pad.V((0.5, 0.5))
-
-
-def test_pad_preserves_index():
-    rep = small_rep()
-    grid = induce_2d(rep, 2)
-    pad = pad_to_d(grid, 4)
-    assert pad.index_result().to_json() == index(rep).to_json()
-
-
-def test_pad_rejects_low_dimension():
-    with pytest.raises(ValueError, match="d >= 2"):
-        pad_to_d(induce_2d(small_rep(), 2), 1)

@@ -1,11 +1,18 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isorep.linalg import DEFAULT_TOL
+from isorep.commutant import star_commutant_basis, truncated_commutant_oracle
+from isorep.linalg import DEFAULT_TOL, matrix_to_json, numerical_rank
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
     TruncationParams,
+    ValidationReport,
     build_projection_family_rep,
     build_reflection_rep,
     default_truncation,
@@ -204,7 +211,7 @@ def test_purity_random_families_match_rank_oracle():
         rep = build_projection_family_rep(fam)
         report = strong_purity_check(rep, depth=3)
         assert report.verdict == "strongly_pure"
-        p_int = rep.interior_projector()
+        p_int = np.diag(rep.trunc.level_mask().astype(complex))
         for gen_idx, w in enumerate((rep.W1, rep.W2)):
             m = rep.dim - np.linalg.matrix_rank(w, tol=1e-9)
             power = np.eye(rep.dim, dtype=complex)
@@ -318,3 +325,106 @@ def test_rep_from_config_projection_standard_basis():
 def test_rep_from_config_unknown_family():
     with pytest.raises(ValueError, match="family"):
         rep_from_config({"family": "mystery"})
+
+
+def test_rep_from_config_rejects_non_uniform_truncated_infinite_vector():
+    config = {"family": "reflection", "a_vector": [0.9, 0.1, 0.3, 0.2], "kind": "truncated_infinite"}
+    with pytest.raises(ValueError, match="a_vector"):
+        rep_from_config(config)
+    config["a_vector"] = [3.0, 3.0, 3.0, 3.0]
+    assert rep_from_config(config).family.kind == "truncated_infinite"
+
+
+# --- non-finite input -----------------------------------------------------------
+
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def non_finite_configs(draw):
+    """A config with one non-finite number, and the field that must name it."""
+    family = draw(st.sampled_from(["reflection", "projection", "custom"]))
+    bad = draw(_NON_FINITE)
+    if family == "reflection":
+        n = draw(st.integers(1, 5))
+        a = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        a[draw(st.integers(0, n - 1))] = bad
+        return {"family": "reflection", "a_vector": a}, "a_vector"
+    n = draw(st.integers(1, 3))
+    size = n if family == "projection" else n * 6
+    mats = [np.eye(size, dtype=complex) for _ in range(2 if family == "custom" else n + 1)]
+    which = draw(st.integers(0, len(mats) - 1))
+    i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    mats[which][i, j] = bad * (1j if draw(st.booleans()) else 1.0)
+    wire = [matrix_to_json(m) for m in mats]
+    if family == "custom":
+        config = {"family": "custom", "n": n, "L": 6, "guard": 2, "W1": wire[0], "W2": wire[1]}
+        return config, ("W1", "W2")[which]
+    config = {"family": "projection", "unitary": wire[0], "projections": wire[1:]}
+    return config, "unitary" if which == 0 else f"projections[{which - 1}]"
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_finite_configs())
+def test_non_finite_config_rejected_after_json_roundtrip(case):
+    config, field = case
+    wire = json.loads(json.dumps(config))  # NaN and Infinity survive the JSON text
+    with pytest.raises(ValueError, match=re.escape(f"config field {field}:")):
+        rep_from_config(wire)
+
+
+@pytest.mark.parametrize("where", ["unitary", "projection"])
+def test_family_check_rejects_non_finite(where):
+    u = np.eye(2, dtype=complex)
+    projections = list(coord_projections(2))
+    if where == "unitary":
+        u = np.full((2, 2), np.nan, dtype=complex)
+    else:
+        projections[1] = projections[1] * np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ProjectionFamily(projections=tuple(projections), unitary=u).check()
+
+
+@pytest.mark.parametrize("devs", [(0.0, np.nan, 0.0), (np.nan, 0.0, 0.0), (0.0, 0.0, np.nan)])
+def test_validation_verdicts_are_nan_safe(devs):
+    assert not ValidationReport(*devs, tol=1e-10).ok
+
+
+# --- interior masks against the dense projector -------------------------------------
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mask_route_matches_dense_projector(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, _ = np.linalg.qr(z)
+    fam = ProjectionFamily(projections=coord_projections(n), unitary=q)
+    rep = build_projection_family_rep(fam, TruncationParams(n, 16, 2 * n))
+    p = np.diag(rep.trunc.level_mask().astype(complex))
+    eye = np.eye(rep.dim)
+
+    # a perturbed pair makes every deviation sizeable
+    g = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
+    for pair in (rep, IsoRep2(W1=rep.W1 + 0.1 * g, W2=rep.W2, trunc=rep.trunc)):
+        report = validate(pair)
+        dense = [
+            np.max(np.abs(p @ (w.conj().T @ w - eye) @ p)) for w in (pair.W1, pair.W2)
+        ]
+        dense.append(np.max(np.abs(p @ (pair.W1 @ pair.W2 - pair.W2 @ pair.W1) @ p)))
+        masked = [report.isometry_dev_w1, report.isometry_dev_w2, report.commutation_dev]
+        np.testing.assert_allclose(masked, dense, rtol=1e-12, atol=1e-15)
+
+    purity = strong_purity_check(rep, depth=3)
+    for w, ranks in zip((rep.W1, rep.W2), purity.rank_sequences):
+        powers = [np.linalg.matrix_power(w, k) for k in range(1, 4)]
+        assert list(ranks) == [numerical_rank(p @ x) for x in powers]
+
+    w_int = [p @ rep.W1 @ p, p @ rep.W2 @ p]
+    survivors = 0
+    for t in star_commutant_basis([rep.W1, rep.W2]):
+        t_int = p @ t @ p
+        dev = max(np.max(np.abs(t_int @ w - w @ t_int)) for w in w_int)
+        survivors += dev <= DEFAULT_TOL.identity_tol
+    assert truncated_commutant_oracle(rep) == survivors
