@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-suite", parents=[common], help="run a named battery")
     p.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    p.add_argument("--grid", type=int, default=None, help="accepted for parity; presets pin their own grids")
 
     return parser
 

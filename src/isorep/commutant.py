@@ -6,12 +6,12 @@ truncated oracle works on the full C^n ⊗ C^L and is documented as an
 upper-bound heuristic at fixed truncation, certified only by agreement with
 the structured answer.
 
-For spaces past a few dozen dimensions the vectorized commutant solve is
-replaced by an eigenspace-refinement scheme: any commutant element is block
-diagonal with respect to the eigenspaces of a random self-adjoint element of
-the generated *-algebra, so the solve happens in those (much smaller) block
-coordinates with the original constraints re-imposed. Clustering eigenvalues
-conservatively can only enlarge the candidate space, never lose solutions.
+The star commutant of a set of generators is always solved by eigenspace
+refinement: any commutant element is block diagonal with respect to the
+eigenspaces of a random self-adjoint element of the generated *-algebra, so
+the solve happens in those (much smaller) block coordinates with the original
+constraints re-imposed. Clustering eigenvalues conservatively can only
+enlarge the candidate space, never lose solutions.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ __all__ = [
     "are_unitarily_equivalent",
 ]
 
-_DENSE_CUTOFF = 16
 _UNITARY_COND_SLACK = 1e-6
 _RANDOM_COMBINATIONS = 32
 
@@ -69,42 +68,17 @@ def _random_algebra_element(
     return h
 
 
-def _eigenspace_blocks(h: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Eigenbasis of ``h`` with eigenvalues clustered at the given gap.
+def _block_entries(w: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (alpha, beta) of the entries a block-diagonal T
+    may use, for the blocks of the sorted spectrum ``w`` clustered at ``gap``.
 
-    Returns a list of column blocks; their concatenation is unitary. Merging
+    Blocks come in order and entries within a block column-major. Merging
     near-degenerate eigenvalues keeps every true commutant element
     representable in block coordinates.
     """
-    w, q = np.linalg.eigh(h)
-    splits = [0]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > gap:
-            splits.append(i)
-    splits.append(w.size)
-    return [q[:, splits[i] : splits[i + 1]] for i in range(len(splits) - 1)]
-
-
-def _block_constraint_matrix(
-    a_hat: np.ndarray, sizes: list[int], offsets: list[int]
-) -> np.ndarray:
-    """Linear map (block-diagonal T, in block coordinates) ↦ vec(T Â - Â T)."""
-    n = a_hat.shape[0]
-    m = sum(s * s for s in sizes)
-    c = np.zeros((n * n, m), dtype=complex)
-    col = 0
-    for size, off in zip(sizes, offsets):
-        idx = np.arange(off, off + size)
-        for beta in range(size):
-            for alpha in range(size):
-                # column for the (alpha, beta) entry of this block, vec'd
-                # column-major: T = e_alpha e_beta^T inside the block.
-                rows = np.arange(n) * n + idx[alpha]
-                c[rows, col] += a_hat[idx[beta], :]
-                rows = idx[beta] * n + np.arange(n)
-                c[rows, col] -= a_hat[:, idx[alpha]]
-                col += 1
-    return c
+    block = np.concatenate([[0], np.cumsum(np.diff(w) > gap)])
+    beta, alpha = np.nonzero(block[:, None] == block[None, :])
+    return alpha, beta
 
 
 def star_commutant_basis(
@@ -112,49 +86,36 @@ def star_commutant_basis(
     tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> list[np.ndarray]:
-    """Orthonormal basis of {T : A T = T A and A* T = T A* for all A}."""
+    """Orthonormal basis of {T : A T = T A and A* T = T A* for all A}.
+
+    T is solved in the eigenbasis q of a random self-adjoint algebra element,
+    restricted to the block entries (alpha, beta); each generator Â = q* A q
+    contributes the constraint vec(T Â - Â T) = 0 on those entries.
+    """
     mats = [np.asarray(a, dtype=complex) for a in mats]
     n = mats[0].shape[0]
-    if n <= _DENSE_CUTOFF:
-        pairs = [(a, a) for a in mats] + [(a.conj().T, a.conj().T) for a in mats]
-        return intertwiner_space(pairs, tol)
-    return _refined_star_commutant(mats, tol, seed)
-
-
-def _refined_star_commutant(
-    mats: list[np.ndarray], tol: ToleranceConfig, seed: int
-) -> list[np.ndarray]:
-    n = mats[0].shape[0]
-    rng = np.random.default_rng(seed)
-    h = _random_algebra_element(mats, rng)
-    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
-    blocks = _eigenspace_blocks(h, gap=1e-8 * scale)
-    q = np.hstack(blocks)
-    sizes = [b.shape[1] for b in blocks]
-    offsets = list(np.cumsum([0] + sizes[:-1]))
+    h = _random_algebra_element(mats, np.random.default_rng(seed))
+    w, q = np.linalg.eigh(h)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    alpha, beta = _block_entries(w, gap=1e-8 * scale)
+    rows = np.arange(n)[:, None]
+    cols = np.arange(alpha.size)[None, :]
 
     reduced_rows = []
     for a in mats:
         for gen in (a, a.conj().T):
             a_hat = q.conj().T @ gen @ q
-            c = _block_constraint_matrix(a_hat, sizes, offsets)
-            # QR keeps the kernel while collapsing n^2 rows to m.
+            c = np.zeros((n * n, alpha.size), dtype=complex)
+            c[rows * n + alpha, cols] = a_hat[beta, :].T
+            c[beta * n + rows, cols] -= a_hat[:, alpha]
+            # QR keeps the kernel while collapsing n^2 rows to one per entry.
             reduced_rows.append(np.linalg.qr(c, mode="r"))
     op_scale = max(float(np.max(np.abs(a))) for a in mats)
     kernel = nullspace(np.vstack(reduced_rows), tol, scale=op_scale)
 
-    basis = []
-    for j in range(kernel.shape[1]):
-        t = np.zeros((n, n), dtype=complex)
-        col = 0
-        for size, off in zip(sizes, offsets):
-            t_block = kernel[col : col + size * size, j].reshape(
-                (size, size), order="F"
-            )
-            t[off : off + size, off : off + size] = t_block
-            col += size * size
-        basis.append(q @ t @ q.conj().T)
-    return basis
+    t = np.zeros((kernel.shape[1], n, n), dtype=complex)
+    t[:, alpha, beta] = kernel.T
+    return list(q @ t @ q.conj().T)
 
 
 def star_intertwiner_basis(
@@ -171,10 +132,6 @@ def star_intertwiner_basis(
     n = a0.shape[0]
     if b0.shape[0] != n:
         raise ValueError("star_intertwiner_basis needs equal dimensions")
-    if n <= _DENSE_CUTOFF:
-        full = [(a, b) for a, b in pairs]
-        full += [(a.conj().T, b.conj().T) for a, b in pairs]
-        return intertwiner_space(full, tol)
     sums = []
     for a, b in pairs:
         s = np.zeros((2 * n, 2 * n), dtype=complex)

@@ -185,13 +185,6 @@ class IsoRep2:
     def dim(self) -> int:
         return self.trunc.dim
 
-    def generator(self, which: int) -> np.ndarray:
-        if which == 1:
-            return self.W1
-        if which == 2:
-            return self.W2
-        raise ValueError("generator index must be 1 or 2")
-
 
 def certify_two_truncations(
     rep: IsoRep2,
@@ -569,6 +562,14 @@ def _config_matrix(obj, name: str) -> np.ndarray:
         raise ValueError(f"config field {name}: {exc}") from exc
 
 
+def _config_int(config: dict, name: str, default: int | None = None) -> int:
+    value = config.get(name, default)
+    # bool is an int subclass, and a float such as 8.5 must not be truncated
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"config field {name}: expected an integer, got {value!r}")
+    return value
+
+
 def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2:
     """Build a representation from the JSON wire config.
 
@@ -578,20 +579,29 @@ def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2
     "truncated_infinite"}. Reflection vectors are normalized here so callers
     can pass unnormalized coordinates. A truncated_infinite reflection config
     takes the uniform profile at every size, so its a_vector must be uniform:
-    one vector cannot fix the profile at other sizes.
+    one vector cannot fix the profile at other sizes. Only reflection configs
+    describe a family at other sizes, so the other families must be finite.
     """
-    kind = config.get("family")
+    family = config.get("family")
+    if family not in ("reflection", "projection", "custom"):
+        raise ValueError(f"config field family: unknown kind {family!r}")
+    kind = config.get("kind", "finite")
+    if kind not in ("finite", "truncated_infinite"):
+        raise ValueError(f"config field kind: unknown kind {kind!r}")
+    if kind != "finite" and family != "reflection":
+        raise ValueError(
+            f"config field kind: {kind} needs family reflection, got {family!r}"
+        )
     trunc = None
     if "L" in config:
-        n = config.get("n")
-        if n is None:
-            n = _config_n(config)
         trunc = TruncationParams(
-            n=int(n), L=int(config["L"]), guard=int(config.get("guard", 2))
+            n=_config_int(config, "n") if "n" in config else _config_n(config),
+            L=_config_int(config, "L"),
+            guard=_config_int(config, "guard", 2),
         )
-    if kind == "reflection":
+    if family == "reflection":
         a = unit_a_vector(config["a_vector"])
-        if config.get("kind") == "truncated_infinite":
+        if kind == "truncated_infinite":
             if np.max(np.abs(a - a[0])) > tol.identity_tol:
                 raise ValueError(
                     "config field a_vector: kind truncated_infinite needs equal "
@@ -600,7 +610,7 @@ def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2
             fam = truncated_infinite_reflection_family(a.size, tol=tol)
             return build_projection_family_rep(fam, trunc, tol)
         return build_reflection_rep(a, trunc, tol)
-    if kind == "projection":
+    if family == "projection":
         unitary = _config_matrix(config["unitary"], "unitary")
         projections = config.get("projections", "standard_basis")
         if projections == "standard_basis":
@@ -612,15 +622,13 @@ def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2
             ]
         fam = ProjectionFamily(projections=tuple(projections), unitary=unitary)
         return build_projection_family_rep(fam, trunc, tol)
-    if kind == "custom":
-        w1 = _config_matrix(config["W1"], "W1")
-        w2 = _config_matrix(config["W2"], "W2")
-        if trunc is None:
-            raise ValueError("config field L: required for custom representations")
-        if w1.shape != (trunc.dim, trunc.dim) or w2.shape != (trunc.dim, trunc.dim):
-            raise ValueError("config fields W1/W2: shape does not match n*L")
-        return IsoRep2(W1=w1, W2=w2, trunc=trunc)
-    raise ValueError(f"config field family: unknown kind {kind!r}")
+    w1 = _config_matrix(config["W1"], "W1")
+    w2 = _config_matrix(config["W2"], "W2")
+    if trunc is None:
+        raise ValueError("config field L: required for custom representations")
+    if w1.shape != (trunc.dim, trunc.dim) or w2.shape != (trunc.dim, trunc.dim):
+        raise ValueError("config fields W1/W2: shape does not match n*L")
+    return IsoRep2(W1=w1, W2=w2, trunc=trunc)
 
 
 def _config_n(config: dict) -> int:

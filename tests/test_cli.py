@@ -273,6 +273,32 @@ def test_non_finite_unitary_file_exits_one_naming_the_field(tmp_path, capsys):
     assert "unitary" in json.loads(capsys.readouterr().err)["error"]
 
 
+def _unitary_config(tmp_path, **fields):
+    cfg = tmp_path / "rep.json"
+    config = {"family": "projection", "unitary": matrix_to_json(np.eye(2)), **fields}
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+def test_projection_config_with_truncated_infinite_kind_exits_one(tmp_path, capsys):
+    cfg = _unitary_config(tmp_path, kind="truncated_infinite")
+    code = main(["index", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "config field kind" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), "x", 8.5])
+def test_non_integer_L_in_config_exits_one_naming_the_field(tmp_path, capsys, bad):
+    cfg = _unitary_config(tmp_path, n=2, L=bad, guard=2)
+    code = main(["build", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "config field L" in json.loads(captured.err)["error"]
+
+
 def test_uniform_truncated_infinite_vector_probes_growth(capsys):
     code, report = run_cli(
         ["index", "--a", "2,2,2,2", "--kind", "truncated_infinite"], capsys

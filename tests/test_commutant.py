@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isorep.commutant import (
-    _refined_star_commutant,
     are_unitarily_equivalent,
     is_irreducible,
     star_commutant_basis,
@@ -10,7 +11,7 @@ from isorep.commutant import (
     structured_commutant_dim,
     truncated_commutant_oracle,
 )
-from isorep.linalg import DEFAULT_TOL, intertwiner_space
+from isorep.linalg import intertwiner_space
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -85,7 +86,7 @@ def test_oracle_matches_structured_for_random_families():
 
 def test_star_commutant_refinement_matches_dense():
     # same space computed by the dense vectorized solve and by the
-    # eigenspace-refinement route used above the size cutoff
+    # eigenspace-refinement route
     rng = np.random.default_rng(77)
     for n in (6, 12):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -93,11 +94,87 @@ def test_star_commutant_refinement_matches_dense():
         dense = intertwiner_space(
             [(a, a), (b, b), (a.conj().T, a.conj().T), (b.conj().T, b.conj().T)]
         )
-        refined = _refined_star_commutant([a, b.astype(complex)], DEFAULT_TOL, seed=0)
+        refined = star_commutant_basis([a, b])
         assert len(dense) == len(refined)
         for t in refined:
             assert np.max(np.abs(a @ t - t @ a)) < 1e-9
             assert np.max(np.abs(b @ t - t @ b)) < 1e-9
+
+
+def _random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.linalg.qr(z)[0]
+
+
+def _rotated_sum(blocks, u):
+    """u (blocks[0] ⊕ blocks[1] ⊕ …) u*."""
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    pos = 0
+    for b in blocks:
+        out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
+        pos += b.shape[0]
+    return u @ out @ u.conj().T
+
+
+@st.composite
+def repeated_sums(draw):
+    """Generators u(A ⊕ … ⊕ A ⊕ B)u* with A repeated 1–3 times, of size 1–19.
+
+    A repeated summand gives the random algebra element eigen-clusters
+    larger than one; most draws stay at size 16 or below.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r, m, rest = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    rotate = draw(st.booleans())
+    summands = [
+        (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)),
+         rng.normal(size=(rest, rest)) + 1j * rng.normal(size=(rest, rest)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return rng, m, summands, rotate
+
+
+def _star_residual(t, pairs):
+    return max(
+        float(np.max(np.abs(g @ t - t @ h)))
+        for a, b in pairs
+        for g, h in ((a, b), (a.conj().T, b.conj().T))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(repeated_sums())
+def test_star_commutant_matches_dense_reference(case):
+    rng, m, summands, rotate = case
+    n = m * summands[0][0].shape[0] + summands[0][1].shape[0]
+    u = _random_unitary(rng, n) if rotate else np.eye(n)
+    gens = [_rotated_sum([a] * m + [b], u) for a, b in summands]
+    dense = intertwiner_space([(g, g) for g in gens] + [(g.conj().T, g.conj().T) for g in gens])
+    basis = star_commutant_basis(gens)
+    assert len(basis) == len(dense) == m * m + (1 if summands[0][1].size else 0)
+    for t in basis:
+        assert _star_residual(t, [(g, g) for g in gens]) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(repeated_sums(), st.booleans())
+def test_star_intertwiner_matches_dense_reference(case, same_rest):
+    # the second side shares the repeated summand and, when same_rest, the
+    # remainder, in a different orthonormal basis
+    rng, m, summands, rotate = case
+    n = m * summands[0][0].shape[0] + summands[0][1].shape[0]
+    u = _random_unitary(rng, n) if rotate else np.eye(n)
+    v = _random_unitary(rng, n)
+    pairs = []
+    for a, b in summands:
+        b2 = b if same_rest else rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+        pairs.append((_rotated_sum([a] * m + [b], u), _rotated_sum([a] * m + [b2], v)))
+    dense = intertwiner_space(pairs + [(a.conj().T, b.conj().T) for a, b in pairs])
+    basis = star_intertwiner_basis(pairs)
+    assert len(basis) == len(dense) == m * m + (1 if same_rest and summands[0][1].size else 0)
+    for t in basis:
+        assert _star_residual(t, pairs) < 1e-8
 
 
 # --- irreducibility ---------------------------------------------------------------

@@ -199,6 +199,48 @@ def test_grid_cocycle_dimension_matches_multiplicity(mult):
     assert grid_cocycle_space_1d(grid, 2) == mult
 
 
+def _stacked_grid_cocycle_dim(grid, horizon):
+    """All-pairs reference over the unknowns (xi_{1/M}, …, xi_{horizon}):
+    kernel rows at every grid time, additivity rows at every grid pair."""
+    j_max = grid.grid_index(horizon)
+    n = grid.dim
+    rows = []
+    for j in range(1, j_max + 1):
+        block = np.zeros((n, j_max * n), dtype=complex)
+        block[:, (j - 1) * n : j * n] = grid.V(j / grid.M).conj().T
+        rows.append(block)
+    for j in range(1, j_max):
+        for k in range(1, j_max - j + 1):
+            block = np.zeros((n, j_max * n), dtype=complex)
+            block[:, (j + k - 1) * n : (j + k) * n] += np.eye(n)
+            block[:, (j - 1) * n : j * n] -= np.eye(n)
+            block[:, (k - 1) * n : k * n] -= grid.V(j / grid.M)
+            rows.append(block)
+    return nullspace(np.vstack(rows)).shape[1]
+
+
+def _fiber(kind, rng):
+    """A fiber isometry or contraction: truncated shifts (rotated or not),
+    a unitary (isometric), or a rank-deficient matrix (not isometric)."""
+    if kind.startswith("shift"):
+        return shift_fiber(int(kind[-1]), 6)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    if kind == "rotated_shift":
+        sigma, _ = shift_fiber(1, 4)
+        return u @ sigma @ u.conj().T, None
+    if kind == "unitary":
+        return u, None
+    return u @ np.diag([1.3, 0.4, 0.0, 0.0]) @ u.conj().T, None
+
+
+@pytest.mark.parametrize("kind", ["shift1", "shift2", "rotated_shift", "unitary", "rank_deficient"])
+@pytest.mark.parametrize("m, horizon", [(2, 1), (3, 2), (4, 1)])
+def test_grid_cocycle_solve_matches_all_pairs_system(kind, m, horizon):
+    sigma, mask = _fiber(kind, np.random.default_rng(m * 10 + horizon))
+    grid = induce_1d(sigma, m, mask)
+    assert grid_cocycle_space_1d(grid, horizon) == _stacked_grid_cocycle_dim(grid, horizon)
+
+
 def test_grid_cocycle_dimension_unitary_sigma():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

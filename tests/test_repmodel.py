@@ -327,6 +327,34 @@ def test_rep_from_config_unknown_family():
         rep_from_config({"family": "mystery"})
 
 
+@pytest.mark.parametrize("family", ["projection", "custom"])
+def test_rep_from_config_rejects_truncated_infinite_without_profile(family):
+    # only a reflection config describes the family at other sizes; the others
+    # used to ignore kind and answer as finite families
+    config = {
+        "family": family,
+        "unitary": matrix_to_json(np.eye(2)),
+        "W1": matrix_to_json(np.eye(12)),
+        "W2": matrix_to_json(np.eye(12)),
+        "n": 2,
+        "L": 6,
+        "kind": "truncated_infinite",
+    }
+    with pytest.raises(ValueError, match="config field kind:"):
+        rep_from_config(config)
+    with pytest.raises(ValueError, match="config field kind:"):
+        rep_from_config({**config, "kind": "infinite"})
+
+
+@pytest.mark.parametrize("field", ["n", "L", "guard"])
+@pytest.mark.parametrize("bad", [float("nan"), "x", 8.5, 8.0, True, None])
+def test_rep_from_config_requires_integer_sizes(field, bad):
+    config = {"family": "reflection", "a_vector": [0.5, 0.5, 0.5, 0.5], "n": 4, "L": 8, "guard": 3}
+    config[field] = bad
+    with pytest.raises(ValueError, match=f"config field {field}: expected an integer"):
+        rep_from_config(json.loads(json.dumps(config)))
+
+
 def test_rep_from_config_rejects_non_uniform_truncated_infinite_vector():
     config = {"family": "reflection", "a_vector": [0.9, 0.1, 0.3, 0.2], "kind": "truncated_infinite"}
     with pytest.raises(ValueError, match="a_vector"):

@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from isorep.suites import PRESETS, verify_suite
+from isorep.repmodel import IsoRep2, TruncationParams, build_reflection_rep
+from isorep.suites import PRESETS, induce_report, verify_suite
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -28,3 +31,15 @@ def test_report_json_shape():
     assert isinstance(obj["checks"], list) and obj["checks"]
     for check in obj["checks"]:
         assert {"check", "description", "passed"} <= set(check)
+
+
+def test_induce_report_residual_keeps_a_nan_deviation():
+    # the NaN sits in W2, so it is not the first of the three deviations
+    rep = build_reflection_rep(np.array([1.0, 1.0]) / np.sqrt(2), TruncationParams(2, 8, 2))
+    w2 = rep.W2.copy()
+    w2[1, 0] = np.nan
+    report = induce_report(IsoRep2(W1=rep.W1, W2=w2, trunc=rep.trunc), 2)
+    check = report.checks[0]
+    assert check.check == "pair_validates"
+    assert check.passed is False
+    assert math.isnan(check.residual)
