@@ -23,13 +23,7 @@ from .commutant import (
     truncated_commutant_oracle,
 )
 from .linalg import ToleranceConfig
-from .repmodel import (
-    reflection_family,
-    rep_from_config,
-    strong_purity_check,
-    unit_a_vector,
-    validate,
-)
+from .repmodel import family_from_config, rep_from_config, strong_purity_check, validate
 from .suites import PRESETS, induce_report, verify_suite
 
 __all__ = ["main"]
@@ -173,17 +167,14 @@ def cmd_irreducible(args, tol: ToleranceConfig):
 def cmd_equivalent(args, tol: ToleranceConfig):
     config = _config_from_args(args)
     config2 = _second_config(args)
-    both_reflection = config.get("family") == config2.get("family") == "reflection"
-    if both_reflection:
-        fam_a = reflection_family(unit_a_vector(config["a_vector"]), tol)
-        fam_b = reflection_family(unit_a_vector(config2["a_vector"]), tol)
-        verdict = are_unitarily_equivalent(fam_a, fam_b, tol, args.seed)
+    if config.get("family") == config2.get("family") == "reflection":
+        # every field is checked as rep_from_config checks it, but the
+        # structured verdict needs only the families, not the assembled pairs
+        first, second = family_from_config(config, tol)[0], family_from_config(config2, tol)[0]
     else:
-        rep_a = rep_from_config(config, tol)
-        rep_b = rep_from_config(config2, tol)
-        verdict = are_unitarily_equivalent(rep_a, rep_b, tol, args.seed)
-    echo = {"first": config, "second": config2}
-    return echo, verdict.to_json(), 0
+        first, second = rep_from_config(config, tol), rep_from_config(config2, tol)
+    verdict = are_unitarily_equivalent(first, second, tol, args.seed)
+    return {"first": config, "second": config2}, verdict.to_json(), 0
 
 
 def cmd_induce(args, tol: ToleranceConfig):

@@ -3,7 +3,8 @@
 A cocycle of the pair (W1, W2) is determined by two vectors
 eta10 ∈ ker(W1*), eta01 ∈ ker(W2*) satisfying the compatibility relation
 eta10 + W1·eta01 = eta01 + W2·eta10; all other lattice values follow by
-additivity. The space of such pairs is computed as a stacked joint kernel,
+additivity. The space of such pairs is solved kernel first: the compatibility
+relation is imposed only in the k1+k2 coordinates of ker W1* ⊕ ker W2*. It is
 restricted to the interior so truncation artifacts in the guard band cannot
 inflate the dimension. The index of the representation is that dimension,
 certified by agreement at two truncation levels.
@@ -32,7 +33,7 @@ __all__ = [
     "IndexResult",
     "InconsistentCocycleError",
     "cocycle_space",
-    "cocycle_constraint_matrix",
+    "cocycle_pair_basis",
     "index",
     "index_formula_projection_family",
     "evaluate",
@@ -92,56 +93,53 @@ class CocycleSpace:
         return len(self.basis)
 
     def max_residual(self) -> float:
-        if not self.basis:
-            return 0.0
-        return max(c.max_residual(self.rep) for c in self.basis)
+        return max((c.max_residual(self.rep) for c in self.basis), default=0.0)
 
     def to_json(self) -> dict:
-        residuals = {"max": self.max_residual()}
         return {
             "dim": self.dim,
             "stable": self.stable,
             "basis": [c.to_json() for c in self.basis],
-            "residuals": residuals,
+            "residuals": {"max": self.max_residual()},
         }
 
 
-def cocycle_constraint_matrix(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """The 3N×2N system over stacked pairs (eta10, eta01) of the pair (w1, w2)."""
-    n = w1.shape[0]
-    eye = np.eye(n, dtype=complex)
-    c = np.zeros((3 * n, 2 * n), dtype=complex)
-    c[0:n, 0:n] = w1.conj().T
-    c[n : 2 * n, n : 2 * n] = w2.conj().T
-    c[2 * n : 3 * n, 0:n] = eye - w2
-    c[2 * n : 3 * n, n : 2 * n] = w1 - eye
-    return c
+def cocycle_pair_basis(
+    w1: np.ndarray, w2: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+) -> np.ndarray:
+    """Orthonormal basis (2N×dim) of the stacked cocycle pairs of (w1, w2).
+
+    Kernel first: K1, K2 span ker w1*, ker w2*, and the compatibility relation
+    is solved over their k1+k2 coordinates, [(1 - w2)K1 | (w1 - 1)K2]. That
+    cutoff is anchored at the isometries' scale 1: when w2 is the identity up
+    to rounding, the matrix is noise that a purely relative cutoff counts as rank.
+    """
+    k1, k2 = nullspace(w1.conj().T, tol), nullspace(w2.conj().T, tol)
+    if k1.shape[1] + k2.shape[1] == 0:
+        return np.zeros((2 * w1.shape[0], 0), dtype=complex)
+    coeffs = nullspace(np.hstack([k1 - w2 @ k1, w1 @ k2 - k2]), tol, scale=1.0)
+    return np.vstack([k1 @ coeffs[: k1.shape[1]], k2 @ coeffs[k1.shape[1] :]])
 
 
 def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSpace:
     """Interior-supported solutions of the three cocycle constraints.
 
-    Solutions whose support touches the guard band are truncation suspects;
-    they are dropped and the space is flagged unstable when any were present.
+    The kernel-first pair solve gives an orthonormal basis of all solutions;
+    the interior ones are the kernel of its guard-band rows (cutoff at scale
+    1, the basis's norm), so the basis stays orthonormal. Solutions touching
+    the guard band are truncation suspects; they are dropped and the space is
+    flagged unstable when any were present.
     """
     report = validate(rep, tol)
     if not report.ok:
         raise ValueError(f"representation fails validation: {report.as_dict()}")
-    c = cocycle_constraint_matrix(rep.W1, rep.W2)
-    dim_full = nullspace(c, tol).shape[1]
-
-    mask = np.concatenate([rep.trunc.level_mask(), rep.trunc.level_mask()])
-    inner = nullspace(c[:, mask], tol)
+    full = cocycle_pair_basis(rep.W1, rep.W2, tol)
+    guard_rows = full[~np.tile(rep.trunc.level_mask(), 2)]
+    inner = full if guard_rows.size == 0 else full @ nullspace(guard_rows, tol, scale=1.0)
     n = rep.dim
-    basis = []
-    for j in range(inner.shape[1]):
-        v = np.zeros(2 * n, dtype=complex)
-        v[mask] = inner[:, j]
-        basis.append(Cocycle2(eta10=v[:n], eta01=v[n:]))
-    discarded = dim_full - len(basis)
-    return CocycleSpace(
-        basis=tuple(basis), rep=rep, stable=discarded == 0, discarded=discarded
-    )
+    basis = tuple(Cocycle2(eta10=v[:n], eta01=v[n:]) for v in inner.T.copy())
+    discarded = full.shape[1] - len(basis)
+    return CocycleSpace(basis=basis, rep=rep, stable=discarded == 0, discarded=discarded)
 
 
 @dataclass(frozen=True)

@@ -178,11 +178,17 @@ def matrix_to_json(a: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`, with shape validation."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    for name, size in (("rows", rows), ("cols", cols)):
+        # bool is an int subclass, and a size such as 2.5 must not be truncated
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+            raise ValueError(
+                f"matrix field {name}: expected a non-negative integer, got {size!r}"
+            )
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ValueError(
             f"matrix entries have length {re.size}/{im.size}, expected {rows * cols}"

@@ -44,6 +44,7 @@ __all__ = [
     "strong_purity_check",
     "reparametrize",
     "sigma_power",
+    "family_from_config",
     "rep_from_config",
 ]
 
@@ -227,14 +228,7 @@ def build_projection_family_rep(
     makes the isometry/commutation identities exact on the interior.
     """
     fam.check(tol)
-    if trunc is None:
-        trunc = default_truncation(fam.n, fam.d)
-    if trunc.n != fam.n:
-        raise ValueError(f"truncation n={trunc.n} does not match family n={fam.n}")
-    if fam.d > trunc.interior_levels:
-        raise ValueError(
-            f"need d <= L - guard, got d={fam.d}, L-guard={trunc.interior_levels}"
-        )
+    trunc = _fit_truncation(fam, trunc)
     s = truncated_shift(trunc.L)
     w1 = kron(np.eye(fam.n), s)
     w2 = np.zeros((trunc.dim, trunc.dim), dtype=complex)
@@ -247,6 +241,20 @@ def build_projection_family_rep(
         return build_projection_family_rep(fam, tr, tol)
 
     return IsoRep2(W1=w1, W2=w2, trunc=trunc, family=fam, rebuild=rebuild)
+
+
+def _fit_truncation(
+    fam: ProjectionFamily, trunc: TruncationParams | None
+) -> TruncationParams:
+    if trunc is None:
+        return default_truncation(fam.n, fam.d)
+    if trunc.n != fam.n:
+        raise ValueError(f"truncation n={trunc.n} does not match family n={fam.n}")
+    if fam.d > trunc.interior_levels:
+        raise ValueError(
+            f"need d <= L - guard, got d={fam.d}, L-guard={trunc.interior_levels}"
+        )
+    return trunc
 
 
 def reflection_family(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ProjectionFamily:
@@ -540,21 +548,6 @@ def reparametrize(
     return IsoRep2(W1=w1, W2=w2, trunc=new_trunc, family=None, rebuild=rebuild)
 
 
-def unit_a_vector(values) -> np.ndarray:
-    """The config's reflection vector scaled to unit norm.
-
-    Zero and non-finite vectors are rejected here, at the boundary, so they
-    never reach a solver.
-    """
-    a = np.asarray(values, dtype=complex)
-    if not np.isfinite(a).all():
-        raise ValueError("config field a_vector: entries must be finite")
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        raise ValueError("config field a_vector: zero vector")
-    return a / norm
-
-
 def _config_matrix(obj, name: str) -> np.ndarray:
     try:
         return matrix_from_json(obj)
@@ -570,8 +563,11 @@ def _config_int(config: dict, name: str, default: int | None = None) -> int:
     return value
 
 
-def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2:
-    """Build a representation from the JSON wire config.
+def family_from_config(
+    config: dict, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[ProjectionFamily | None, TruncationParams | None]:
+    """Check every field of a JSON wire config and return its family (None
+    for a custom config) and truncation, without assembling the pair.
 
     Schema: {"family": "projection" | "reflection" | "custom", "n", "L",
     "guard", "unitary": Matrix, "projections": [Matrix, …] | "standard_basis",
@@ -599,18 +595,24 @@ def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2
             L=_config_int(config, "L"),
             guard=_config_int(config, "guard", 2),
         )
+    if family == "custom":
+        return None, trunc
     if family == "reflection":
-        a = unit_a_vector(config["a_vector"])
-        if kind == "truncated_infinite":
-            if np.max(np.abs(a - a[0])) > tol.identity_tol:
-                raise ValueError(
-                    "config field a_vector: kind truncated_infinite needs equal "
-                    "coordinates (the uniform profile)"
-                )
+        a = np.asarray(config["a_vector"], dtype=complex)
+        norm = np.linalg.norm(a)
+        if not np.isfinite(a).all() or norm == 0.0:
+            raise ValueError("config field a_vector: need finite entries, not all zero")
+        a = a / norm
+        if kind == "finite":
+            fam = reflection_family(a, tol)
+        elif np.max(np.abs(a - a[0])) > tol.identity_tol:
+            raise ValueError(
+                "config field a_vector: kind truncated_infinite needs equal "
+                "coordinates (the uniform profile)"
+            )
+        else:
             fam = truncated_infinite_reflection_family(a.size, tol=tol)
-            return build_projection_family_rep(fam, trunc, tol)
-        return build_reflection_rep(a, trunc, tol)
-    if family == "projection":
+    else:
         unitary = _config_matrix(config["unitary"], "unitary")
         projections = config.get("projections", "standard_basis")
         if projections == "standard_basis":
@@ -621,6 +623,13 @@ def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2
                 _config_matrix(p, f"projections[{i}]") for i, p in enumerate(projections)
             ]
         fam = ProjectionFamily(projections=tuple(projections), unitary=unitary)
+    return fam, _fit_truncation(fam, trunc)
+
+
+def rep_from_config(config: dict, tol: ToleranceConfig = DEFAULT_TOL) -> IsoRep2:
+    """The representation of a JSON wire config (see family_from_config)."""
+    fam, trunc = family_from_config(config, tol)
+    if fam is not None:
         return build_projection_family_rep(fam, trunc, tol)
     w1 = _config_matrix(config["W1"], "W1")
     w2 = _config_matrix(config["W2"], "W2")
@@ -635,5 +644,5 @@ def _config_n(config: dict) -> int:
     if "a_vector" in config:
         return len(config["a_vector"])
     if "unitary" in config:
-        return int(config["unitary"]["rows"])
+        return _config_matrix(config["unitary"], "unitary").shape[0]
     raise ValueError("config field n: required")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cocycle import (
     CocycleSpace,
-    cocycle_constraint_matrix,
+    cocycle_pair_basis,
     cocycle_space,
     evaluate,
     extend_cocycle,
@@ -457,18 +457,14 @@ def _grid_pair_cocycle_dim(
     are from spanning it."""
     rep = space.rep
     grid = induce_2d(rep, m)
-    solved = nullspace(cocycle_constraint_matrix(grid.V(1 / m, 0), grid.V(0, 1 / m)), tol)
+    solved = cocycle_pair_basis(grid.V(1 / m, 0), grid.V(0, 1 / m), tol)
 
-    lifted = []
-    for coc in space.basis:
-        lift = lift_cocycle_2d(coc, rep, m, tol)
-        lifted.append(np.concatenate([lift.at(1 / m, 0), lift.at(0, 1 / m)]))
-    if not lifted:
+    lifts = [lift_cocycle_2d(coc, rep, m, tol) for coc in space.basis]
+    if not lifts:
         return solved.shape[1], 0.0
-    stacked = np.array(lifted).T
+    stacked = np.array([np.concatenate([f.at(1 / m, 0), f.at(0, 1 / m)]) for f in lifts]).T
     # worst distance of a lifted generator pair from the solved span
-    proj = solved @ (solved.conj().T @ stacked)
-    span_dev = float(np.max(np.abs(stacked - proj)))
+    span_dev = float(np.max(np.abs(stacked - solved @ (solved.conj().T @ stacked))))
     return solved.shape[1], span_dev
 
 

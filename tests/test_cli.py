@@ -305,3 +305,36 @@ def test_uniform_truncated_infinite_vector_probes_growth(capsys):
     )
     assert code == 0
     assert report["results"]["index"] == {"unbounded_with_truncation": {"dims": [3, 7]}}
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"L": 8.5, "kind": "bogus"}, "kind"),
+        ({"L": 8.5}, "L"),
+        ({"guard": None, "L": 12}, "guard"),
+    ],
+)
+@pytest.mark.parametrize("position", ["--config", "--config2"])
+def test_equivalent_checks_both_reflection_configs(tmp_path, capsys, fields, name, position):
+    good = {"family": "reflection", "a_vector": [0.5, 0.5, 0.5, 0.5]}
+    configs = {"--config": good, "--config2": good, position: {**good, **fields}}
+    args = ["equivalent"]
+    for flag, config in configs.items():
+        path = tmp_path / f"{flag.strip('-')}.json"
+        path.write_text(json.dumps(config))
+        args += [flag, str(path)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"config field {name}" in json.loads(captured.err)["error"]
+
+
+def test_equivalent_rejects_reflection_config_whose_truncation_does_not_fit(tmp_path, capsys):
+    config = tmp_path / "rep.json"
+    fields = {"family": "reflection", "a_vector": [1, 1, 1, 1], "n": 5, "L": 12}
+    config.write_text(json.dumps(fields))
+    code = main(["equivalent", "--config", str(config), "--b", "1,1,1,1"])
+    assert code == 1
+    assert "does not match" in json.loads(capsys.readouterr().err)["error"]

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isorep.cocycle import (
     Cocycle2,
     InconsistentCocycleError,
+    cocycle_pair_basis,
     cocycle_space,
     evaluate,
     evaluate_along_path,
@@ -16,6 +19,7 @@ from isorep.cocycle import (
     index_formula_projection_family,
     restrict_to_subsemigroup,
 )
+from isorep.linalg import DEFAULT_TOL, nullspace
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -25,6 +29,7 @@ from isorep.repmodel import (
     reflection_family,
     reparametrize,
     truncated_infinite_reflection_family,
+    truncated_shift,
 )
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
@@ -139,6 +144,119 @@ def test_cocycle_space_rejects_invalid_rep():
     bad = IsoRep2(W1=2.0 * rep.W1, W2=rep.W2, trunc=rep.trunc)
     with pytest.raises(ValueError, match="validation"):
         cocycle_space(bad)
+
+
+# --- kernel-first solve against the dense 3N×2N system ---------------------------
+
+
+def dense_cocycle_bases(rep):
+    """Reference solve: the stacked 3N×2N system of all three constraints,
+    over all columns and over the interior columns only."""
+    n = rep.dim
+    eye, zero = np.eye(n), np.zeros((n, n))
+    system = np.block(
+        [[rep.W1.conj().T, zero], [zero, rep.W2.conj().T], [eye - rep.W2, rep.W1 - eye]]
+    )
+    mask = np.tile(rep.trunc.level_mask(), 2)
+    kernel = nullspace(system[:, mask])
+    inner = np.zeros((2 * n, kernel.shape[1]), dtype=complex)
+    inner[mask] = kernel
+    return nullspace(system), inner
+
+
+def projector(basis):
+    return basis @ basis.conj().T
+
+
+def zero_guard_columns(rep):
+    """The pair with its guard-band columns killed: still valid on the
+    interior, but the adjoints gain top-level kernel vectors, so solutions
+    supported in the guard band appear and must be discarded."""
+    cols = rep.trunc.level_mask()
+    return IsoRep2(W1=rep.W1 * cols, W2=rep.W2 * cols, trunc=rep.trunc)
+
+
+@st.composite
+def cocycle_pairs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["planted", "identity", "reflection"]))
+    if shape == "planted":
+        # random ker(U - 1) of size k, the other eigenvalues kept away from 1
+        k = draw(st.integers(0, n))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        phases = np.exp(1j * rng.uniform(0.3, 2 * np.pi - 0.3, size=n - k))
+        u = q @ np.diag(np.concatenate([np.ones(k), phases])) @ q.conj().T
+    elif shape == "identity":
+        u = np.eye(n, dtype=complex)
+    else:
+        a = rng.uniform(0.2, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        u = np.eye(n) - 2.0 * np.outer(a, a) / (a @ a)
+    fam = ProjectionFamily(projections=coord_projections(n), unitary=u.astype(complex))
+    guard = draw(st.integers(max(n - 1, 1), n + 1))
+    reparams = [None, ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1))]
+    points = draw(st.sampled_from(reparams))
+    # a reparametrized pair widens the guard by at most 2 + (n - 1) levels
+    room = n + 1 if points else 0
+    L = n + guard + room + draw(st.integers(0, 3))
+    rep = build_projection_family_rep(fam, TruncationParams(n, L, guard))
+    if points:
+        rep = reparametrize(rep, *points)
+    return zero_guard_columns(rep) if draw(st.booleans()) else rep
+
+
+def assert_matches_dense(rep):
+    space = cocycle_space(rep)
+    full, inner = dense_cocycle_bases(rep)
+    assert space.dim == inner.shape[1]
+    assert space.discarded == full.shape[1] - inner.shape[1]
+    assert space.stable == (space.discarded == 0)
+    solved = cocycle_pair_basis(rep.W1, rep.W2)
+    assert np.max(np.abs(projector(solved) - projector(full)), initial=0.0) <= 1e-8
+    basis = np.array([c.stacked() for c in space.basis], dtype=complex)
+    basis = basis.reshape(-1, 2 * rep.dim).T
+    assert np.max(np.abs(projector(basis) - projector(inner)), initial=0.0) <= 1e-8
+    for b in (solved, basis):
+        assert np.allclose(b.conj().T @ b, np.eye(b.shape[1]), rtol=0.0, atol=1e-10)
+    assert all(c.max_residual(rep) <= DEFAULT_TOL.identity_tol for c in space.basis)
+    return space
+
+
+@settings(max_examples=60, deadline=None)
+@given(cocycle_pairs())
+def test_kernel_first_solve_matches_dense_system(rep):
+    assert_matches_dense(rep)
+
+
+def test_guard_band_solutions_are_discarded_as_by_dense_system():
+    rep = zero_guard_columns(example2_rep())
+    space = assert_matches_dense(rep)
+    assert space.dim == 3
+    assert space.discarded > 0
+    assert not space.stable
+
+
+def test_unitary_pair_has_no_kernel_coordinates():
+    # k1 + k2 = 0: both adjoints are injective, so no cocycle exists
+    u = np.diag(np.exp(1j * np.array([0.4, 1.1])))
+    w1, w2 = np.kron(u, np.eye(4)), np.kron(u @ u, np.eye(4))
+    rep = IsoRep2(W1=w1, W2=w2, trunc=TruncationParams(2, 4, 1))
+    assert cocycle_pair_basis(w1, w2).shape == (16, 0)
+    space = assert_matches_dense(rep)
+    assert (space.dim, space.discarded, space.stable) == (0, 0, True)
+
+
+def test_rounding_noise_in_reduced_matrix_is_not_rank():
+    # W2 = Q Q* is the identity up to rounding, so the compatibility matrix in
+    # kernel coordinates, (1 - W2)K1, is pure noise; only a cutoff anchored at
+    # the operator scale keeps the whole kernel pair
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    w2 = np.kron(q @ q.conj().T, np.eye(8))
+    assert 0.0 < np.max(np.abs(w2 - np.eye(24))) < 1e-14
+    w1 = np.kron(np.eye(3), truncated_shift(8))
+    rep = IsoRep2(W1=w1, W2=w2, trunc=TruncationParams(3, 8, 2))
+    assert assert_matches_dense(rep).dim == 3
 
 
 # --- index ----------------------------------------------------------------------

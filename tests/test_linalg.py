@@ -212,6 +212,14 @@ def test_matrix_json_roundtrip():
     assert np.allclose(matrix_from_json(obj), a)
 
 
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, None, -2])
+def test_matrix_json_requires_integer_shape(field, bad):
+    obj = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4, field: bad}
+    with pytest.raises(ValueError, match=f"matrix field {field}: expected a non-negative"):
+        matrix_from_json(obj)
+
+
 def test_matrix_json_rejects_bad_lengths():
     with pytest.raises(ValueError, match="length"):
         matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})

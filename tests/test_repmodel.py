@@ -355,6 +355,14 @@ def test_rep_from_config_requires_integer_sizes(field, bad):
         rep_from_config(json.loads(json.dumps(config)))
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0])
+def test_rep_from_config_requires_integer_unitary_rows(bad):
+    unitary = {"rows": bad, "cols": 2, "re": [0.0, 1.0, 1.0, 0.0], "im": [0.0] * 4}
+    config = {"family": "projection", "unitary": unitary, "L": 8, "guard": 2}
+    with pytest.raises(ValueError, match="config field unitary: matrix field rows"):
+        rep_from_config(config)
+
+
 def test_rep_from_config_rejects_non_uniform_truncated_infinite_vector():
     config = {"family": "reflection", "a_vector": [0.9, 0.1, 0.3, 0.2], "kind": "truncated_infinite"}
     with pytest.raises(ValueError, match="a_vector"):
