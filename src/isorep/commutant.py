@@ -7,11 +7,11 @@ upper-bound heuristic at fixed truncation, certified only by agreement with
 the structured answer.
 
 The star commutant of a set of generators is always solved by eigenspace
-refinement: any commutant element is block diagonal with respect to the
-eigenspaces of a random self-adjoint element of the generated *-algebra, so
-the solve happens in those (much smaller) block coordinates with the original
-constraints re-imposed. Clustering eigenvalues conservatively can only
-enlarge the candidate space, never lose solutions.
+refinement (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010): any commutant
+element is block diagonal with respect to the eigenspaces of a random
+self-adjoint element of the generated *-algebra, so its m block entries are
+the only unknowns, solved through the m×m Gram matrix of the constraints.
+Clustering eigenvalues conservatively can only enlarge that candidate space.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, intertwiner_space, matrix_to_json, nullspace
+from .linalg import DEFAULT_TOL, ToleranceConfig, intertwiner_space, matrix_to_json
 from .repmodel import IsoRep2, ProjectionFamily, certify_two_truncations
 
 __all__ = [
@@ -88,30 +88,36 @@ def star_commutant_basis(
 ) -> list[np.ndarray]:
     """Orthonormal basis of {T : A T = T A and A* T = T A* for all A}.
 
-    T is solved in the eigenbasis q of a random self-adjoint algebra element,
-    restricted to the block entries (alpha, beta); each generator Â = q* A q
-    contributes the constraint vec(T Â - Â T) = 0 on those entries.
+    T = Σ_k x_k E(α_k, β_k) lives on the m block entries of the eigenbasis q
+    of a random self-adjoint algebra element. For Â = q* A q the constraints
+    vec(T Â − Â T) = vec(T Â* − Â* T) = 0 have the m×m Gram matrix
+
+        G_kl = Σ_A δ(α_k,α_l)·S[β_l,β_k] + δ(β_k,β_l)·S[α_k,α_l] − 2·(X_kl + conj(X_lk)),
+        S = ÂÂ* + Â*Â,  X_kl = Â[α_k,α_l]·conj(Â[β_k,β_l]),
+
+    whose kernel, λ ≤ rank_tol·max(λ_max, s²) with s the largest generator
+    entry so that rounding noise keeps the full space, is the solution space.
+    As λ = σ², that is σ ≤ √rank_tol·max(σ_max, s): G's rounding, ε·s², can
+    show a zero σ as √ε·s ≈ 1e-8·s.
     """
     mats = [np.asarray(a, dtype=complex) for a in mats]
     n = mats[0].shape[0]
-    h = _random_algebra_element(mats, np.random.default_rng(seed))
-    w, q = np.linalg.eigh(h)
+    w, q = np.linalg.eigh(_random_algebra_element(mats, np.random.default_rng(seed)))
     scale = max(1.0, float(np.max(np.abs(w))))
     alpha, beta = _block_entries(w, gap=1e-8 * scale)
-    rows = np.arange(n)[:, None]
-    cols = np.arange(alpha.size)[None, :]
+    aa, bb = np.ix_(alpha, alpha), np.ix_(beta, beta)
+    same_alpha = alpha[:, None] == alpha[None, :]
+    same_beta = beta[:, None] == beta[None, :]
 
-    reduced_rows = []
+    gram = np.zeros((alpha.size, alpha.size), dtype=complex)
     for a in mats:
-        for gen in (a, a.conj().T):
-            a_hat = q.conj().T @ gen @ q
-            c = np.zeros((n * n, alpha.size), dtype=complex)
-            c[rows * n + alpha, cols] = a_hat[beta, :].T
-            c[beta * n + rows, cols] -= a_hat[:, alpha]
-            # QR keeps the kernel while collapsing n^2 rows to one per entry.
-            reduced_rows.append(np.linalg.qr(c, mode="r"))
+        a_hat = q.conj().T @ a @ q
+        s = a_hat @ a_hat.conj().T + a_hat.conj().T @ a_hat
+        x = a_hat[aa] * a_hat[bb].conj()
+        gram += same_alpha * s[bb].conj() + same_beta * s[aa] - 2 * (x + x.conj().T)
+    lam, vecs = np.linalg.eigh(gram)
     op_scale = max(float(np.max(np.abs(a))) for a in mats)
-    kernel = nullspace(np.vstack(reduced_rows), tol, scale=op_scale)
+    kernel = vecs[:, lam <= tol.rank_tol * max(float(lam[-1]), op_scale**2)]
 
     t = np.zeros((kernel.shape[1], n, n), dtype=complex)
     t[:, alpha, beta] = kernel.T
@@ -132,12 +138,8 @@ def star_intertwiner_basis(
     n = a0.shape[0]
     if b0.shape[0] != n:
         raise ValueError("star_intertwiner_basis needs equal dimensions")
-    sums = []
-    for a, b in pairs:
-        s = np.zeros((2 * n, 2 * n), dtype=complex)
-        s[:n, :n] = a
-        s[n:, n:] = b
-        sums.append(s)
+    zero = np.zeros((n, n))
+    sums = [np.block([[a, zero], [zero, b]]) for a, b in pairs]
     corners = [x[:n, n:] for x in star_commutant_basis(sums, tol, seed)]
     stacked = np.array([c.ravel(order="F") for c in corners])
     if stacked.size == 0:

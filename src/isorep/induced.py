@@ -421,8 +421,6 @@ def induced_commutant_check_2d(
         raise ValueError("needs a representation built from a projection family")
     base = structured_commutant_basis(rep.family, tol)
     grid = induce_2d(rep, m)
-    eye_cells = np.eye(m * m)
-    eye_levels = np.eye(rep.trunc.L)
     mask = grid.interior_mask()
     interior = np.ix_(mask, mask)
     eye = np.eye(int(mask.sum()))
@@ -439,10 +437,10 @@ def induced_commutant_check_2d(
         iso_worst = max(
             iso_worst, float(np.max(np.abs((v.conj().T @ v)[interior] - eye)))
         )
-    for t0 in base:
-        g = kron(eye_cells, kron(t0, eye_levels))
-        for s, t in times:
-            v = grid.V(s, t)
+    ampliated = [kron(np.eye(m * m), kron(t0, np.eye(rep.trunc.L))) for t0 in base]
+    for s, t in times:
+        v = grid.V(s, t)
+        for g in ampliated:
             worst = max(worst, float(np.max(np.abs(g @ v - v @ g))))
 
     survivors = interior_commutant_dim(gens, mask, tol, seed)

@@ -80,6 +80,19 @@ def test_induce_command(capsys):
     assert "grid_commutant_is_ampliated" in names
 
 
+def test_induce_command_at_default_grid(capsys):
+    # no --grid: the battery runs at the CLI default of 4 cells per unit
+    code, report = run_cli(
+        ["induce", "--family", "reflection", "--a", "0.6,0.8", "--L", "8", "--guard", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert report["config"]["grid"] == 4
+    assert report["results"]["passed"] is True
+    (check,) = [c for c in report["results"]["checks"] if c["check"] == "grid_commutant_is_ampliated"]
+    assert check["values"]["structured_dim"] == 1
+
+
 def test_verify_suite_exit_zero(capsys):
     code, report = run_cli(["verify-suite", "--preset", "example2"], capsys)
     assert code == 0

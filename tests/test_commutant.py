@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isorep.commutant
 from isorep.commutant import (
+    _block_entries,
+    _random_algebra_element,
     are_unitarily_equivalent,
     is_irreducible,
     star_commutant_basis,
@@ -11,7 +14,8 @@ from isorep.commutant import (
     structured_commutant_dim,
     truncated_commutant_oracle,
 )
-from isorep.linalg import intertwiner_space
+from isorep.induced import induce_2d, induced_commutant_check_2d
+from isorep.linalg import DEFAULT_TOL, intertwiner_space, nullspace
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -175,6 +179,126 @@ def test_star_intertwiner_matches_dense_reference(case, same_rest):
     assert len(basis) == len(dense) == m * m + (1 if same_rest and summands[0][1].size else 0)
     for t in basis:
         assert _star_residual(t, pairs) < 1e-8
+
+
+def stacked_qr_commutant(mats, tol=DEFAULT_TOL, seed=0):
+    """Reference solve in the same block coordinates: the n²×m constraint
+    vec(T Â − Â T) of every generator and adjoint, each QR-reduced to its
+    m×m triangle, stacked, and its kernel taken by SVD."""
+    mats = [np.asarray(a, dtype=complex) for a in mats]
+    n = mats[0].shape[0]
+    w, q = np.linalg.eigh(_random_algebra_element(mats, np.random.default_rng(seed)))
+    alpha, beta = _block_entries(w, gap=1e-8 * max(1.0, float(np.max(np.abs(w)))))
+    rows = np.arange(n)[:, None]
+    cols = np.arange(alpha.size)[None, :]
+    reduced = []
+    for a in mats:
+        for gen in (a, a.conj().T):
+            a_hat = q.conj().T @ gen @ q
+            c = np.zeros((n * n, alpha.size), dtype=complex)
+            c[rows * n + alpha, cols] = a_hat[beta, :].T
+            c[beta * n + rows, cols] -= a_hat[:, alpha]
+            reduced.append(np.linalg.qr(c, mode="r"))
+    op_scale = max(float(np.max(np.abs(a))) for a in mats)
+    kernel = nullspace(np.vstack(reduced), tol, scale=op_scale)
+    t = np.zeros((kernel.shape[1], n, n), dtype=complex)
+    t[:, alpha, beta] = kernel.T
+    return list(q @ t @ q.conj().T)
+
+
+def assert_matches_stacked_qr(gens):
+    basis = star_commutant_basis(gens)
+    reference = stacked_qr_commutant(gens)
+    assert len(basis) == len(reference)
+    b = np.array([t.ravel() for t in basis])
+    r = np.array([t.ravel() for t in reference])
+    assert np.allclose(b @ b.conj().T, np.eye(len(b)), rtol=0.0, atol=1e-10)
+    # for subspaces of equal dimension ‖P_b − P_r‖₂ = ‖(1 − P_b) P_r‖₂,
+    # computed without forming the n²×n² projectors
+    assert np.linalg.norm(r - (r @ b.conj().T) @ b, 2) <= 1e-8
+    for t in basis:
+        assert _star_residual(t, [(g, g) for g in gens]) <= 1e-8
+    return basis
+
+
+@settings(max_examples=30, deadline=None)
+@given(repeated_sums())
+def test_gram_solve_matches_stacked_qr_on_repeated_sums(case):
+    rng, m, summands, rotate = case
+    n = m * summands[0][0].shape[0] + summands[0][1].shape[0]
+    u = _random_unitary(rng, n) if rotate else np.eye(n)
+    assert_matches_stacked_qr([_rotated_sum([a] * m + [b], u) for a, b in summands])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gram_solve_matches_stacked_qr_on_grid_generators(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.2, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+    grid = induce_2d(build_reflection_rep(a / np.linalg.norm(a), TruncationParams(2, 8, 2)), 2)
+    gens = [grid.V(1 / 2, 0), grid.V(0, 1 / 2)]
+    w = np.linalg.eigh(_random_algebra_element(gens, np.random.default_rng(0)))[0]
+    alpha, beta = _block_entries(w, gap=1e-8 * max(1.0, float(np.max(np.abs(w)))))
+    assert alpha.size == grid.dim  # every eigenspace block is 1×1
+    assert len(assert_matches_stacked_qr(gens)) == 1
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 1e-6, 3.7, 1e6])
+def test_scalar_generator_commutes_with_everything(c):
+    # c·u u* is c·1 up to rounding, so its Gram matrix is pure noise: without
+    # the generator-scale anchor that noise counts as rank
+    u = _random_unitary(np.random.default_rng(3), 5)
+    for gen in (c * np.eye(5), c * (u @ u.conj().T)):
+        assert len(star_commutant_basis([gen])) == 25
+
+
+def test_commutant_dimension_does_not_depend_on_generator_scale():
+    rng = np.random.default_rng(5)
+    u = _random_unitary(rng, 5)
+    a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+    gens = [_rotated_sum([a, a, a[:1, :1]], u), _rotated_sum([b, b, b[:1, :1]], u)]
+    assert len(star_commutant_basis(gens)) == 5
+    for scale in (1e-6, 1e6):
+        assert len(star_commutant_basis([scale * g for g in gens])) == 5
+    rng_pair = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(2)]
+    for scale in (1.0, 1e-6, 1e6):
+        assert len(star_commutant_basis([scale * g for g in rng_pair])) == 1
+
+
+def nonpure_rep():
+    fam = ProjectionFamily(projections=coord_projections(2), unitary=np.eye(2, dtype=complex))
+    return build_projection_family_rep(fam, TruncationParams(2, 8, 2))
+
+
+@pytest.mark.parametrize("m, expected", [(2, 3), (3, 4)])
+def test_grid_survivor_count_ignores_basis_choice(monkeypatch, m, expected):
+    assert induced_commutant_check_2d(nonpure_rep(), m).grid_commutant_dim == expected
+    _rotate_returned_bases(monkeypatch)
+    for _ in range(3):
+        assert induced_commutant_check_2d(nonpure_rep(), m).grid_commutant_dim == expected
+
+
+def test_oracle_survivor_count_ignores_basis_choice(monkeypatch):
+    fam = reflection_family(EX2_VECTOR)
+    rep = build_projection_family_rep(direct_sum_family(fam, fam), TruncationParams(8, 16, 4))
+    assert truncated_commutant_oracle(rep) == 4
+    _rotate_returned_bases(monkeypatch)
+    for _ in range(3):
+        assert truncated_commutant_oracle(rep) == 4
+
+
+def _rotate_returned_bases(monkeypatch):
+    """Make star_commutant_basis return its basis rotated by a fresh random
+    unitary on every call: another orthonormal basis of the same space."""
+    solve = star_commutant_basis
+    rng = np.random.default_rng(11)
+
+    def rotated(mats, tol=DEFAULT_TOL, seed=0):
+        basis = solve(mats, tol, seed)
+        u = _random_unitary(rng, len(basis))
+        return list(np.einsum("ij,ikl->jkl", u, np.array(basis)))
+
+    monkeypatch.setattr(isorep.commutant, "star_commutant_basis", rotated)
 
 
 # --- irreducibility ---------------------------------------------------------------
