@@ -7,11 +7,10 @@ upper-bound heuristic at fixed truncation, certified only by agreement with
 the structured answer.
 
 The star commutant of a set of generators is always solved by eigenspace
-refinement (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010): any commutant
-element is block diagonal with respect to the eigenspaces of a random
-self-adjoint element of the generated *-algebra, so its m block entries are
-the only unknowns, solved through the m×m Gram matrix of the constraints.
-Clustering eigenvalues conservatively can only enlarge that candidate space.
+refinement (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010): a commutant
+element is block diagonal in the eigenspaces of a random self-adjoint element
+of the generated *-algebra, so only its m block entries are unknown, and
+clustering eigenvalues conservatively can only enlarge that candidate space.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, intertwiner_space, matrix_to_json
+from .linalg import DEFAULT_TOL, ToleranceConfig, intertwiner_space, matrix_to_json, nullspace
 from .repmodel import IsoRep2, ProjectionFamily, certify_two_truncations
 
 __all__ = [
@@ -88,40 +87,37 @@ def star_commutant_basis(
 ) -> list[np.ndarray]:
     """Orthonormal basis of {T : A T = T A and A* T = T A* for all A}.
 
-    T = Σ_k x_k E(α_k, β_k) lives on the m block entries of the eigenbasis q
-    of a random self-adjoint algebra element. For Â = q* A q the constraints
-    vec(T Â − Â T) = vec(T Â* − Â* T) = 0 have the m×m Gram matrix
-
-        G_kl = Σ_A δ(α_k,α_l)·S[β_l,β_k] + δ(β_k,β_l)·S[α_k,α_l] − 2·(X_kl + conj(X_lk)),
-        S = ÂÂ* + Â*Â,  X_kl = Â[α_k,α_l]·conj(Â[β_k,β_l]),
-
-    whose kernel, λ ≤ rank_tol·max(λ_max, s²) with s the largest generator
-    entry so that rounding noise keeps the full space, is the solution space.
-    As λ = σ², that is σ ≤ √rank_tol·max(σ_max, s): G's rounding, ε·s², can
-    show a zero σ as √ε·s ≈ 1e-8·s.
+    T lives on the m block entries (α_k, β_k) of the eigenbasis q of a random
+    self-adjoint algebra element. With Â = q* A q, S = ÂÂ* + Â*Â and
+    X_kl = Â[α_k,α_l]·conj(Â[β_k,β_l]), the constraints vec(T Â − Â T) =
+    vec(T Â* − Â* T) = 0 have the m×m Gram matrix G_kl = Σ_A δ(α_k,α_l)·S[β_l,β_k]
+    + δ(β_k,β_l)·S[α_k,α_l] − 2·(X_kl + conj(X_lk)). Its eigenvectors with λ = σ²
+    ≤ rank_tol·scale² are candidates, whose direct residuals decide the rank at
+    σ ≤ rank_tol·scale; scale ≥ max |A_ij| lets rounding noise keep the full space.
     """
     mats = [np.asarray(a, dtype=complex) for a in mats]
     n = mats[0].shape[0]
-    w, q = np.linalg.eigh(_random_algebra_element(mats, np.random.default_rng(seed)))
+    h = _random_algebra_element(mats, np.random.default_rng(seed))
+    w, q = np.linalg.eigh(h)
     scale = max(1.0, float(np.max(np.abs(w))))
     alpha, beta = _block_entries(w, gap=1e-8 * scale)
     aa, bb = np.ix_(alpha, alpha), np.ix_(beta, beta)
-    same_alpha = alpha[:, None] == alpha[None, :]
-    same_beta = beta[:, None] == beta[None, :]
-
+    same_alpha, same_beta = alpha[:, None] == alpha, beta[:, None] == beta
+    hats = [q.conj().T @ a @ q for a in mats]
     gram = np.zeros((alpha.size, alpha.size), dtype=complex)
-    for a in mats:
-        a_hat = q.conj().T @ a @ q
+    for a_hat in hats:
         s = a_hat @ a_hat.conj().T + a_hat.conj().T @ a_hat
         x = a_hat[aa] * a_hat[bb].conj()
         gram += same_alpha * s[bb].conj() + same_beta * s[aa] - 2 * (x + x.conj().T)
     lam, vecs = np.linalg.eigh(gram)
-    op_scale = max(float(np.max(np.abs(a))) for a in mats)
-    kernel = vecs[:, lam <= tol.rank_tol * max(float(lam[-1]), op_scale**2)]
-
-    t = np.zeros((kernel.shape[1], n, n), dtype=complex)
-    t[:, alpha, beta] = kernel.T
-    return list(q @ t @ q.conj().T)
+    op_scale = max([np.sqrt(max(lam[-1], 0.0))] + [np.max(np.abs(a)) for a in mats])
+    candidates = vecs[:, lam <= tol.rank_tol * op_scale**2]
+    t = np.zeros((candidates.shape[1], n, n), dtype=complex)
+    t[:, alpha, beta] = candidates.T
+    residuals = [t @ g - g @ t for a in hats for g in (a, a.conj().T)]
+    flat = np.vstack([r.reshape(len(t), -1).T for r in residuals])
+    kernel = nullspace(flat, tol, scale=float(op_scale))
+    return list(q @ np.tensordot(kernel.T, t, axes=1) @ q.conj().T)
 
 
 def star_intertwiner_basis(
@@ -138,15 +134,19 @@ def star_intertwiner_basis(
     n = a0.shape[0]
     if b0.shape[0] != n:
         raise ValueError("star_intertwiner_basis needs equal dimensions")
-    zero = np.zeros((n, n))
-    sums = [np.block([[a, zero], [zero, b]]) for a, b in pairs]
+    sums = []
+    for a, b in pairs:
+        s = np.zeros((2 * n, 2 * n), dtype=complex)
+        s[:n, :n] = a
+        s[n:, n:] = b
+        sums.append(s)
     corners = [x[:n, n:] for x in star_commutant_basis(sums, tol, seed)]
     stacked = np.array([c.ravel(order="F") for c in corners])
     if stacked.size == 0:
         return []
-    # orthonormalize and drop the corners that vanished
+    # orthonormalize; an intertwiner's corner has singular value 1, noise ~0
     u, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > tol.rank_tol * max(s[0], 1e-300)
+    keep = s > tol.rank_tol
     return [vh[j].reshape((n, n), order="F") for j in range(int(np.sum(keep)))]
 
 

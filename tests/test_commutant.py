@@ -265,6 +265,52 @@ def test_commutant_dimension_does_not_depend_on_generator_scale():
         assert len(star_commutant_basis([scale * g for g in rng_pair])) == 1
 
 
+def _exp_i(h):
+    w, v = np.linalg.eigh(h)
+    return v @ np.diag(np.exp(1j * w)) @ v.conj().T
+
+
+def perturbed_pair(seed, spectrum):
+    """Single-projection reps of exp(iA) and exp(i(A + 1e-6·E)).
+
+    Their unitaries differ by about 1e-6, so near-commutants and
+    near-intertwiners have constraint residuals between rank_tol and
+    √rank_tol: a cutoff on the Gram eigenvalues λ = σ² alone keeps them.
+    """
+    rng = np.random.default_rng(seed)
+    u = _random_unitary(rng, 3)
+    e = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a = u @ np.diag(spectrum) @ u.conj().T
+    return [
+        build_projection_family_rep(
+            ProjectionFamily(projections=(np.eye(3, dtype=complex),), unitary=_exp_i(h)),
+            TruncationParams(3, 8, 2),
+        )
+        for h in (a, a + 1e-6 * (e + e.conj().T))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_unitaries_1e6_apart_stay_inequivalent(seed):
+    # at seed 29 the m×m Gram cutoff alone finds a spurious unit corner
+    rep_a, rep_b = perturbed_pair(seed, [0.3, 1.1, 2.0])
+    verdict = are_unitarily_equivalent(rep_a, rep_b)
+    assert verdict.status == "inequivalent"
+    assert verdict.diagnostics["intertwiner_dim"] == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_perturbed_reducible_pair_keeps_reference_dims(monkeypatch, seed):
+    # exp(iA) with a doubled eigenvalue is reducible; 1e-6 off it the rank
+    # decision must stay the stacked-QR one, σ ≤ rank_tol·scale
+    rep = perturbed_pair(seed, [1.0, 1.0, 2.0])[1]
+    gens = [rep.W1, rep.W2]
+    assert len(star_commutant_basis(gens)) == len(stacked_qr_commutant(gens))
+    oracle = truncated_commutant_oracle(rep)
+    monkeypatch.setattr(isorep.commutant, "star_commutant_basis", stacked_qr_commutant)
+    assert oracle == truncated_commutant_oracle(rep) >= 1
+
+
 def nonpure_rep():
     fam = ProjectionFamily(projections=coord_projections(2), unitary=np.eye(2, dtype=complex))
     return build_projection_family_rep(fam, TruncationParams(2, 8, 2))
