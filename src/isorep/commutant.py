@@ -243,7 +243,8 @@ def _equivalence_from_basis(
 
     Deciding that exactly is nonconvex; a one-dimensional space reduces to a
     condition-number test on its generator, and higher dimensions are probed
-    with seeded random combinations.
+    with seeded random combinations. A well-conditioned candidate is the
+    witness only if it intertwines every pair to within ``identity_tol``.
     """
     if not basis:
         return EquivalenceVerdict(
@@ -258,26 +259,31 @@ def _equivalence_from_basis(
             coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
             candidates.append(sum(c * t for c, t in zip(coeff, basis)))
     best_cond = np.inf
+    rejected = []  # worst residuals of well-conditioned non-intertwiners
     for t in candidates:
         ok, witness, cond = _unitary_candidate(t)
         best_cond = min(best_cond, cond)
-        if ok:
-            resid = {
-                f"intertwine_{k}": float(np.max(np.abs(a @ witness - witness @ b)))
-                for k, (a, b) in enumerate(check_pairs)
-            }
-            resid["unitarity"] = float(
-                np.max(np.abs(witness.conj().T @ witness - np.eye(witness.shape[1])))
-            )
-            resid["intertwiner_dim"] = len(basis)
-            return EquivalenceVerdict(
-                status="equivalent", witness=witness, diagnostics=resid, seed=seed
-            )
-    return EquivalenceVerdict(
-        status="inconclusive",
-        diagnostics={"intertwiner_dim": len(basis), "best_cond": best_cond},
-        seed=seed,
-    )
+        if not ok:
+            continue
+        resid = {
+            f"intertwine_{k}": float(np.max(np.abs(a @ witness - witness @ b)))
+            for k, (a, b) in enumerate(check_pairs)
+        }
+        worst = float(np.max(list(resid.values())))
+        if not worst <= tol.identity_tol:
+            rejected.append(worst)
+            continue
+        resid["unitarity"] = float(
+            np.max(np.abs(witness.conj().T @ witness - np.eye(witness.shape[1])))
+        )
+        resid["intertwiner_dim"] = len(basis)
+        return EquivalenceVerdict(
+            status="equivalent", witness=witness, diagnostics=resid, seed=seed
+        )
+    diagnostics = {"intertwiner_dim": len(basis), "best_cond": best_cond}
+    if rejected:
+        diagnostics["best_residual"] = min(rejected)
+    return EquivalenceVerdict(status="inconclusive", diagnostics=diagnostics, seed=seed)
 
 
 def are_unitarily_equivalent(

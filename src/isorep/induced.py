@@ -7,12 +7,20 @@ powers of the underlying discrete isometries, so every identity checked here
 is a matter of bookkeeping, not approximation.
 
 Orderings (everything downstream depends on these):
-  1-d grid: (cell j, fiber v) ↦ j·F + v.
+  1-d grid: (cell c, fiber v) ↦ c·F + v.
   2-d grid: (xcell, ycell, fiber) ↦ (xcell·M + ycell)·F + v.
+
+Wrap rule, per axis, written once in ``_cell_map``: translation by j/M with
+j = q·M + r makes cell c of V read cell c + r, and cell c of the adjoint read
+cell c − r. A cell whose source leaves [0, M) wraps around and takes one
+extra power: σ^(q+1) in place of σ^q in 1-d, one more W1 or W2 per wrapped
+axis in 2-d (adjoints for the adjoint). A step cocycle holds η_(q + wrapped)
+on each cell of the forward map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -50,43 +58,41 @@ def _grid_index(t, m: int) -> int:
     return int(rounded)
 
 
-def _induced_matrix(sigma: np.ndarray, m: int, j: int) -> np.ndarray:
-    """Translation by j/m on step functions with fiberwise sigma powers.
+def _cell_count(m) -> int:
+    if not isinstance(m, (int, np.integer)):
+        raise ValueError(f"M (cells per unit interval) must be an integer, got {m!r}")
+    if m < 2:
+        raise ValueError("need at least 2 cells per unit interval")
+    return int(m)
 
-    Cell c reads from cell c+r (weight sigma^q) or wraps to c+r-m with one
-    extra sigma factor, where j = q·m + r.
+
+def _cell_map(m: int, j: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(q, source cell, wrapped 0/1) per cell of translation by j/m along one
+    axis: sign +1 for V (cell c reads c + r), −1 for its adjoint (c − r)."""
+    q, r = divmod(j, m)
+    shifted = np.arange(m) + sign * r
+    source = shifted % m
+    return q, source, (source != shifted).astype(int)
+
+
+def _translation(power, m: int, js: tuple[int, ...], sign: int = 1) -> np.ndarray:
+    """Dense translation by js/m on the grid with one axis per entry of js.
+
+    Row cell c holds the fiber operator power(q + wrapped[c]) (one exponent
+    per axis) at column cell source[c]; the adjoint (sign −1) holds its
+    conjugate transpose. Only the powers some cell uses are formed.
     """
-    f = sigma.shape[0]
-    q, r = divmod(j, m)
-    sq = np.linalg.matrix_power(sigma, q)
-    sq1 = sigma @ sq
-    out = np.zeros((m * f, m * f), dtype=complex)
-    for c in range(m):
-        src = c + r
-        block = sq
-        if src >= m:
-            src -= m
-            block = sq1
-        out[c * f : (c + 1) * f, src * f : (src + 1) * f] = block
-    return out
-
-
-def _adjoint_formula_matrix(sigma: np.ndarray, m: int, j: int) -> np.ndarray:
-    """The adjoint built from its region description rather than by
-    transposing: cell c reads from c-r (weight sigma*^q), wrapping cells pick
-    up one extra adjoint factor."""
-    f = sigma.shape[0]
-    q, r = divmod(j, m)
-    aq = np.linalg.matrix_power(sigma, q).conj().T
-    aq1 = np.linalg.matrix_power(sigma, q + 1).conj().T
-    out = np.zeros((m * f, m * f), dtype=complex)
-    for c in range(m):
-        if c < r:
-            src, block = c + m - r, aq1
-        else:
-            src, block = c - r, aq
-        out[c * f : (c + 1) * f, src * f : (src + 1) * f] = block
-    return out
+    q, source, wrapped = zip(*(_cell_map(m, j, sign) for j in js))
+    cols = np.ravel_multi_index(np.ix_(*source), (m,) * len(js)).ravel()
+    kinds = tuple(w.max() + 1 for w in wrapped)  # 2 on axes where a cell wraps
+    kind = np.ravel_multi_index(np.ix_(*wrapped), kinds).ravel()
+    blocks = np.array([power(*np.add(q, w)) for w in np.ndindex(kinds)])
+    if sign < 0:
+        blocks = blocks.conj().transpose(0, 2, 1)
+    cells, f = cols.size, blocks.shape[-1]
+    out = np.zeros((cells, f, cells, f), dtype=complex)
+    out[np.arange(cells), :, cols, :] = blocks[kind]
+    return out.reshape(cells * f, cells * f)
 
 
 @dataclass
@@ -117,7 +123,8 @@ class GridRep1:
     def V(self, t) -> np.ndarray:
         j = self.grid_index(t)
         if j not in self._cache:
-            self._cache[j] = _induced_matrix(self.sigma, self.M, j)
+            power = partial(np.linalg.matrix_power, self.sigma)
+            self._cache[j] = _translation(power, self.M, (j,))
         return self._cache[j]
 
     def interior_mask(self) -> np.ndarray:
@@ -130,8 +137,7 @@ class GridRep1:
 def induce_1d(
     sigma: np.ndarray, m: int, fiber_interior: np.ndarray | None = None
 ) -> GridRep1:
-    if m < 2:
-        raise ValueError("need at least 2 cells per unit interval")
+    m = _cell_count(m)
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
@@ -139,8 +145,10 @@ def induce_1d(
 
 
 def adjoint_1d(grid: GridRep1, t) -> np.ndarray:
-    """V(t)* from the region description; equals V(t) conjugate-transposed."""
-    return _adjoint_formula_matrix(grid.sigma, grid.M, grid.grid_index(t))
+    """V(t)* from the region description (cell c reads c − r, wrapping cells
+    take σ*^(q+1)); equals V(t) conjugate-transposed."""
+    power = partial(np.linalg.matrix_power, grid.sigma)
+    return _translation(power, grid.M, (grid.grid_index(t),), sign=-1)
 
 
 def shift_fiber(multiplicity: int, levels: int, guard: int = 2):
@@ -173,16 +181,11 @@ class StepCocycle1:
     eta: np.ndarray  # (K+1, F)
 
     def at(self, t) -> np.ndarray:
-        j = self.grid.grid_index(t)
-        n, r = divmod(j, self.grid.M)
-        if n + (1 if r else 0) >= self.eta.shape[0]:
+        q, _, wrapped = _cell_map(self.grid.M, self.grid.grid_index(t), 1)
+        index = q + wrapped
+        if index.max() >= self.eta.shape[0]:
             raise ValueError(f"no discrete values stored past index {self.eta.shape[0] - 1}")
-        f = self.grid.fiber_dim
-        out = np.zeros(self.grid.dim, dtype=complex)
-        for c in range(self.grid.M):
-            value = self.eta[n] if c < self.grid.M - r else self.eta[n + 1]
-            out[c * f : (c + 1) * f] = value
-        return out
+        return self.eta[index].astype(complex).ravel()
 
     def additivity_residual(self, s, t) -> float:
         lhs = self.at(float(s) + float(t))
@@ -234,11 +237,11 @@ def grid_cocycle_space_1d(
     j_max = grid.grid_index(horizon)
     if j_max < grid.M:
         raise ValueError("horizon must be at least one time unit")
-    partial = np.zeros((grid.dim, grid.dim), dtype=complex)
+    partial_sum = np.zeros((grid.dim, grid.dim), dtype=complex)
     rows = []
     for j in range(1, j_max + 1):
-        partial += grid.V((j - 1) / grid.M)
-        rows.append(grid.V(j / grid.M).conj().T @ partial)
+        partial_sum += grid.V((j - 1) / grid.M)
+        rows.append(grid.V(j / grid.M).conj().T @ partial_sum)
     return nullspace(np.vstack(rows), tol).shape[1]
 
 
@@ -248,7 +251,6 @@ class GridRep2:
 
     M: int
     rep: IsoRep2
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def fiber_dim(self) -> int:
@@ -261,29 +263,14 @@ class GridRep2:
     def grid_index(self, t) -> int:
         return _grid_index(t, self.M)
 
-    def _component(self, axis: int, j: int) -> np.ndarray:
-        key = (axis, j)
-        if key not in self._cache:
-            if axis == 0:
-                # translation in x: cells over x, fiber = (ycells ⊗ fiber)
-                mat = _induced_matrix(kron(np.eye(self.M), self.rep.W1), self.M, j)
-            else:
-                mat = kron(np.eye(self.M), _induced_matrix(self.rep.W2, self.M, j))
-            self._cache[key] = mat
-        return self._cache[key]
-
     def V(self, s, t) -> np.ndarray:
-        j1, j2 = self.grid_index(s), self.grid_index(t)
-        return self._component(0, j1) @ self._component(1, j2)
+        js = (self.grid_index(s), self.grid_index(t))
+        return _translation(partial(sigma_power, self.rep), self.M, js)
 
     def flip(self) -> np.ndarray:
         """The coordinate swap (x, y) ↦ (y, x) on cells, identity on fibers."""
-        m, f = self.M, self.fiber_dim
-        perm = np.zeros((m * m, m * m))
-        for cx in range(m):
-            for cy in range(m):
-                perm[cx * m + cy, cy * m + cx] = 1.0
-        return kron(perm, np.eye(f))
+        cells = np.arange(self.M * self.M).reshape(self.M, self.M)
+        return kron(np.eye(self.M * self.M)[cells.T.ravel()], np.eye(self.fiber_dim))
 
     def interior_mask(self) -> np.ndarray:
         """Boolean mask over the grid space selecting interior coordinates."""
@@ -291,36 +278,18 @@ class GridRep2:
 
 
 def induce_2d(rep: IsoRep2, m: int) -> GridRep2:
-    if m < 2:
-        raise ValueError("need at least 2 cells per unit interval")
-    return GridRep2(M=m, rep=rep)
+    return GridRep2(M=_cell_count(m), rep=rep)
 
 
 def adjoint_2d(grid: GridRep2, s, t) -> np.ndarray:
     """V(s,t)* assembled from its four-region description.
 
-    Cells below the wrap line read the lower lattice power of the pair, cells
-    past it pick up one extra generator adjoint per wrapped axis.
+    Cell (cx, cy) reads (cx − r1, cy − r2) with the adjoint of the lower
+    lattice power of the pair; each wrapped axis (cx < r1, cy < r2) adds one
+    generator adjoint.
     """
-    m, f = grid.M, grid.fiber_dim
-    q1, r1 = divmod(grid.grid_index(s), m)
-    q2, r2 = divmod(grid.grid_index(t), m)
-    adj = {
-        (da, db): sigma_power(grid.rep, q1 + da, q2 + db).conj().T
-        for da in (0, 1)
-        for db in (0, 1)
-    }
-    out = np.zeros((grid.dim, grid.dim), dtype=complex)
-    for cx in range(m):
-        wrap_x = cx < r1
-        sx = cx + m - r1 if wrap_x else cx - r1
-        for cy in range(m):
-            wrap_y = cy < r2
-            sy = cy + m - r2 if wrap_y else cy - r2
-            row = (cx * m + cy) * f
-            col = (sx * m + sy) * f
-            out[row : row + f, col : col + f] = adj[(int(wrap_x), int(wrap_y))]
-    return out
+    js = (grid.grid_index(s), grid.grid_index(t))
+    return _translation(partial(sigma_power, grid.rep), grid.M, js, sign=-1)
 
 
 @dataclass
@@ -344,18 +313,11 @@ class StepCocycle2:
         return self._values[key]
 
     def at(self, s, t) -> np.ndarray:
-        grid = self.grid
-        m_cells, f = grid.M, grid.fiber_dim
-        q1, r1 = divmod(grid.grid_index(s), m_cells)
-        q2, r2 = divmod(grid.grid_index(t), m_cells)
-        out = np.zeros(grid.dim, dtype=complex)
-        for cx in range(m_cells):
-            mx = q1 + (1 if cx >= m_cells - r1 else 0)
-            for cy in range(m_cells):
-                ny = q2 + (1 if cy >= m_cells - r2 else 0)
-                pos = (cx * m_cells + cy) * f
-                out[pos : pos + f] = self.lattice_value(mx, ny)
-        return out
+        q1, _, wx = _cell_map(self.grid.M, self.grid.grid_index(s), 1)
+        q2, _, wy = _cell_map(self.grid.M, self.grid.grid_index(t), 1)
+        return np.concatenate(
+            [self.lattice_value(int(a), int(b)) for a in q1 + wx for b in q2 + wy]
+        )
 
     def additivity_residual(self, st1, st2) -> float:
         s1, t1 = st1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import isorep.commutant
 from isorep.commutant import (
     _block_entries,
+    _equivalence_from_basis,
     _random_algebra_element,
     are_unitarily_equivalent,
     is_irreducible,
@@ -297,6 +298,22 @@ def test_unitaries_1e6_apart_stay_inequivalent(seed):
     verdict = are_unitarily_equivalent(rep_a, rep_b)
     assert verdict.status == "inequivalent"
     assert verdict.diagnostics["intertwiner_dim"] == 0
+
+
+def test_well_conditioned_non_intertwiner_is_no_witness():
+    # the identity is unitary but misses Q ~ Q + 5e-8·E by 6.8e-8, far above
+    # identity_tol; the condition number alone would call the pair equivalent
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    e = rng.normal(size=(3, 3))
+    basis = [np.eye(3, dtype=complex)]
+    verdict = _equivalence_from_basis(basis, [(q, q + 5e-8 * e)], DEFAULT_TOL, 0)
+    assert verdict.status == "inconclusive"
+    assert verdict.witness is None
+    assert verdict.diagnostics["best_residual"] == pytest.approx(6.8e-8, rel=0.01)
+    exact = _equivalence_from_basis(basis, [(q, q)], DEFAULT_TOL, 0)
+    assert exact.status == "equivalent"
+    assert exact.diagnostics["intertwine_0"] <= DEFAULT_TOL.identity_tol
 
 
 @pytest.mark.parametrize("seed", range(6))

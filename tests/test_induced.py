@@ -1,9 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isorep.cocycle import cocycle_space
 from isorep.induced import (
     GridRep2,
+    StepCocycle1,
     adjoint_1d,
     adjoint_2d,
     discrete_cocycle_values,
@@ -35,6 +40,63 @@ def small_rep(L=8, guard=2):
     return build_reflection_rep(np.array([1.0, 1.0]) / np.sqrt(2), TruncationParams(2, L, guard))
 
 
+# --- dense reference ---------------------------------------------------------------
+# The cell loops and kron products that assembled every translation before the
+# library built them all from one cell map; the fast path is checked against them.
+
+
+def _induced_matrix(sigma, m, j):
+    """Translation by j/m: cell c reads cell c+r with sigma^q, or wraps to
+    c+r-m with one extra sigma factor, where j = q·m + r."""
+    f = sigma.shape[0]
+    q, r = divmod(j, m)
+    sq = np.linalg.matrix_power(sigma, q)
+    sq1 = sigma @ sq
+    out = np.zeros((m * f, m * f), dtype=complex)
+    for c in range(m):
+        src, block = (c + r, sq) if c + r < m else (c + r - m, sq1)
+        out[c * f : (c + 1) * f, src * f : (src + 1) * f] = block
+    return out
+
+
+def _adjoint_formula_matrix(sigma, m, j):
+    """The adjoint from its region description: cell c reads from c-r with
+    sigma*^q; the wrapping cells c < r read c+m-r with sigma*^(q+1)."""
+    f = sigma.shape[0]
+    q, r = divmod(j, m)
+    aq = np.linalg.matrix_power(sigma, q).conj().T
+    aq1 = np.linalg.matrix_power(sigma, q + 1).conj().T
+    out = np.zeros((m * f, m * f), dtype=complex)
+    for c in range(m):
+        src, block = (c + m - r, aq1) if c < r else (c - r, aq)
+        out[c * f : (c + 1) * f, src * f : (src + 1) * f] = block
+    return out
+
+
+def _reference_v2(rep, m, j1, j2):
+    """V(j1/m, j2/m) as the product of its kron-assembled x and y components."""
+    x = _induced_matrix(kron(np.eye(m), rep.W1), m, j1)
+    y = kron(np.eye(m), _induced_matrix(rep.W2, m, j2))
+    return x @ y
+
+
+def _reference_step_1d(eta, m, j):
+    n, r = divmod(j, m)
+    return np.concatenate([eta[n] if c < m - r else eta[n + 1] for c in range(m)])
+
+
+def _reference_step_2d(lift, m, j1, j2):
+    q1, r1 = divmod(j1, m)
+    q2, r2 = divmod(j2, m)
+    return np.concatenate(
+        [
+            lift.lattice_value(q1 + (cx >= m - r1), q2 + (cy >= m - r2))
+            for cx in range(m)
+            for cy in range(m)
+        ]
+    )
+
+
 # --- 1-d construction -------------------------------------------------------------
 
 
@@ -63,6 +125,21 @@ def test_semigroup_law_exact_at_grid_times():
         for k in range(9 - j):
             prod = grid.V(j / 4) @ grid.V(k / 4)
             assert np.array_equal(prod, grid.V((j + k) / 4))
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, "3"])
+def test_rejects_non_integer_cell_count(m):
+    sigma, mask = shift_fiber(1, 8)
+    with pytest.raises(ValueError, match="M"):
+        induce_1d(sigma, m, mask)
+    with pytest.raises(ValueError, match="M"):
+        induce_2d(small_rep(), m)
+
+
+def test_numpy_integer_cell_count_is_accepted():
+    sigma, mask = shift_fiber(1, 8)
+    assert induce_1d(sigma, np.int64(3), mask).dim == 3 * 8
+    assert induce_2d(small_rep(), np.int32(3)).dim == 9 * 16
 
 
 def test_rejects_offgrid_times_and_tiny_grids():
@@ -249,6 +326,31 @@ def test_grid_cocycle_dimension_unitary_sigma():
     assert grid_cocycle_space_1d(grid, 2) == 0
 
 
+FIBER_KINDS = ["shift1", "shift2", "rotated_shift", "unitary", "rank_deficient"]
+
+
+def _assert_matches(got, want, exact):
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(FIBER_KINDS), m=st.sampled_from([2, 3, 4]), data=st.data())
+def test_1d_translations_match_dense_reference(kind, m, data):
+    j = data.draw(st.integers(0, 3 * m), label="j")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    sigma, mask = _fiber(kind, rng)
+    grid = induce_1d(sigma, m, mask)
+    exact = kind.startswith("shift")
+    _assert_matches(grid.V(j / m), _induced_matrix(grid.sigma, m, j), exact)
+    _assert_matches(adjoint_1d(grid, j / m), _adjoint_formula_matrix(grid.sigma, m, j), exact)
+    eta = rng.normal(size=(5, grid.fiber_dim)) + 1j * rng.normal(size=(5, grid.fiber_dim))
+    step = StepCocycle1(grid=grid, eta=eta)
+    assert np.array_equal(step.at(j / m), _reference_step_1d(eta, m, j))
+
+
 # --- 2-d construction ----------------------------------------------------------------
 
 
@@ -290,6 +392,34 @@ def test_2d_flip_identity():
         lhs = flip @ kron(np.eye(m_cells), g1.V(s)) @ flip
         assert np.max(np.abs(lhs - grid.V(s, 0))) == 0.0
         assert np.max(np.abs(kron(np.eye(m_cells), g2.V(s)) - grid.V(0, s))) == 0.0
+
+
+@lru_cache(maxsize=None)
+def _reflection_pair(n, seed):
+    """A seeded reflection pair and one cocycle of it."""
+    a = np.random.default_rng(seed).normal(size=n)
+    rep = build_reflection_rep(a / np.linalg.norm(a), TruncationParams(n, 8, n - 1))
+    return rep, cocycle_space(rep).basis[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 7),
+    m=st.sampled_from([2, 3]),
+    data=st.data(),
+)
+def test_2d_translations_match_dense_reference(n, seed, m, data):
+    j1 = data.draw(st.integers(0, 2 * m), label="j1")
+    j2 = data.draw(st.integers(0, 2 * m), label="j2")
+    rep, cocycle = _reflection_pair(n, seed)
+    grid = induce_2d(rep, m)
+    s, t = j1 / m, j2 / m
+    want = _reference_v2(rep, m, j1, j2)
+    assert np.array_equal(grid.V(s, t), want)
+    assert np.array_equal(adjoint_2d(grid, s, t), want.conj().T)
+    lift = lift_cocycle_2d(cocycle, rep, m)
+    assert np.array_equal(lift.at(s, t), _reference_step_2d(lift, m, j1, j2))
 
 
 # --- 2-d cocycles ---------------------------------------------------------------------
