@@ -284,28 +284,19 @@ def restrict_to_subsemigroup(
     return {a: evaluate(c, rep, a, tol), b: evaluate(c, rep, b, tol)}
 
 
-_SEARCH_BOUND = 16
+def _decompose(
+    g: tuple[int, int], a: tuple[int, int], b: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Coefficients (p, q), (p', q') ≥ 0 with g = (p·a + q·b) − (p'·a + q'·b).
 
-
-def _decompose(g: tuple[int, int], a: tuple[int, int], b: tuple[int, int]):
-    """Smallest (p, q) with p·a + q·b - g again in the semigroup <a, b>.
-
-    Yields ((p, q), (p', q')) such that g = (p·a + q·b) - (p'·a + q'·b) with
-    all coefficients nonnegative, in order of increasing p + q.
+    g = α·a + β·b has integer coordinates because det [a; b] = ±1; the
+    positive parts of (α, β) give the first point, the negative parts the
+    second.
     """
     det = a[0] * b[1] - a[1] * b[0]
-    for total in range(1, 2 * _SEARCH_BOUND + 1):
-        for p in range(min(total, _SEARCH_BOUND) + 1):
-            q = total - p
-            if q > _SEARCH_BOUND:
-                continue
-            y = (p * a[0] + q * b[0] - g[0], p * a[1] + q * b[1] - g[1])
-            # y = p'·a + q'·b has the unique rational solution below; det = ±1
-            # keeps it integral.
-            pp = (y[0] * b[1] - y[1] * b[0]) / det
-            qq = (a[0] * y[1] - a[1] * y[0]) / det
-            if pp >= 0 and qq >= 0 and pp == int(pp) and qq == int(qq):
-                yield (p, q), (int(pp), int(qq))
+    alpha = (g[0] * b[1] - g[1] * b[0]) // det
+    beta = (a[0] * g[1] - a[1] * g[0]) // det
+    return (max(alpha, 0), max(beta, 0)), (max(-alpha, 0), max(-beta, 0))
 
 
 def extend_cocycle(
@@ -338,14 +329,7 @@ def extend_cocycle(
 
     xi: dict[tuple[int, int], np.ndarray] = {}
     for g, v_g in (((1, 0), rep.W1), ((0, 1), rep.W2)):
-        candidates = _decompose(g, a, b)
-        try:
-            (p, q), (pp, qq) = next(candidates)
-        except StopIteration:
-            raise ValueError(
-                f"no decomposition of {g} over <{a}, {b}> within coefficient "
-                f"bound {_SEARCH_BOUND}"
-            ) from None
+        (p, q), (pp, qq) = _decompose(g, a, b)
         eta_x = evaluate(c_q, rep_q, (p, q), tol)
         eta_y = evaluate(c_q, rep_q, (pp, qq), tol)
         value = eta_x - v_g @ eta_y

@@ -153,31 +153,15 @@ def star_intertwiner_basis(
 def truncated_commutant_oracle(
     rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
 ) -> int:
-    """Commutant dimension of the pair on the full truncated space.
+    """Commutant dimension of the pair on the full truncated space: the
+    number of independent T commuting with W1, W2 and their adjoints.
 
-    Solves for all T commuting with W1, W2 and their adjoints, then discards
-    basis elements whose interior compression fails to commute with the
-    interior compressions of the generators. Heuristic at fixed L; trust it
+    No interior filter is applied: an element T0 ⊗ 1 of the structured
+    commutant preserves shift levels, so its interior compression commutes
+    with the compressed generators anyway. Heuristic at fixed L; trust it
     only when it agrees with the structured formula or is stable in L.
     """
-    return interior_commutant_dim([rep.W1, rep.W2], rep.trunc.level_mask(), tol, seed)
-
-
-def interior_commutant_dim(
-    gens: list[np.ndarray], mask: np.ndarray, tol: ToleranceConfig, seed: int
-) -> int:
-    """Star commutant of ``gens``, counting only the elements whose interior
-    compression (rows and columns selected by ``mask``) still commutes with
-    the compressed generators."""
-    interior = np.ix_(mask, mask)
-    gens_int = [g[interior] for g in gens]
-    survivors = 0
-    for t in star_commutant_basis(gens, tol, seed):
-        t_int = t[interior]
-        dev = max(float(np.max(np.abs(t_int @ g - g @ t_int))) for g in gens_int)
-        if dev <= tol.identity_tol:
-            survivors += 1
-    return survivors
+    return len(star_commutant_basis([rep.W1, rep.W2], tol, seed))
 
 
 def is_irreducible(

@@ -24,9 +24,11 @@ from functools import partial
 
 import numpy as np
 
-from .commutant import interior_commutant_dim, structured_commutant_basis
+from .commutant import star_commutant_basis, structured_commutant_basis
 from .linalg import DEFAULT_TOL, ToleranceConfig, kron, nullspace
-from .repmodel import IsoRep2, TruncationParams, sigma_power, truncated_shift
+from .repmodel import (
+    IsoRep2, TruncationParams, interior_isometry_deviation, sigma_power, truncated_shift
+)
 from .cocycle import Cocycle2, evaluate
 
 __all__ = [
@@ -369,9 +371,10 @@ def induced_commutant_check_2d(
     """Verify both inclusions of "grid commutant = 1 ⊗ base commutant".
 
     Direction one: every structured commutant element, ampliated over the
-    cells, must commute with all grid translations. Direction two: the
-    generic commutant of the grid generators, after interior filtering, must
-    have exactly the structured dimension.
+    cells, must commute with all grid translations. Direction two: the star
+    commutant of the grid generators must have exactly the structured
+    dimension. It is counted without an interior filter: an ampliated T0 ⊗ 1
+    preserves shift levels, so its interior compression always commutes.
 
     The second direction only holds for strongly pure pairs. When a
     generator has a unitary direct summand, the periodic fiber it fixes makes
@@ -383,37 +386,30 @@ def induced_commutant_check_2d(
         raise ValueError("needs a representation built from a projection family")
     base = structured_commutant_basis(rep.family, tol)
     grid = induce_2d(rep, m)
-    mask = grid.interior_mask()
-    interior = np.ix_(mask, mask)
-    eye = np.eye(int(mask.sum()))
-
-    worst = 0.0
     times = [
         (j1 / m, j2 / m) for j1 in range(m + 1) for j2 in range(m + 1) if j1 or j2
     ]
     # non-isometric input shows up here; the generators see every defect and
     # their one-level climb stays inside the guard band
     gens = [grid.V(1 / m, 0), grid.V(0, 1 / m)]
-    iso_worst = 0.0
-    for v in gens:
-        iso_worst = max(
-            iso_worst, float(np.max(np.abs((v.conj().T @ v)[interior] - eye)))
-        )
+    mask = grid.interior_mask()
+    iso_worst = float(np.max([interior_isometry_deviation(v, mask) for v in gens]))
     ampliated = [kron(np.eye(m * m), kron(t0, np.eye(rep.trunc.L))) for t0 in base]
+    worst = 0.0
     for s, t in times:
         v = grid.V(s, t)
         for g in ampliated:
             worst = max(worst, float(np.max(np.abs(g @ v - v @ g))))
 
-    survivors = interior_commutant_dim(gens, mask, tol, seed)
+    grid_dim = len(star_commutant_basis(gens, tol, seed))
 
     return InducedCommutantReport(
         structured_dim=len(base),
-        grid_commutant_dim=survivors,
+        grid_commutant_dim=grid_dim,
         tensor_direction_residual=worst,
         grid_isometry_residual=iso_worst,
         tensor_direction_ok=worst <= tol.identity_tol
         and iso_worst <= tol.identity_tol,
-        generic_direction_ok=survivors == len(base),
+        generic_direction_ok=grid_dim == len(base),
         tolerance=tol.identity_tol,
     )

@@ -41,6 +41,7 @@ __all__ = [
     "build_projection_family_rep",
     "build_reflection_rep",
     "validate",
+    "interior_isometry_deviation",
     "strong_purity_check",
     "reparametrize",
     "sigma_power",
@@ -375,19 +376,19 @@ class ValidationReport:
         }
 
 
+def interior_isometry_deviation(w: np.ndarray, mask: np.ndarray) -> float:
+    """Largest entry of W*W − 1 on the rows and columns ``mask`` selects."""
+    gram = (w.conj().T @ w)[np.ix_(mask, mask)]
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
 def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Interior-compressed isometry and commutation deviations of the pair."""
     mask = rep.trunc.level_mask()
-    interior = np.ix_(mask, mask)
-    eye = np.eye(rep.trunc.interior_dim)
-
-    def iso_dev(w: np.ndarray) -> float:
-        return float(np.max(np.abs((w.conj().T @ w)[interior] - eye)))
-
-    comm = (rep.W1 @ rep.W2 - rep.W2 @ rep.W1)[interior]
+    comm = (rep.W1 @ rep.W2 - rep.W2 @ rep.W1)[np.ix_(mask, mask)]
     return ValidationReport(
-        isometry_dev_w1=iso_dev(rep.W1),
-        isometry_dev_w2=iso_dev(rep.W2),
+        isometry_dev_w1=interior_isometry_deviation(rep.W1, mask),
+        isometry_dev_w2=interior_isometry_deviation(rep.W2, mask),
         commutation_dev=float(np.max(np.abs(comm))),
         tol=tol.identity_tol,
     )
@@ -495,14 +496,14 @@ def reparametrize(
     rep: IsoRep2,
     a: tuple[int, int],
     b: tuple[int, int],
-    allow_nonunimodular: bool = False,
 ) -> IsoRep2:
     """Pair (W1^{a1} W2^{a2}, W1^{b1} W2^{b2}) viewed as new generators.
 
     a and b must generate a sub-semigroup spanning Z^2, checked via
-    det [a; b] = ±1 (override with ``allow_nonunimodular``). The guard widens
-    by the larger level climb of the two new generators, so the interior
-    identities stay exact for the reparametrized pair.
+    det [a; b] = ±1; ``extend_cocycle`` needs that to reach both standard
+    generators. The guard widens by the larger level climb of the two new
+    generators, so the interior identities stay exact for the reparametrized
+    pair.
     """
     a = (int(a[0]), int(a[1]))
     b = (int(b[0]), int(b[1]))
@@ -512,11 +513,8 @@ def reparametrize(
         if min(point) < 0:
             raise ValueError("reparametrization points must be nonnegative")
     det = a[0] * b[1] - a[1] * b[0]
-    if abs(det) != 1 and not allow_nonunimodular:
-        raise ValueError(
-            f"semigroup generated by {a}, {b} does not span Z^2 (det {det}); "
-            "pass allow_nonunimodular=True to override"
-        )
+    if abs(det) != 1:
+        raise ValueError(f"semigroup generated by {a}, {b} does not span Z^2 (det {det})")
     if (a, b) == ((1, 0), (0, 1)):
         return rep
 
@@ -543,7 +541,7 @@ def reparametrize(
 
         def rebuild(tr: TruncationParams) -> IsoRep2:
             base_tr = replace(tr, guard=tr.guard - widen)
-            return reparametrize(base_rebuild(base_tr), a, b, allow_nonunimodular)
+            return reparametrize(base_rebuild(base_tr), a, b)
 
     return IsoRep2(W1=w1, W2=w2, trunc=new_trunc, family=None, rebuild=rebuild)
 

@@ -2,12 +2,19 @@
 
 Each preset runs a battery of checks and reports, per check, a stable
 identifier, what identity was exercised, the worst residual or the dimensions
-involved, and a verdict. The same batteries back the command-line
-``verify-suite`` command and the acceptance tests.
+involved, and a verdict. The batteries back the command-line ``verify-suite``
+and ``induce`` commands and ``tests/test_suites.py``; the acceptance tests
+re-derive their criteria independently.
+
+Each grid identity shared by the induced batteries (region adjoint, semigroup
+law, index and commutant preservation) is written once below and called by
+``induced1d``, ``induced2d`` and ``induce_report`` alike.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from operator import add
 
 import numpy as np
 
@@ -15,7 +22,6 @@ from .cocycle import (
     CocycleSpace,
     cocycle_pair_basis,
     cocycle_space,
-    evaluate,
     extend_cocycle,
     family_witness_residual,
     index,
@@ -28,6 +34,8 @@ from .commutant import (
     truncated_commutant_oracle,
 )
 from .induced import (
+    GridRep1,
+    GridRep2,
     adjoint_1d,
     adjoint_2d,
     discrete_cocycle_values,
@@ -45,7 +53,7 @@ from .repmodel import (
     ProjectionFamily,
     TruncationParams,
     build_projection_family_rep,
-    build_reflection_rep,
+    interior_isometry_deviation,
     reflection_family,
     reparametrize,
     strong_purity_check,
@@ -114,6 +122,107 @@ class SuiteReport:
         }
 
 
+def _worst(deviations) -> float:
+    """Largest absolute entry over arrays or residuals; 0.0 for none.
+
+    np.max propagates a NaN, where a Python max() fold drops one not first.
+    """
+    return float(np.max([np.max(np.abs(d)) for d in deviations], initial=0.0))
+
+
+def _residual_check(
+    check: str,
+    description: str,
+    residual: float,
+    tolerance: float,
+    values: dict | None = None,
+    requires: bool = True,
+) -> CheckResult:
+    """A check that passes iff ``requires`` holds and residual <= tolerance;
+    a NaN residual fails."""
+    return CheckResult(
+        check=check,
+        description=description,
+        passed=bool(requires and residual <= tolerance),
+        residual=residual,
+        tolerance=tolerance,
+        values=values or {},
+    )
+
+
+def _grid_times(m: int, horizon: int, axes: int) -> list[tuple[float, ...]]:
+    """Every grid time (j_1/m, …, j_axes/m) with 0 <= j <= horizon·m."""
+    return list(product([j / m for j in range(horizon * m + 1)], repeat=axes))
+
+
+def _adjoint_check(times, *grids: GridRep1 | GridRep2) -> CheckResult:
+    """The region-assembled adjoint against V conjugate-transposed, on every
+    grid at every time."""
+    if isinstance(grids[0], GridRep1):
+        adjoint, axes, regions = adjoint_1d, "1d", "region-assembled"
+    else:
+        adjoint, axes, regions = adjoint_2d, "2d", "four-region"
+    worst = _worst(adjoint(g, *ts) - g.V(*ts).conj().T for g in grids for ts in times)
+    return _residual_check(
+        f"adjoint_region_formula_{axes}",
+        f"{regions} adjoint equals the conjugate transpose",
+        worst,
+        1e-12,
+    )
+
+
+def _semigroup_check(pairs, description: str, *grids: GridRep1 | GridRep2) -> CheckResult:
+    """V(a)V(b) = V(a + b) entrywise for every pair of grid times (a, b)."""
+    worst = _worst(g.V(*a) @ g.V(*b) - g.V(*map(add, a, b)) for g in grids for a, b in pairs)
+    return _residual_check("semigroup_law_exact", description, worst, 0.0)
+
+
+def _grid_preservation_checks(
+    space: CocycleSpace,
+    m: int,
+    tol: ToleranceConfig,
+    seed: int,
+    scalar_commutant: bool = False,
+) -> list[CheckResult]:
+    """Index and commutant preservation on the M-cell grid of ``space.rep``.
+
+    The generator-pair cocycle space of the grid must have the base dimension
+    and be spanned by the lifted base cocycles. For a finite family, the grid
+    commutant must also be the ampliated base commutant, one-dimensional too
+    when ``scalar_commutant`` is set.
+    """
+    rep = space.rep
+    grid = induce_2d(rep, m)
+    solved = cocycle_pair_basis(grid.V(1 / m, 0), grid.V(0, 1 / m), tol)
+    lifts = [lift_cocycle_2d(coc, rep, m, tol) for coc in space.basis]
+    stacked = np.array([np.concatenate([f.at(1 / m, 0), f.at(0, 1 / m)]) for f in lifts]).T
+    # worst distance of a lifted generator pair from the solved span
+    span_dev = _worst([stacked - solved @ (solved.conj().T @ stacked)] if lifts else [])
+    checks = [
+        _residual_check(
+            "grid_pair_cocycles_match_base",
+            "the grid generator-pair cocycle space has the base dimension "
+            "and is spanned by the lifted cocycles",
+            span_dev,
+            1e-10,
+            values={"grid_dim": solved.shape[1], "base_dim": space.dim},
+            requires=solved.shape[1] == space.dim,
+        )
+    ]
+    if rep.family is not None and rep.family.kind == "finite":
+        report = induced_commutant_check_2d(rep, m, tol, seed)
+        checks.append(
+            CheckResult(
+                check="grid_commutant_is_ampliated",
+                description="both inclusions between the grid commutant and the "
+                "ampliated base commutant hold",
+                passed=report.ok and (report.structured_dim == 1 or not scalar_commutant),
+                values=report.as_dict(),
+            )
+        )
+    return checks
+
+
 def _example2_family() -> ProjectionFamily:
     return reflection_family(np.array([0.5, 0.5, 0.5, 0.5]))
 
@@ -159,14 +268,12 @@ def _suite_example2(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
         )
     )
     space = cocycle_space(rep, tol)
-    witness = max(family_witness_residual(c, fam, rep) for c in space.basis)
     checks.append(
-        CheckResult(
-            check="cocycle_witness_structure",
-            description="every basis cocycle is the canonical lift of a U-fixed vector",
-            passed=witness <= tol.identity_tol,
-            residual=witness,
-            tolerance=tol.identity_tol,
+        _residual_check(
+            "cocycle_witness_structure",
+            "every basis cocycle is the canonical lift of a U-fixed vector",
+            _worst(family_witness_residual(c, fam, rep) for c in space.basis),
+            tol.identity_tol,
         )
     )
     sdim = structured_commutant_dim(fam, tol)
@@ -304,19 +411,16 @@ def _suite_reparam(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
             values=purity.as_dict(),
         )
     )
-    space = cocycle_space(rep, tol)
-    worst = 0.0
-    for c in space.basis:
+    gaps = []
+    for c in cocycle_space(rep, tol).basis:
         values = restrict_to_subsemigroup(c, rep, (1, 1), (2, 1), tol)
-        back = extend_cocycle(rep, (1, 1), (2, 1), values, tol)
-        worst = max(worst, float(np.max(np.abs(back.stacked() - c.stacked()))))
+        gaps.append(extend_cocycle(rep, (1, 1), (2, 1), values, tol).stacked() - c.stacked())
     checks.append(
-        CheckResult(
-            check="extend_restrict_roundtrip",
-            description="extending the restricted cocycle recovers the original pair",
-            passed=worst <= 1e-10,
-            residual=worst,
-            tolerance=1e-10,
+        _residual_check(
+            "extend_restrict_roundtrip",
+            "extending the restricted cocycle recovers the original pair",
+            _worst(gaps),
+            1e-10,
         )
     )
     return checks
@@ -324,58 +428,30 @@ def _suite_reparam(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
 
 def _suite_induced1d(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    checks = []
     m_cells = 4
-    dims = {}
-    additivity_worst = 0.0
-    adjoint_worst = 0.0
-    semigroup_worst = 0.0
-    isometry_worst = 0.0
-    pairing_worst = 0.0
+    times = _grid_times(m_cells, 2, 1)
+    pairs = [(a, b) for j, a in enumerate(times) for b in times[: len(times) - j]]
+    grids, dims, additivity, pairing = [], {}, [], []
     kernel_ok = True
     for mult in (1, 2, 3):
         sigma, interior = shift_fiber(mult, levels=8, guard=2)
         grid = induce_1d(sigma, m_cells, interior)
+        grids.append(grid)
         dims[mult] = grid_cocycle_space_1d(grid, 2, tol)
 
         kernel = nullspace(sigma.conj().T, tol)
         for col in range(kernel.shape[1]):
             eta = discrete_cocycle_values(sigma, kernel[:, col], 3)
             lift = lift_cocycle_1d(eta, grid, tol)
-            for j in range(m_cells + 1):
-                for k in range(m_cells + 1):
-                    if 0 < j + k <= 2 * m_cells:
-                        additivity_worst = max(
-                            additivity_worst,
-                            lift.additivity_residual(j / m_cells, k / m_cells),
-                        )
-        mask = grid.interior_mask()
-        interior = np.ix_(mask, mask)
-        eye = np.eye(int(mask.sum()))
-        for j in range(0, 2 * m_cells + 1):
-            t = j / m_cells
-            v = grid.V(t)
-            adjoint_worst = max(
-                adjoint_worst, float(np.max(np.abs(adjoint_1d(grid, t) - v.conj().T)))
-            )
-            isometry_worst = max(
-                isometry_worst,
-                float(np.max(np.abs((v.conj().T @ v)[interior] - eye))),
-            )
-            for k in range(0, 2 * m_cells + 1 - j):
-                semigroup_worst = max(
-                    semigroup_worst,
-                    float(
-                        np.max(
-                            np.abs(grid.V(j / m_cells) @ grid.V(k / m_cells)
-                                   - grid.V((j + k) / m_cells))
-                        )
-                    ),
-                )
+            additivity += [
+                lift.additivity_residual(j / m_cells, k / m_cells)
+                for j in range(m_cells + 1)
+                for k in range(m_cells + 1)
+                if j + k > 0
+            ]
         for j in range(1, m_cells):
-            t = j / m_cells
             want = j * kernel.shape[1]
-            got = nullspace(grid.V(t).conj().T, tol).shape[1]
+            got = nullspace(grid.V(j / m_cells).conj().T, tol).shape[1]
             kernel_ok = kernel_ok and got == want
         for _ in range(20):
             xi = rng.normal(size=grid.dim) + 1j * rng.normal(size=grid.dim)
@@ -383,174 +459,76 @@ def _suite_induced1d(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
             t = 3 / m_cells
             lhs = np.vdot(zeta, adjoint_1d(grid, t) @ xi)
             rhs = np.vdot(grid.V(t) @ zeta, xi)
-            pairing_worst = max(pairing_worst, abs(lhs - rhs))
+            pairing.append(lhs - rhs)
 
-    checks.append(
+    isometry = _worst(
+        interior_isometry_deviation(g.V(*ts), g.interior_mask()) for g in grids for ts in times
+    )
+    return [
         CheckResult(
             check="grid_cocycle_dim_equals_multiplicity",
             description="solved grid cocycle dimension equals the shift multiplicity",
             passed=all(dims[m] == m for m in dims),
             values={"dims": {str(k): v for k, v in dims.items()}},
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="lifted_cocycle_additivity",
-            description="lifted step cocycles satisfy additivity at all grid pairs "
-            "within horizon 2",
-            passed=additivity_worst <= 1e-10,
-            residual=additivity_worst,
-            tolerance=1e-10,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="adjoint_region_formula_1d",
-            description="region-assembled adjoint equals the conjugate transpose",
-            passed=adjoint_worst <= 1e-12,
-            residual=adjoint_worst,
-            tolerance=1e-12,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="semigroup_law_exact",
-            description="V(s)V(t) = V(s+t) entrywise at grid times",
-            passed=semigroup_worst == 0.0,
-            residual=semigroup_worst,
-            tolerance=0.0,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="interior_isometry",
-            description="V(t)*V(t) = 1 after interior compression",
-            passed=isometry_worst <= 1e-12,
-            residual=isometry_worst,
-            tolerance=1e-12,
-        )
-    )
-    checks.append(
+        ),
+        _residual_check(
+            "lifted_cocycle_additivity",
+            "lifted step cocycles satisfy additivity at all grid pairs within horizon 2",
+            _worst(additivity),
+            1e-10,
+        ),
+        _adjoint_check(times, *grids),
+        _semigroup_check(pairs, "V(s)V(t) = V(s+t) entrywise at grid times", *grids),
+        _residual_check(
+            "interior_isometry", "V(t)*V(t) = 1 after interior compression", isometry, 1e-12
+        ),
         CheckResult(
             check="kernel_dimension_matches",
             description="dim ker V(t)* = (tM)·dim ker sigma* for fractional t",
             passed=kernel_ok,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="adjoint_pairing",
-            description="<V(t)* xi, eta> = <xi, V(t) eta> on random vectors",
-            passed=pairing_worst <= 1e-12,
-            residual=float(pairing_worst),
-            tolerance=1e-12,
-        )
-    )
-    return checks
-
-
-def _grid_pair_cocycle_dim(
-    space: CocycleSpace, m: int, tol: ToleranceConfig
-) -> tuple[int, float]:
-    """Solve the generator-pair cocycle system of the 2-d grid semigroup of
-    ``space.rep`` and measure how far the lifted cocycles of the base space
-    are from spanning it."""
-    rep = space.rep
-    grid = induce_2d(rep, m)
-    solved = cocycle_pair_basis(grid.V(1 / m, 0), grid.V(0, 1 / m), tol)
-
-    lifts = [lift_cocycle_2d(coc, rep, m, tol) for coc in space.basis]
-    if not lifts:
-        return solved.shape[1], 0.0
-    stacked = np.array([np.concatenate([f.at(1 / m, 0), f.at(0, 1 / m)]) for f in lifts]).T
-    # worst distance of a lifted generator pair from the solved span
-    span_dev = float(np.max(np.abs(stacked - solved @ (solved.conj().T @ stacked))))
-    return solved.shape[1], span_dev
+        ),
+        _residual_check(
+            "adjoint_pairing",
+            "<V(t)* xi, eta> = <xi, V(t) eta> on random vectors",
+            _worst(pairing),
+            1e-12,
+        ),
+    ]
 
 
 def _suite_induced2d(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
     rep = _example2_rep()
     m_cells = 2
     grid = induce_2d(rep, m_cells)
-    checks = []
-
-    adjoint_worst = 0.0
-    for j1 in range(0, 2 * m_cells + 1):
-        for j2 in range(0, 2 * m_cells + 1):
-            s, t = j1 / m_cells, j2 / m_cells
-            adjoint_worst = max(
-                adjoint_worst,
-                float(np.max(np.abs(adjoint_2d(grid, s, t) - grid.V(s, t).conj().T))),
-            )
-    checks.append(
-        CheckResult(
-            check="adjoint_region_formula_2d",
-            description="four-region adjoint equals the conjugate transpose",
-            passed=adjoint_worst <= 1e-12,
-            residual=adjoint_worst,
-            tolerance=1e-12,
-        )
-    )
     flip = grid.flip()
     g1x = induce_1d(rep.W1, m_cells)
-    flip_worst = 0.0
-    for j in range(0, m_cells + 1):
-        s = j / m_cells
-        lhs = flip @ np.kron(np.eye(m_cells), g1x.V(s)) @ flip
-        flip_worst = max(flip_worst, float(np.max(np.abs(lhs - grid.V(s, 0)))))
-    checks.append(
-        CheckResult(
-            check="axis_flip_identity",
-            description="x-translations are the flip conjugates of ampliated "
-            "1-d translations",
-            passed=flip_worst == 0.0,
-            residual=flip_worst,
-            tolerance=0.0,
-        )
-    )
+    flips = [
+        flip @ np.kron(np.eye(m_cells), g1x.V(s)) @ flip - grid.V(s, 0)
+        for (s,) in _grid_times(m_cells, 1, 1)
+    ]
     space = cocycle_space(rep, tol)
-    additivity_worst = 0.0
-    for coc in space.basis:
-        lift = lift_cocycle_2d(coc, rep, m_cells, tol)
-        for js in range(m_cells + 1):
-            for jt in range(m_cells + 1):
-                st1 = (js / m_cells, jt / m_cells)
-                st2 = ((m_cells - js) / m_cells, (m_cells - jt) / m_cells)
-                additivity_worst = max(
-                    additivity_worst, lift.additivity_residual(st1, st2)
-                )
-    checks.append(
-        CheckResult(
-            check="lifted_cocycle_additivity_2d",
-            description="lifted step cocycles satisfy 2-d additivity at grid pairs",
-            passed=additivity_worst <= 1e-10,
-            residual=additivity_worst,
-            tolerance=1e-10,
-        )
-    )
-    dim, span_dev = _grid_pair_cocycle_dim(space, m_cells, tol)
-    checks.append(
-        CheckResult(
-            check="grid_pair_cocycles_match_base",
-            description="the grid generator-pair cocycle space has the base dimension "
-            "and is spanned by the lifted cocycles",
-            passed=dim == space.dim and span_dev <= 1e-10,
-            residual=span_dev,
-            tolerance=1e-10,
-            values={"grid_dim": dim, "base_dim": space.dim},
-        )
-    )
-    report = induced_commutant_check_2d(rep, m_cells, tol, seed)
-    checks.append(
-        CheckResult(
-            check="grid_commutant_is_ampliated",
-            description="both inclusions between the grid commutant and the "
-            "ampliated base commutant hold",
-            passed=report.ok and report.structured_dim == 1,
-            values=report.as_dict(),
-        )
-    )
-    return checks
+    lifts = [lift_cocycle_2d(coc, rep, m_cells, tol) for coc in space.basis]
+    additivity = [
+        lift.additivity_residual((s, t), (1 - s, 1 - t))
+        for lift in lifts
+        for s, t in _grid_times(m_cells, 1, 2)
+    ]
+    return [
+        _adjoint_check(_grid_times(m_cells, 2, 2), grid),
+        _residual_check(
+            "axis_flip_identity",
+            "x-translations are the flip conjugates of ampliated 1-d translations",
+            _worst(flips),
+            0.0,
+        ),
+        _residual_check(
+            "lifted_cocycle_additivity_2d",
+            "lifted step cocycles satisfy 2-d additivity at grid pairs",
+            _worst(additivity),
+            1e-10,
+        ),
+        *_grid_preservation_checks(space, m_cells, tol, seed, scalar_commutant=True),
+    ]
 
 
 PRESETS = {
@@ -580,80 +558,26 @@ def induce_report(
     rep: IsoRep2, m: int, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
 ) -> SuiteReport:
     """Induced-semigroup verification battery for a user-supplied pair."""
-    checks = []
     vrep = validate(rep, tol)
-    checks.append(
-        CheckResult(
-            check="pair_validates",
-            description="interior isometry and commutation of the generators",
-            passed=vrep.ok,
-            # np.max propagates a NaN deviation; Python max() drops one not first
-            residual=np.max(
-                [vrep.isometry_dev_w1, vrep.isometry_dev_w2, vrep.commutation_dev]
+    checks = [
+        _residual_check(
+            "pair_validates",
+            "interior isometry and commutation of the generators",
+            _worst([vrep.isometry_dev_w1, vrep.isometry_dev_w2, vrep.commutation_dev]),
+            tol.identity_tol,
+        )
+    ]
+    # nothing downstream is meaningful for an invalid pair
+    if checks[0].passed:
+        grid = induce_2d(rep, m)
+        times = _grid_times(m, 1, 2)
+        checks += [
+            _adjoint_check(times, grid),
+            _semigroup_check(
+                [(st, st[::-1]) for st in times],
+                "V(s,t)V(t,s) = V(s+t,s+t) entrywise at grid times",
+                grid,
             ),
-            tolerance=tol.identity_tol,
-        )
-    )
-    if not vrep.ok:
-        # nothing downstream is meaningful for an invalid pair
-        return SuiteReport(preset=f"induce_m{m}", seed=seed, checks=tuple(checks))
-    grid = induce_2d(rep, m)
-    adjoint_worst = 0.0
-    semigroup_worst = 0.0
-    for j1 in range(0, m + 1):
-        for j2 in range(0, m + 1):
-            s, t = j1 / m, j2 / m
-            adjoint_worst = max(
-                adjoint_worst,
-                float(np.max(np.abs(adjoint_2d(grid, s, t) - grid.V(s, t).conj().T))),
-            )
-            semigroup_worst = max(
-                semigroup_worst,
-                float(
-                    np.max(
-                        np.abs(grid.V(s, t) @ grid.V(t, s) - grid.V(s + t, s + t))
-                    )
-                ),
-            )
-    checks.append(
-        CheckResult(
-            check="adjoint_region_formula_2d",
-            description="four-region adjoint equals the conjugate transpose",
-            passed=adjoint_worst <= 1e-12,
-            residual=adjoint_worst,
-            tolerance=1e-12,
-        )
-    )
-    checks.append(
-        CheckResult(
-            check="semigroup_law_exact",
-            description="V(s,t)V(t,s) = V(s+t,s+t) entrywise at grid times",
-            passed=semigroup_worst == 0.0,
-            residual=semigroup_worst,
-            tolerance=0.0,
-        )
-    )
-    space = cocycle_space(rep, tol)
-    dim, span_dev = _grid_pair_cocycle_dim(space, m, tol)
-    checks.append(
-        CheckResult(
-            check="grid_pair_cocycles_match_base",
-            description="grid generator-pair cocycle dimension matches the base space",
-            passed=dim == space.dim and span_dev <= 1e-10,
-            residual=span_dev,
-            tolerance=1e-10,
-            values={"grid_dim": dim, "base_dim": space.dim},
-        )
-    )
-    if rep.family is not None and rep.family.kind == "finite":
-        report = induced_commutant_check_2d(rep, m, tol, seed)
-        checks.append(
-            CheckResult(
-                check="grid_commutant_is_ampliated",
-                description="both inclusions between the grid commutant and the "
-                "ampliated base commutant hold",
-                passed=report.ok,
-                values=report.as_dict(),
-            )
-        )
+            *_grid_preservation_checks(cocycle_space(rep, tol), m, tol, seed),
+        ]
     return SuiteReport(preset=f"induce_m{m}", seed=seed, checks=tuple(checks))

@@ -405,6 +405,17 @@ def test_restrict_then_extend_roundtrip():
         assert np.max(np.abs(back.stacked() - c.stacked())) <= 1e-10
 
 
+def test_extend_over_large_unimodular_generators():
+    # (1, 0) = a - b and (0, 1) = 17·b - 16·a: coefficients grow with a and b
+    rep = build_reflection_rep(np.array([0.6, 0.8]), TruncationParams(2, 24, 3))
+    a, b = (17, 1), (16, 1)
+    space = cocycle_space(rep)
+    assert space.dim == 1
+    for c in space.basis:
+        back = extend_cocycle(rep, a, b, restrict_to_subsemigroup(c, rep, a, b))
+        assert np.max(np.abs(back.stacked() - c.stacked())) <= 1e-10
+
+
 def test_restricted_space_has_same_dimension():
     rep = example2_rep(L=16, guard=3)
     sub = reparametrize(rep, (1, 1), (2, 1))

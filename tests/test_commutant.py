@@ -350,6 +350,15 @@ def test_oracle_survivor_count_ignores_basis_choice(monkeypatch):
         assert truncated_commutant_oracle(rep) == 4
 
 
+def test_oracle_count_on_perturbed_pair_ignores_basis_choice(monkeypatch):
+    # 1e-6 off a doubled eigenvalue, the count must not depend on which
+    # orthonormal basis of the commutant the solver returns
+    rep = perturbed_pair(4, [1.0, 1.0, 2.0])[1]
+    assert structured_commutant_dim(rep.family) == 3
+    _rotate_returned_bases(monkeypatch)
+    assert [truncated_commutant_oracle(rep) for _ in range(8)] == [3] * 8
+
+
 def _rotate_returned_bases(monkeypatch):
     """Make star_commutant_basis return its basis rotated by a fresh random
     unitary on every call: another orthonormal basis of the same space."""
