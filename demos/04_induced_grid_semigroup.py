@@ -11,6 +11,7 @@ import numpy as np
 from isorep import (
     TruncationParams,
     adjoint_2d,
+    adjoint_kernel,
     build_reflection_rep,
     cocycle_space,
     discrete_cocycle_values,
@@ -20,7 +21,6 @@ from isorep import (
     induced_commutant_check_2d,
     lift_cocycle_1d,
     lift_cocycle_2d,
-    nullspace,
     shift_fiber,
 )
 
@@ -32,7 +32,7 @@ print("1-d semigroup law V(1/2)V(3/4) == V(5/4):",
 print("solved grid cocycle dimension:", grid_cocycle_space_1d(grid, 2),
       "(the shift multiplicity)")
 
-eta1 = nullspace(sigma.conj().T)[:, 0]
+eta1 = adjoint_kernel(sigma)[:, 0]
 lift = lift_cocycle_1d(discrete_cocycle_values(sigma, eta1, 3), grid)
 print("lifted cocycle additivity residual at (1/2, 3/4):",
       lift.additivity_residual(0.5, 0.75))

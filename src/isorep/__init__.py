@@ -4,6 +4,7 @@ unitary equivalence, and grid-induced translation semigroups."""
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    adjoint_kernel,
     intertwiner_space,
     joint_kernel,
     kron,

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_to_json, nullspace
+from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, matrix_to_json, nullspace
 from .repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -109,12 +109,14 @@ def cocycle_pair_basis(
 ) -> np.ndarray:
     """Orthonormal basis (2N×dim) of the stacked cocycle pairs of (w1, w2).
 
-    Kernel first: K1, K2 span ker w1*, ker w2*, and the compatibility relation
-    is solved over their k1+k2 coordinates, [(1 - w2)K1 | (w1 - 1)K2]. That
-    cutoff is anchored at the isometries' scale 1: when w2 is the identity up
-    to rounding, the matrix is noise that a purely relative cutoff counts as rank.
+    Kernel first: K1, K2 span ker w1*, ker w2* (``adjoint_kernel``: a sketch
+    of 1 − ww* for partial isometries, sized by N − tr(w*w), an SVD of w*
+    otherwise), and the compatibility relation is solved over their k1+k2
+    coordinates, [(1 - w2)K1 | (w1 - 1)K2]. That cutoff is anchored at the
+    isometries' scale 1: when w2 is the identity up to rounding, the matrix is
+    noise that a purely relative cutoff counts as rank.
     """
-    k1, k2 = nullspace(w1.conj().T, tol), nullspace(w2.conj().T, tol)
+    k1, k2 = adjoint_kernel(w1, tol), adjoint_kernel(w2, tol)
     if k1.shape[1] + k2.shape[1] == 0:
         return np.zeros((2 * w1.shape[0], 0), dtype=complex)
     coeffs = nullspace(np.hstack([k1 - w2 @ k1, w1 @ k2 - k2]), tol, scale=1.0)

@@ -94,8 +94,12 @@ def star_commutant_basis(
     + δ(β_k,β_l)·S[α_k,α_l] − 2·(X_kl + conj(X_lk)). Its eigenvectors with λ = σ²
     ≤ rank_tol·scale² are candidates, whose direct residuals decide the rank at
     σ ≤ rank_tol·scale; scale ≥ max |A_ij| lets rounding noise keep the full space.
+    Generators are named W1, W2, … in order when one has non-finite entries.
     """
     mats = [np.asarray(a, dtype=complex) for a in mats]
+    for i, a in enumerate(mats, start=1):
+        if not np.isfinite(a).all():
+            raise ValueError(f"W{i} has non-finite entries")
     n = mats[0].shape[0]
     h = _random_algebra_element(mats, np.random.default_rng(seed))
     w, q = np.linalg.eigh(h)

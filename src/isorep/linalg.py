@@ -3,7 +3,17 @@
 Everything downstream (representation builders, cocycle solves, commutant
 computations) reduces to Kronecker products, rank-revealing nullspaces and
 vectorized intertwiner solves over dense complex matrices. Problem sizes stay
-in the low thousands, so dense storage and full SVDs are the right tool.
+in the low thousands, so dense storage and SVDs are the right tool for a
+general kernel.
+
+The kernel of an adjoint W* is the one exception. Every generator the library
+builds is a partial isometry on the truncation, so ker W* is the range of the
+projection 1 − WW*, of rank k = N − tr(W*W). ``adjoint_kernel`` reads that
+range off an N×(k+8) Gaussian sketch (Halko, Martinsson & Tropp, SIAM Review
+53, 2011) instead of an N×N SVD. It accepts the sketch only when its
+singular values show exactly rank k at the usual cutoff and W* annihilates the
+result at that cutoff. It falls back to ``nullspace(w*)`` when W*W is not a
+projection at identity_tol, as a custom pair may be, or when either test fails.
 """
 from __future__ import annotations
 
@@ -17,6 +27,7 @@ __all__ = [
     "kron",
     "nullspace",
     "numerical_rank",
+    "adjoint_kernel",
     "joint_kernel",
     "intertwiner_space",
     "matrix_to_json",
@@ -100,6 +111,47 @@ def numerical_rank(
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     return _rank_from_singular_values(s, tol, scale)
+
+
+# columns of the sketch beyond k, and its fixed seed: reports stay deterministic
+_SKETCH_OVERSAMPLE = 8
+_SKETCH_SEED = 0
+
+
+def adjoint_kernel(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of ker w*, the same space as ``nullspace(w.conj().T)``.
+
+    When G = w*w is a projection (max|G² − G| ≤ identity_tol), w is a partial
+    isometry and ker w* is the range of 1 − ww*, of rank k = N − tr G. The
+    columns of Y = Ω − w(w*Ω), for an N×min(N, k+8) complex Gaussian Ω from a
+    fixed seed, span that range. Y's first k left singular vectors Q are
+    returned once Y's singular values give exactly rank k at the usual cutoff,
+    anchored at Ω's largest column norm, and ‖w*Q‖_F ≤ rank_tol confirms them
+    at ``nullspace``'s cutoff (a singular value of w between rank_tol and
+    √identity_tol passes the projection test but is no kernel direction
+    there). Any other input, or a sketch that fails either test, takes the
+    full SVD route.
+    """
+    w = _as_complex_matrix(w)
+    if not np.isfinite(w).all():
+        raise ValueError("adjoint_kernel needs finite entries")
+    gram = w.conj().T @ w
+    # written so that a NaN deviation falls back instead of passing
+    if not (float(np.max(np.abs(gram @ gram - gram), initial=0.0)) <= tol.identity_tol):
+        return nullspace(w.conj().T, tol)
+    n = w.shape[0]
+    k = int(round(n - float(np.trace(gram).real)))
+    rng = np.random.default_rng(_SKETCH_SEED)
+    shape = (n, min(n, k + _SKETCH_OVERSAMPLE))
+    omega = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    u, s, _ = np.linalg.svd(omega - w @ (w.conj().T @ omega), full_matrices=False)
+    kernel = u[:, :k]
+    scale = float(np.max(np.linalg.norm(omega, axis=0)))
+    if _rank_from_singular_values(s, tol, scale) != k or not (
+        np.linalg.norm(w.conj().T @ kernel) <= tol.rank_tol
+    ):
+        return nullspace(w.conj().T, tol)
+    return kernel
 
 
 def _rank_from_singular_values(

@@ -20,9 +20,9 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    adjoint_kernel,
     kron,
     matrix_from_json,
-    nullspace,
     numerical_rank,
 )
 
@@ -378,14 +378,15 @@ class ValidationReport:
 
 def interior_isometry_deviation(w: np.ndarray, mask: np.ndarray) -> float:
     """Largest entry of W*W − 1 on the rows and columns ``mask`` selects."""
-    gram = (w.conj().T @ w)[np.ix_(mask, mask)]
+    cols = w[:, mask]
+    gram = cols.conj().T @ cols
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
 def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Interior-compressed isometry and commutation deviations of the pair."""
     mask = rep.trunc.level_mask()
-    comm = (rep.W1 @ rep.W2 - rep.W2 @ rep.W1)[np.ix_(mask, mask)]
+    comm = rep.W1[mask] @ rep.W2[:, mask] - rep.W2[mask] @ rep.W1[:, mask]
     return ValidationReport(
         isometry_dev_w1=interior_isometry_deviation(rep.W1, mask),
         isometry_dev_w2=interior_isometry_deviation(rep.W2, mask),
@@ -447,6 +448,9 @@ def strong_purity_check(
         raise ValueError(
             f"depth {depth} exceeds interior levels {rep.trunc.interior_levels}"
         )
+    for name, w in (("W1", rep.W1), ("W2", rep.W2)):
+        if not np.isfinite(w).all():
+            raise ValueError(f"{name} has non-finite entries")
     mask = rep.trunc.level_mask()
     interior_dim = rep.trunc.interior_dim
 
@@ -455,7 +459,7 @@ def strong_purity_check(
     rank_seqs: list[tuple[int, ...]] = []
     faithful: list[int] = []
     for w in (rep.W1, rep.W2):
-        m = nullspace(w.conj().T, tol).shape[1]
+        m = adjoint_kernel(w, tol).shape[1]
         ranks = []
         power = np.eye(rep.dim, dtype=complex)
         for _ in range(depth):

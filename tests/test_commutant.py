@@ -75,6 +75,16 @@ def test_oracle_direct_sum_sees_matrix_units():
     assert structured_commutant_dim(doubled) == 4
 
 
+@pytest.mark.parametrize("name", ["W1", "W2"])
+def test_oracle_rejects_non_finite_generator(name):
+    rep = build_reflection_rep(np.array([0.6, 0.8]), TruncationParams(2, 8, 2))
+    gens = {"W1": rep.W1.copy(), "W2": rep.W2.copy()}
+    gens[name][3, 5] = np.nan
+    bad = IsoRep2(W1=gens["W1"], W2=gens["W2"], trunc=rep.trunc)
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        truncated_commutant_oracle(bad)
+
+
 def test_oracle_matches_structured_for_random_families():
     rng = np.random.default_rng(1234)
     for _ in range(10):

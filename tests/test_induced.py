@@ -502,6 +502,16 @@ def test_induced_commutant_scaled_generator_fails():
     assert report.grid_isometry_residual == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("name", ["W1", "W2"])
+def test_induced_commutant_check_rejects_non_finite_generator(name):
+    rep = small_rep()
+    gens = {"W1": rep.W1.copy(), "W2": rep.W2.copy()}
+    gens[name][3, 5] = np.nan
+    bad = IsoRep2(W1=gens["W1"], W2=gens["W2"], trunc=rep.trunc, family=rep.family)
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        induced_commutant_check_2d(bad, 2)
+
+
 def test_induced_commutant_requires_family():
     rep = small_rep()
     raw = IsoRep2(W1=rep.W1, W2=rep.W2, trunc=rep.trunc)

@@ -1,11 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isorep.linalg
+from isorep.cocycle import cocycle_space
+from isorep.induced import induce_2d
 from isorep.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    adjoint_kernel,
     intertwiner_space,
     joint_kernel,
     kron,
@@ -13,7 +19,15 @@ from isorep.linalg import (
     matrix_to_json,
     nullspace,
 )
-from isorep.repmodel import truncated_shift
+from isorep.repmodel import (
+    ProjectionFamily,
+    TruncationParams,
+    build_projection_family_rep,
+    reflection_family,
+    reparametrize,
+    strong_purity_check,
+    truncated_shift,
+)
 
 
 def span_equal(a, b, tol=1e-12):
@@ -129,6 +143,126 @@ def test_nullspace_noise_scale_anchor():
     noise = q @ np.eye(3) @ q.conj().T - np.eye(3)
     assert np.max(np.abs(noise)) < 1e-13
     assert nullspace(noise, scale=1.0).shape[1] == 3
+
+
+# --- adjoint_kernel ---------------------------------------------------------------
+
+
+def _family_rep(rng, n, reflection):
+    """A projection-family pair over coordinate projections: a random
+    reflection, or a planted ker(U - 1) of random size."""
+    if not reflection:
+        k = int(rng.integers(0, n + 1))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        phases = np.exp(1j * rng.uniform(0.3, 2 * np.pi - 0.3, size=n - k))
+        fam = ProjectionFamily(
+            projections=tuple(np.diag(np.eye(n)[j]).astype(complex) for j in range(n)),
+            unitary=q @ np.diag(np.concatenate([np.ones(k), phases])) @ q.conj().T,
+        )
+    else:
+        a = rng.uniform(0.2, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        fam = reflection_family(a / np.linalg.norm(a))
+    guard = n + 1
+    return build_projection_family_rep(fam, TruncationParams(n, 2 * guard + 2, guard))
+
+
+@st.composite
+def adjoint_kernel_inputs(draw):
+    """(w, partial isometry?): every kind of generator the library builds, and
+    matrices that are not partial isometries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    kind = draw(
+        st.sampled_from(
+            ["planted", "reflection", "reparametrized", "grid", "half", "contraction", "faint"]
+        )
+    )
+    rep = _family_rep(rng, n, reflection=kind == "reflection")
+    pick = draw(st.integers(0, 1))
+    if kind == "reparametrized":
+        points = draw(st.sampled_from([((1, 0), (1, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1))]))
+        rep = reparametrize(rep, *points)
+    if kind == "grid":
+        m = draw(st.integers(2, 3))
+        return induce_2d(rep, m).V(*[(1 / m, 0), (0, 1 / m)][pick]), True
+    w = (rep.W1, rep.W2)[pick]
+    if kind == "half":
+        return 0.5 * w, False
+    if kind == "contraction":
+        # random singular vectors, fewer than all singular values 0, the rest in (0, 1)
+        size = int(rng.integers(2, 24))
+        u, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        v, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        s = rng.uniform(0.1, 0.9, size=size)
+        s[rng.permutation(size)[: rng.integers(0, size)]] = 0.0
+        return u @ np.diag(s) @ v.conj().T, False
+    if kind == "faint":
+        # one singular value of w in [1e-8, 3e-6]: w*w passes the projection
+        # test, but that direction is outside ker w* at the rank cutoff
+        u, s, vh = np.linalg.svd(w)
+        s[np.flatnonzero(s > 0.5)[-1]] = 10.0 ** rng.uniform(-8.0, -5.5)
+        return u @ np.diag(s) @ vh, False
+    return w, True
+
+
+def _kernel_with_route(w):
+    """adjoint_kernel's basis, and whether it fell back to the full SVD."""
+    with mock.patch.object(isorep.linalg, "nullspace", wraps=nullspace) as svd_route:
+        basis = adjoint_kernel(w)
+    return basis, svd_route.called
+
+
+@settings(max_examples=80, deadline=None)
+@given(adjoint_kernel_inputs())
+def test_adjoint_kernel_matches_svd_route(case):
+    w, partial_isometry = case
+    basis, fell_back = _kernel_with_route(w)
+    reference = nullspace(w.conj().T)
+    assert basis.shape == reference.shape
+    assert fell_back != partial_isometry
+    k = basis.shape[1]
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(k)), initial=0.0) <= 1e-12
+    gap = basis @ basis.conj().T - reference @ reference.conj().T
+    assert np.max(np.abs(gap), initial=0.0) <= 1e-12
+
+
+def test_adjoint_kernel_of_a_unitary_is_empty():
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(40, 40)) + 0j)
+    basis, fell_back = _kernel_with_route(q)
+    assert basis.shape == (40, 0)
+    assert not fell_back
+
+
+def test_adjoint_kernel_of_zero_is_everything():
+    basis, fell_back = _kernel_with_route(np.zeros((12, 12)))
+    assert basis.shape == (12, 12)
+    assert not fell_back
+    assert np.allclose(basis.conj().T @ basis, np.eye(12), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adjoint_kernel_rejects_non_finite(bad):
+    w = np.kron(np.eye(2), truncated_shift(5))
+    w[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        adjoint_kernel(w)
+
+
+def test_family_kernels_take_no_square_svd(monkeypatch):
+    # at the default truncation (N = 128) the adjoint kernels come from the
+    # sketch; only the guard rows and the N×(k1+k2) solve keep small SVDs
+    svd = np.linalg.svd
+
+    def guarded(a, *args, **kwargs):
+        if np.ndim(a) == 2 and np.shape(a)[0] == np.shape(a)[1] >= 64:
+            raise AssertionError(f"square SVD of shape {np.shape(a)}")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", guarded)
+    rep = build_projection_family_rep(reflection_family(np.full(4, 0.5)))
+    assert rep.dim == 128
+    assert cocycle_space(rep).dim == 3
+    assert strong_purity_check(rep, depth=3).verdict == "strongly_pure"
 
 
 # --- joint_kernel -------------------------------------------------------------

@@ -188,6 +188,16 @@ def test_purity_shift_is_pure():
     assert report.rank_sequences[0] == tuple(interior - n * k for k in range(1, 5))
 
 
+@pytest.mark.parametrize("name", ["W1", "W2"])
+def test_purity_rejects_non_finite_generator(name):
+    rep = build_reflection_rep(np.array([0.6, 0.8]), TruncationParams(2, 8, 2))
+    gens = {"W1": rep.W1.copy(), "W2": rep.W2.copy()}
+    gens[name][3, 5] = np.nan
+    bad = IsoRep2(W1=gens["W1"], W2=gens["W2"], trunc=rep.trunc)
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        strong_purity_check(bad, depth=2)
+
+
 def test_purity_depth_validation():
     rep = example2_rep()
     with pytest.raises(ValueError):
