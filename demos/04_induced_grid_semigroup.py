@@ -48,7 +48,7 @@ lift2 = lift_cocycle_2d(c, rep, 2)
 print("2-d lifted additivity residual:",
       lift2.additivity_residual((0.5, 0.5), (0.5, 0.5)))
 
-report = induced_commutant_check_2d(rep, 2)
+report = induced_commutant_check_2d(grid2)
 print("\ngrid commutant check:")
 for key, value in report.as_dict().items():
     print(f"  {key}: {value}")

@@ -83,7 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rep_flags(p)
     _add_rep_flags(p, suffix="2")
 
-    p = sub.add_parser("induce", parents=[common], help="grid-induced verification")
+    p = sub.add_parser(
+        "induce",
+        parents=[common],
+        help="grid-induced verification",
+        description="semigroup_law_exact needs a residual of exactly 0.0. A custom pair "
+        "whose generators commute only to rounding, not exactly as family-built pairs do, "
+        "almost always fails it at about 1e-16, and the command then exits 2.",
+    )
     _add_rep_flags(p)
     p.add_argument("--grid", type=int, default=4, help="cells per unit interval")
 

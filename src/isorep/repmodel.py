@@ -211,10 +211,10 @@ def sigma_power(rep: IsoRep2, m: int, n: int) -> np.ndarray:
     """The lattice-point operator W1^m W2^n (the generators commute)."""
     if m < 0 or n < 0:
         raise ValueError("lattice exponents must be nonnegative")
-    out = np.linalg.matrix_power(rep.W1, m)
-    if n:
-        out = out @ np.linalg.matrix_power(rep.W2, n)
-    return out
+    if not n:
+        return np.linalg.matrix_power(rep.W1, m) if m else np.eye(len(rep.W1), dtype=rep.W1.dtype)
+    out = np.linalg.matrix_power(rep.W2, n)
+    return np.linalg.matrix_power(rep.W1, m) @ out if m else out
 
 
 def build_projection_family_rep(

@@ -187,7 +187,7 @@ def test_criterion_8_induced_operator_identities():
 
 def test_criterion_9_induced_2d_commutant():
     rep = build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3), TOL)
-    report = induced_commutant_check_2d(rep, 2, TOL)
+    report = induced_commutant_check_2d(induce_2d(rep, 2), TOL)
     assert report.tensor_direction_ok
     assert report.generic_direction_ok
     assert report.structured_dim == 1

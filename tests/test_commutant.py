@@ -345,10 +345,10 @@ def nonpure_rep():
 
 @pytest.mark.parametrize("m, expected", [(2, 3), (3, 4)])
 def test_grid_survivor_count_ignores_basis_choice(monkeypatch, m, expected):
-    assert induced_commutant_check_2d(nonpure_rep(), m).grid_commutant_dim == expected
+    assert induced_commutant_check_2d(induce_2d(nonpure_rep(), m)).grid_commutant_dim == expected
     _rotate_returned_bases(monkeypatch)
     for _ in range(3):
-        assert induced_commutant_check_2d(nonpure_rep(), m).grid_commutant_dim == expected
+        assert induced_commutant_check_2d(induce_2d(nonpure_rep(), m)).grid_commutant_dim == expected
 
 
 def test_oracle_survivor_count_ignores_basis_choice(monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isorep import induced
 from isorep.cocycle import cocycle_space
+from isorep.commutant import structured_commutant_basis
 from isorep.induced import (
     GridRep2,
     StepCocycle1,
@@ -28,6 +30,7 @@ from isorep.repmodel import (
     build_projection_family_rep,
     build_reflection_rep,
 )
+from isorep.suites import _adjoint_check, _grid_times, _semigroup_check, induce_report
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -476,7 +479,7 @@ def test_2d_lift_rejects_invalid():
 
 def test_induced_commutant_example2():
     rep = build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3))
-    report = induced_commutant_check_2d(rep, 2)
+    report = induced_commutant_check_2d(induce_2d(rep, 2))
     assert report.ok
     assert report.structured_dim == report.grid_commutant_dim == 1
 
@@ -487,7 +490,7 @@ def test_induced_commutant_nonpure_rep_is_honestly_larger():
     # ampliated one: the identity's strong-purity hypothesis fails
     fam = ProjectionFamily(projections=coord_projections(2), unitary=np.eye(2, dtype=complex))
     rep = build_projection_family_rep(fam, TruncationParams(2, 8, 2))
-    report = induced_commutant_check_2d(rep, 2)
+    report = induced_commutant_check_2d(induce_2d(rep, 2))
     assert report.tensor_direction_ok
     assert report.structured_dim == 2
     assert report.grid_commutant_dim == 3
@@ -497,7 +500,7 @@ def test_induced_commutant_nonpure_rep_is_honestly_larger():
 def test_induced_commutant_scaled_generator_fails():
     rep = small_rep()
     bad = IsoRep2(W1=2.0 * rep.W1, W2=rep.W2, trunc=rep.trunc, family=rep.family)
-    report = induced_commutant_check_2d(bad, 2)
+    report = induced_commutant_check_2d(induce_2d(bad, 2))
     assert not report.tensor_direction_ok
     assert report.grid_isometry_residual == pytest.approx(3.0)
 
@@ -509,11 +512,170 @@ def test_induced_commutant_check_rejects_non_finite_generator(name):
     gens[name][3, 5] = np.nan
     bad = IsoRep2(W1=gens["W1"], W2=gens["W2"], trunc=rep.trunc, family=rep.family)
     with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
-        induced_commutant_check_2d(bad, 2)
+        induced_commutant_check_2d(induce_2d(bad, 2))
 
 
 def test_induced_commutant_requires_family():
     rep = small_rep()
     raw = IsoRep2(W1=rep.W1, W2=rep.W2, trunc=rep.trunc)
     with pytest.raises(ValueError, match="family"):
-        induced_commutant_check_2d(raw, 2)
+        induced_commutant_check_2d(induce_2d(raw, 2))
+
+
+# --- cell-wise grid checks against the dense route -----------------------------------
+# The adjoint, semigroup and tensor-direction checks read each translation as a
+# source cell and a fiber block per cell; every residual must equal max|·| of
+# the dense reference products, up to the order of the floating-point sums.
+
+
+def _reference_adjoint_v2(rep, m, j1, j2):
+    """V(j1/m, j2/m)* as the product of its region-assembled component adjoints."""
+    x = _adjoint_formula_matrix(kron(np.eye(m), rep.W1), m, j1)
+    y = kron(np.eye(m), _adjoint_formula_matrix(rep.W2, m, j2))
+    return y @ x
+
+
+def _planted_rep(n, rng):
+    """A unitary that splits C^n into two invariant coordinate blocks over the
+    standard projections: the commutant holds both block projections."""
+    k = int(rng.integers(1, n))
+    u = np.zeros((n, n), dtype=complex)
+    for lo, hi in ((0, k), (k, n)):
+        z = rng.normal(size=(hi - lo, hi - lo)) + 1j * rng.normal(size=(hi - lo, hi - lo))
+        u[lo:hi, lo:hi] = np.linalg.qr(z)[0]
+    fam = ProjectionFamily(projections=coord_projections(n), unitary=u)
+    return build_projection_family_rep(fam, TruncationParams(n, 8, n - 1))
+
+
+def _check_pair(kind, n, seed):
+    """Library pairs (exact arithmetic), a rotated pair (commuting to rounding
+    only), and two pairs whose cell blocks disagree by O(1): W2 halved on the
+    bottom level (the semigroup law fails) and a W2 the family's commutant
+    does not commute with (the tensor direction fails)."""
+    rng = np.random.default_rng(seed)
+    if kind == "planted":
+        return _planted_rep(n, rng)
+    rep = _reflection_pair(n, seed % 8)[0]
+    if kind == "rotated":
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        u = kron(np.linalg.qr(z)[0], np.eye(rep.trunc.L))
+        w1, w2 = (u @ w @ u.conj().T for w in (rep.W1, rep.W2))
+        return IsoRep2(W1=w1, W2=w2, trunc=rep.trunc, family=rep.family)
+    if kind == "level_scaled":
+        halve = kron(np.eye(n), np.diag([0.5] + [1.0] * (rep.trunc.L - 1)))
+        return IsoRep2(W1=rep.W1, W2=rep.W2 @ halve, trunc=rep.trunc, family=rep.family)
+    if kind == "foreign_w2":
+        planted = _planted_rep(n, rng)
+        balanced = build_reflection_rep(np.ones(n) / np.sqrt(n), planted.trunc)
+        return IsoRep2(W1=planted.W1, W2=balanced.W2, trunc=planted.trunc, family=planted.family)
+    return rep
+
+
+CHECK_PAIRS = ["reflection", "planted", "rotated", "level_scaled", "foreign_w2"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(CHECK_PAIRS),
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**16),
+)
+def test_cellwise_checks_match_dense_products(kind, n, m, seed):
+    if m == 4:
+        n = 2  # keeps the dense reference products small
+    rep = _check_pair(kind, n, seed)
+    times = _grid_times(m, 1, 2)
+    idx = {ts: (round(ts[0] * m), round(ts[1] * m)) for ts in times}
+    dense = {}
+
+    def v(j1, j2):
+        if (j1, j2) not in dense:
+            dense[j1, j2] = _reference_v2(rep, m, j1, j2)
+        return dense[j1, j2]
+
+    adjoint = max(
+        np.max(np.abs(_reference_adjoint_v2(rep, m, *idx[ts]) - v(*idx[ts]).conj().T))
+        for ts in times
+    )
+    semigroup = max(
+        np.max(np.abs(v(*idx[ts]) @ v(*idx[ts][::-1]) - v(sum(idx[ts]), sum(idx[ts]))))
+        for ts in times
+    )
+    base = structured_commutant_basis(rep.family)
+    ampliated = [kron(np.eye(m * m), kron(t0, np.eye(rep.trunc.L))) for t0 in base]
+    tensor = max(
+        np.max(np.abs(g @ v(*idx[ts]) - v(*idx[ts]) @ g))
+        for ts in times
+        if ts != (0, 0)
+        for g in ampliated
+    )
+
+    grid = induce_2d(rep, m)
+    got = (
+        _adjoint_check(times, grid).residual,
+        _semigroup_check([(ts, ts[::-1]) for ts in times], "", grid).residual,
+        induced_commutant_check_2d(grid).tensor_direction_residual,
+    )
+    want = (adjoint, semigroup, tensor)
+    if kind in ("reflection", "planted"):
+        # library pairs: every block entry is one product, so both routes are exact
+        assert got[:2] == want[:2] == (0.0, 0.0)
+    if kind != "rotated":
+        assert [g == 0.0 for g in got] == [w == 0.0 for w in want]
+    # the dense products sum in another order: a residual of rounding noise (a
+    # rotated pair commutes only to rounding) may differ in its last bits, and
+    # may even be exactly 0.0 on one route only
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
+    if kind == "level_scaled":
+        assert semigroup >= 0.25
+    if kind == "foreign_w2":
+        assert tensor >= 0.1
+
+
+def _off_by_one_adjoint_wrap(monkeypatch):
+    """Make the adjoint's wrapped cells read one cell too far."""
+    cell_map = induced._cell_map
+
+    def shifted(m, j, sign):
+        q, source, wrapped = cell_map(m, j, sign)
+        if sign < 0:
+            source = np.where(wrapped == 1, (source + 1) % m, source)
+        return q, source, wrapped
+
+    monkeypatch.setattr(induced, "_cell_map", shifted)
+
+
+@pytest.mark.parametrize("axes", [1, 2])
+def test_mismatched_adjoint_cells_fail_as_the_dense_check(monkeypatch, axes):
+    _off_by_one_adjoint_wrap(monkeypatch)
+    m = 3
+    if axes == 1:
+        sigma, mask = shift_fiber(2, 8)
+        grid = induce_1d(sigma, m, mask)
+        adjoint = adjoint_1d
+    else:
+        grid = induce_2d(small_rep(), m)
+        adjoint = adjoint_2d
+    times = _grid_times(m, 2, axes)
+    dense = max(np.max(np.abs(adjoint(grid, *ts) - grid.V(*ts).conj().T)) for ts in times)
+    check = _adjoint_check(times, grid)
+    assert dense >= 1.0
+    assert check.residual == dense
+    assert not check.passed
+
+
+def test_induce_report_assembles_only_the_generators(monkeypatch):
+    # the adjoint, semigroup and tensor-direction checks read cells; only the
+    # star commutant, the cocycle solve and the isometry check need dense V
+    calls = []
+    translation = induced._translation
+
+    def counted(grid, ts, sign=1):
+        calls.append((tuple(grid.grid_index(t) for t in ts), sign))
+        return translation(grid, ts, sign)
+
+    monkeypatch.setattr(induced, "_translation", counted)
+    report = induce_report(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 3)
+    assert report.passed
+    assert sorted(calls) == [((0, 1), 1), ((1, 0), 1)]
