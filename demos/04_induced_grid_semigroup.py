@@ -44,7 +44,7 @@ dev = np.max(np.abs(adjoint_2d(grid2, 0.5, 0.5) - grid2.V(0.5, 0.5).conj().T))
 print("\n2-d region adjoint vs conjugate transpose:", float(dev))
 
 c = cocycle_space(rep).basis[0]
-lift2 = lift_cocycle_2d(c, rep, 2)
+lift2 = lift_cocycle_2d(c, grid2)
 print("2-d lifted additivity residual:",
       lift2.additivity_residual((0.5, 0.5), (0.5, 0.5)))
 

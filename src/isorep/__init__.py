@@ -6,7 +6,6 @@ from .linalg import (
     ToleranceConfig,
     adjoint_kernel,
     intertwiner_space,
-    joint_kernel,
     kron,
     matrix_from_json,
     matrix_to_json,

@@ -6,11 +6,15 @@ truncated oracle works on the full C^n ⊗ C^L and is documented as an
 upper-bound heuristic at fixed truncation, certified only by agreement with
 the structured answer.
 
-The star commutant of a set of generators is always solved by eigenspace
-refinement (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010): a commutant
-element is block diagonal in the eigenspaces of a random self-adjoint element
-of the generated *-algebra, so only its m block entries are unknown, and
+One solver gives the *-intertwiners {T : A T = T B, A* T = T B*} of two
+lists of generators, and the star commutant is its case B = A. It works by
+eigenspace refinement (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010): the
+same seeded random word gives self-adjoint elements h_A and h_B of the two
+generated *-algebras, T maps each eigenspace of h_B into the eigenspace of
+h_A at the same eigenvalue, so only its m matched entries are unknown, and
 clustering eigenvalues conservatively can only enlarge that candidate space.
+Unitary equivalence takes the polar factor of one generic intertwiner as its
+witness and accepts it only when it intertwines to within ``identity_tol``.
 """
 from __future__ import annotations
 
@@ -31,9 +35,6 @@ __all__ = [
     "is_irreducible",
     "are_unitarily_equivalent",
 ]
-
-_UNITARY_COND_SLACK = 1e-6
-_RANDOM_COMBINATIONS = 32
 
 
 def structured_commutant_basis(
@@ -67,61 +68,29 @@ def _random_algebra_element(
     return h
 
 
-def _block_entries(w: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices (alpha, beta) of the entries a block-diagonal T
-    may use, for the blocks of the sorted spectrum ``w`` clustered at ``gap``.
+def _matched_entries(
+    w_a: np.ndarray, w_b: np.ndarray, gap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (alpha, beta) of the entries T may use: w_a[alpha]
+    and w_b[beta] fall in one cluster of the joint sorted spectrum, clustered
+    at ``gap``.
 
-    Blocks come in order and entries within a block column-major. Merging
-    near-degenerate eigenvalues keeps every true commutant element
-    representable in block coordinates.
+    Entries come column-major. Merging near-degenerate eigenvalues keeps every
+    true intertwiner representable in these coordinates.
     """
-    block = np.concatenate([[0], np.cumsum(np.diff(w) > gap)])
-    beta, alpha = np.nonzero(block[:, None] == block[None, :])
+    joint = np.concatenate([w_a, w_b])
+    order = np.argsort(joint, kind="stable")
+    cluster = np.empty(joint.size, dtype=int)
+    cluster[order] = np.concatenate([[0], np.cumsum(np.diff(joint[order]) > gap)])
+    beta, alpha = np.nonzero(cluster[w_a.size :, None] == cluster[None, : w_a.size])
     return alpha, beta
 
 
-def star_commutant_basis(
-    mats: list[np.ndarray],
-    tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-) -> list[np.ndarray]:
-    """Orthonormal basis of {T : A T = T A and A* T = T A* for all A}.
-
-    T lives on the m block entries (α_k, β_k) of the eigenbasis q of a random
-    self-adjoint algebra element. With Â = q* A q, S = ÂÂ* + Â*Â and
-    X_kl = Â[α_k,α_l]·conj(Â[β_k,β_l]), the constraints vec(T Â − Â T) =
-    vec(T Â* − Â* T) = 0 have the m×m Gram matrix G_kl = Σ_A δ(α_k,α_l)·S[β_l,β_k]
-    + δ(β_k,β_l)·S[α_k,α_l] − 2·(X_kl + conj(X_lk)). Its eigenvectors with λ = σ²
-    ≤ rank_tol·scale² are candidates, whose direct residuals decide the rank at
-    σ ≤ rank_tol·scale; scale ≥ max |A_ij| lets rounding noise keep the full space.
-    Generators are named W1, W2, … in order when one has non-finite entries.
-    """
-    mats = [np.asarray(a, dtype=complex) for a in mats]
-    for i, a in enumerate(mats, start=1):
-        if not np.isfinite(a).all():
-            raise ValueError(f"W{i} has non-finite entries")
-    n = mats[0].shape[0]
-    h = _random_algebra_element(mats, np.random.default_rng(seed))
-    w, q = np.linalg.eigh(h)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    alpha, beta = _block_entries(w, gap=1e-8 * scale)
-    aa, bb = np.ix_(alpha, alpha), np.ix_(beta, beta)
-    same_alpha, same_beta = alpha[:, None] == alpha, beta[:, None] == beta
-    hats = [q.conj().T @ a @ q for a in mats]
-    gram = np.zeros((alpha.size, alpha.size), dtype=complex)
-    for a_hat in hats:
-        s = a_hat @ a_hat.conj().T + a_hat.conj().T @ a_hat
-        x = a_hat[aa] * a_hat[bb].conj()
-        gram += same_alpha * s[bb].conj() + same_beta * s[aa] - 2 * (x + x.conj().T)
-    lam, vecs = np.linalg.eigh(gram)
-    op_scale = max([np.sqrt(max(lam[-1], 0.0))] + [np.max(np.abs(a)) for a in mats])
-    candidates = vecs[:, lam <= tol.rank_tol * op_scale**2]
-    t = np.zeros((candidates.shape[1], n, n), dtype=complex)
-    t[:, alpha, beta] = candidates.T
-    residuals = [t @ g - g @ t for a in hats for g in (a, a.conj().T)]
-    flat = np.vstack([r.reshape(len(t), -1).T for r in residuals])
-    kernel = nullspace(flat, tol, scale=float(op_scale))
-    return list(q @ np.tensordot(kernel.T, t, axes=1) @ q.conj().T)
+def _eigenbasis(mats: list[np.ndarray], seed: int):
+    """Spectrum w and eigenbasis q of the seeded random algebra element, and
+    the generators Â = q* A q in it."""
+    w, q = np.linalg.eigh(_random_algebra_element(mats, np.random.default_rng(seed)))
+    return w, q, [q.conj().T @ a @ q for a in mats]
 
 
 def star_intertwiner_basis(
@@ -129,29 +98,69 @@ def star_intertwiner_basis(
     tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> list[np.ndarray]:
-    """Basis of {T : A_i T = T B_i and A_i* T = T B_i* for all i}.
+    """Orthonormal basis of {T : A T = T B and A* T = T B* for all (A, B)};
+    equal sizes only.
 
-    Computed as the off-diagonal corner of the commutant of the direct sums
-    diag(A_i, B_i); equal sizes only.
+    The same seeded random word gives self-adjoint h_A and h_B with
+    h_A T = T h_B, so in their eigenbases q_A, q_B, T lives on the m entries
+    (α_k, β_k) whose eigenvalues share a cluster (``_matched_entries``). With
+    Â = q_A* A q_A, B̂ = q_B* B q_B, S = ÂÂ* + Â*Â and
+    X_kl = Â[α_k,α_l]·conj(B̂[β_k,β_l]), the constraints vec(T B̂ − Â T) =
+    vec(T B̂* − Â* T) = 0 have the m×m Gram matrix G_kl = Σ δ(α_k,α_l)·S_B[β_l,β_k]
+    + δ(β_k,β_l)·S_A[α_k,α_l] − 2·(X_kl + conj(X_lk)). Its eigenvectors with
+    λ = σ² ≤ rank_tol·scale² are candidates, whose direct residuals decide the
+    rank at σ ≤ rank_tol·scale; scale ≥ max |A_ij|, |B_ij| lets rounding noise
+    keep the full space. When every pair is (A, A), the B side reuses the A
+    side's eigenbasis, Â and S. Generators are named W1, W2, … in order when
+    one has non-finite entries.
     """
-    a0, b0 = pairs[0]
-    n = a0.shape[0]
-    if b0.shape[0] != n:
+    commutant = all(a is b for a, b in pairs)
+    lhs = [np.asarray(a, dtype=complex) for a, _ in pairs]
+    rhs = lhs if commutant else [np.asarray(b, dtype=complex) for _, b in pairs]
+    if lhs[0].shape[0] != rhs[0].shape[0]:
         raise ValueError("star_intertwiner_basis needs equal dimensions")
-    sums = []
-    for a, b in pairs:
-        s = np.zeros((2 * n, 2 * n), dtype=complex)
-        s[:n, :n] = a
-        s[n:, n:] = b
-        sums.append(s)
-    corners = [x[:n, n:] for x in star_commutant_basis(sums, tol, seed)]
-    stacked = np.array([c.ravel(order="F") for c in corners])
-    if stacked.size == 0:
+    for i, (a, b) in enumerate(zip(lhs, rhs), start=1):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError(f"W{i} has non-finite entries")
+    side_a = w_a, q_a, hats_a = _eigenbasis(lhs, seed)
+    w_b, q_b, hats_b = side_a if commutant else _eigenbasis(rhs, seed)
+    scale = max(1.0, float(np.max(np.abs(w_a))), float(np.max(np.abs(w_b))))
+    alpha, beta = _matched_entries(w_a, w_b, gap=1e-8 * scale)
+    if not alpha.size:
         return []
-    # orthonormalize; an intertwiner's corner has singular value 1, noise ~0
-    u, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > tol.rank_tol
-    return [vh[j].reshape((n, n), order="F") for j in range(int(np.sum(keep)))]
+    aa, bb = np.ix_(alpha, alpha), np.ix_(beta, beta)
+    same_alpha, same_beta = alpha[:, None] == alpha, beta[:, None] == beta
+    gram = np.zeros((alpha.size, alpha.size), dtype=complex)
+    for a_hat, b_hat in zip(hats_a, hats_b):
+        sa = a_hat @ a_hat.conj().T + a_hat.conj().T @ a_hat
+        sb = sa if commutant else b_hat @ b_hat.conj().T + b_hat.conj().T @ b_hat
+        x = a_hat[aa] * b_hat[bb].conj()
+        gram += same_alpha * sb[bb].conj() + same_beta * sa[aa] - 2 * (x + x.conj().T)
+    lam, vecs = np.linalg.eigh(gram)
+    op_scale = max([np.sqrt(max(lam[-1], 0.0))] + [np.max(np.abs(a)) for a in lhs + rhs])
+    candidates = vecs[:, lam <= tol.rank_tol * op_scale**2]
+    if not candidates.shape[1]:
+        return []
+    t = np.zeros((candidates.shape[1], w_a.size, w_b.size), dtype=complex)
+    t[:, alpha, beta] = candidates.T
+    residuals = [
+        t @ g - f @ t
+        for a, b in zip(hats_a, hats_b)
+        for f, g in ((a, b), (a.conj().T, b.conj().T))
+    ]
+    flat = np.vstack([r.reshape(len(t), -1).T for r in residuals])
+    kernel = nullspace(flat, tol, scale=float(op_scale))
+    return list(q_a @ np.tensordot(kernel.T, t, axes=1) @ q_b.conj().T)
+
+
+def star_commutant_basis(
+    mats: list[np.ndarray],
+    tol: ToleranceConfig = DEFAULT_TOL,
+    seed: int = 0,
+) -> list[np.ndarray]:
+    """Orthonormal basis of {T : A T = T A and A* T = T A* for all A}: the
+    *-intertwiners of the pairs (A, A)."""
+    return star_intertwiner_basis([(a, a) for a in mats], tol, seed)
 
 
 def truncated_commutant_oracle(
@@ -211,16 +220,6 @@ class EquivalenceVerdict:
         }
 
 
-def _unitary_candidate(t: np.ndarray) -> tuple[bool, np.ndarray | None, float]:
-    s = np.linalg.svd(t, compute_uv=False)
-    if s[0] == 0.0:
-        return False, None, np.inf
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    if cond <= 1.0 + _UNITARY_COND_SLACK:
-        return True, t / s[0], cond
-    return False, None, cond
-
-
 def _equivalence_from_basis(
     basis: list[np.ndarray],
     check_pairs: list[tuple[np.ndarray, np.ndarray]],
@@ -229,49 +228,41 @@ def _equivalence_from_basis(
 ) -> EquivalenceVerdict:
     """Decide whether the intertwiner space contains a unitary.
 
-    Deciding that exactly is nonconvex; a one-dimensional space reduces to a
-    condition-number test on its generator, and higher dimensions are probed
-    with seeded random combinations. A well-conditioned candidate is the
-    witness only if it intertwines every pair to within ``identity_tol``.
+    The intertwiners of two equivalent *-representations are W·C, W unitary
+    and C in the commutant, so a generic element T (the basis element of a
+    one-dimensional space, else one seeded random combination) is invertible
+    and its polar factor intertwines as well. That factor is the witness only
+    if it intertwines every pair to within ``identity_tol``; otherwise the
+    verdict is inconclusive.
     """
     if not basis:
         return EquivalenceVerdict(
             status="inequivalent", diagnostics={"intertwiner_dim": 0}, seed=seed
         )
-    rng = np.random.default_rng(seed)
-    if len(basis) == 1:
-        candidates = [basis[0]]
-    else:
-        candidates = []
-        for _ in range(_RANDOM_COMBINATIONS):
-            coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            candidates.append(sum(c * t for c, t in zip(coeff, basis)))
-    best_cond = np.inf
-    rejected = []  # worst residuals of well-conditioned non-intertwiners
-    for t in candidates:
-        ok, witness, cond = _unitary_candidate(t)
-        best_cond = min(best_cond, cond)
-        if not ok:
-            continue
-        resid = {
-            f"intertwine_{k}": float(np.max(np.abs(a @ witness - witness @ b)))
-            for k, (a, b) in enumerate(check_pairs)
+    t = basis[0]
+    if len(basis) > 1:
+        rng = np.random.default_rng(seed)
+        coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        t = sum(c * b for c, b in zip(coeff, basis))
+    u, s, vh = np.linalg.svd(t)
+    witness = u @ vh
+    resid = {
+        f"intertwine_{k}": float(np.max(np.abs(a @ witness - witness @ b)))
+        for k, (a, b) in enumerate(check_pairs)
+    }
+    worst = float(np.max(list(resid.values())))
+    if not worst <= tol.identity_tol:
+        diagnostics = {
+            "intertwiner_dim": len(basis),
+            "best_cond": float(s[0] / s[-1]) if s[-1] > 0 else np.inf,
+            "best_residual": worst,
         }
-        worst = float(np.max(list(resid.values())))
-        if not worst <= tol.identity_tol:
-            rejected.append(worst)
-            continue
-        resid["unitarity"] = float(
-            np.max(np.abs(witness.conj().T @ witness - np.eye(witness.shape[1])))
-        )
-        resid["intertwiner_dim"] = len(basis)
-        return EquivalenceVerdict(
-            status="equivalent", witness=witness, diagnostics=resid, seed=seed
-        )
-    diagnostics = {"intertwiner_dim": len(basis), "best_cond": best_cond}
-    if rejected:
-        diagnostics["best_residual"] = min(rejected)
-    return EquivalenceVerdict(status="inconclusive", diagnostics=diagnostics, seed=seed)
+        return EquivalenceVerdict(status="inconclusive", diagnostics=diagnostics, seed=seed)
+    resid["unitarity"] = float(
+        np.max(np.abs(witness.conj().T @ witness - np.eye(witness.shape[1])))
+    )
+    resid["intertwiner_dim"] = len(basis)
+    return EquivalenceVerdict(status="equivalent", witness=witness, diagnostics=resid, seed=seed)
 
 
 def are_unitarily_equivalent(

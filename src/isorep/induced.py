@@ -18,8 +18,9 @@ axis in 2-d (adjoints for the adjoint). A step cocycle holds η_(q + wrapped)
 on each cell of the forward map.
 
 A grid gives each translation cell by cell (``cells``: a source cell and a
-fiber block per cell). The grid checks read these cell maps and blocks and
-never form a dense grid product; ``V`` and the adjoints are their scatters.
+fiber block per cell). The grid checks and step-cocycle additivity read these
+cell maps and blocks and never form a dense grid product; ``V`` and the
+adjoints are their scatters.
 """
 from __future__ import annotations
 
@@ -219,9 +220,7 @@ class StepCocycle1:
         return self.eta[index].astype(complex).ravel()
 
     def additivity_residual(self, s, t) -> float:
-        lhs = self.at(float(s) + float(t))
-        rhs = self.at(s) + self.grid.V(s) @ self.at(t)
-        return float(np.max(np.abs(lhs - rhs)))
+        return _additivity_residual(self, (s,), (t,))
 
 
 def lift_cocycle_1d(
@@ -356,20 +355,28 @@ class StepCocycle2:
         )
 
     def additivity_residual(self, st1, st2) -> float:
-        s1, t1 = st1
-        s2, t2 = st2
-        lhs = self.at(float(s1) + float(s2), float(t1) + float(t2))
-        rhs = self.at(s1, t1) + self.grid.V(s1, t1) @ self.at(s2, t2)
-        return float(np.max(np.abs(lhs - rhs)))
+        return _additivity_residual(self, st1, st2)
+
+
+def _additivity_residual(cocycle: StepCocycle1 | StepCocycle2, a, b) -> float:
+    """max |xi(a + b) − (xi(a) + V(a) xi(b))| at grid times a and b, with V(a)
+    applied cell by cell."""
+    source, blocks = cocycle.grid.cells(*a)
+    xi_b = cocycle.at(*b).reshape(source.size, -1, 1)
+    lhs = cocycle.at(*(float(x) + float(y) for x, y in zip(a, b)))
+    rhs = cocycle.at(*a) + (blocks @ xi_b[source]).ravel()
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def lift_cocycle_2d(
-    c: Cocycle2, rep: IsoRep2, m: int, tol: ToleranceConfig = DEFAULT_TOL
+    c: Cocycle2, grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL
 ) -> StepCocycle2:
-    worst = c.max_residual(rep)
+    """Lift a cocycle of the pair to a step cocycle on ``grid``, the grid of
+    that pair."""
+    worst = c.max_residual(grid.rep)
     if worst > tol.identity_tol:
         raise ValueError(f"not a cocycle of the pair (residual {worst:.3e})")
-    return StepCocycle2(grid=induce_2d(rep, m), cocycle=c, tol=tol)
+    return StepCocycle2(grid=grid, cocycle=c, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ __all__ = [
     "nullspace",
     "numerical_rank",
     "adjoint_kernel",
-    "joint_kernel",
     "intertwiner_space",
     "matrix_to_json",
     "matrix_from_json",
@@ -162,31 +161,6 @@ def _rank_from_singular_values(
     return int(np.sum(s > tol.rank_tol * max(float(s[0]), scale)))
 
 
-def joint_kernel(
-    constraints: list[np.ndarray],
-    tol: ToleranceConfig = DEFAULT_TOL,
-    ambient_dim: int | None = None,
-    scale: float = 0.0,
-) -> np.ndarray:
-    """Orthonormal basis of the intersection of the kernels of ``constraints``.
-
-    All constraint matrices must share a column count. An empty constraint
-    list is vacuous and needs ``ambient_dim`` to know which identity to
-    return.
-    """
-    mats = [_as_complex_matrix(c) for c in constraints]
-    if not mats:
-        if ambient_dim is None:
-            raise ValueError("empty constraint list requires ambient_dim")
-        return np.eye(ambient_dim, dtype=complex)
-    cols = {m.shape[1] for m in mats}
-    if len(cols) != 1:
-        raise ValueError(f"constraint column counts differ: {sorted(cols)}")
-    if ambient_dim is not None and ambient_dim != cols.pop():
-        raise ValueError("ambient_dim does not match constraint column count")
-    return nullspace(np.vstack(mats), tol, scale)
-
-
 def intertwiner_space(
     pairs: list[tuple[np.ndarray, np.ndarray]],
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -212,7 +186,7 @@ def intertwiner_space(
     # anchor the rank cutoff at the operator scale: when every commutator is
     # rounding noise the kernel is the whole space, not empty
     scale = max(float(np.max(np.abs(m))) for a, b in mats for m in (a, b))
-    basis = joint_kernel(blocks, tol, scale=scale)
+    basis = nullspace(np.vstack(blocks), tol, scale)
     return [basis[:, j].reshape((p, q), order="F") for j in range(basis.shape[1])]
 
 

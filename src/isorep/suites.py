@@ -215,7 +215,7 @@ def _grid_preservation_checks(
     """
     rep, m = space.rep, grid.M
     solved = cocycle_pair_basis(*grid.generators(), tol)
-    lifts = [lift_cocycle_2d(coc, rep, m, tol) for coc in space.basis]
+    lifts = [lift_cocycle_2d(coc, grid, tol) for coc in space.basis]
     stacked = np.array([np.concatenate([f.at(1 / m, 0), f.at(0, 1 / m)]) for f in lifts]).T
     # worst distance of a lifted generator pair from the solved span
     span_dev = _worst([stacked - solved @ (solved.conj().T @ stacked)] if lifts else [])
@@ -474,11 +474,12 @@ def _suite_induced1d(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
             want = j * kernel.shape[1]
             got = adjoint_kernel(grid.V(j / m_cells), tol).shape[1]
             kernel_ok = kernel_ok and got == want
+        t = 3 / m_cells
+        adjoint = adjoint_1d(grid, t)
         for _ in range(20):
             xi = rng.normal(size=grid.dim) + 1j * rng.normal(size=grid.dim)
             zeta = rng.normal(size=grid.dim) + 1j * rng.normal(size=grid.dim)
-            t = 3 / m_cells
-            lhs = np.vdot(zeta, adjoint_1d(grid, t) @ xi)
+            lhs = np.vdot(zeta, adjoint @ xi)
             rhs = np.vdot(grid.V(t) @ zeta, xi)
             pairing.append(lhs - rhs)
 
@@ -528,7 +529,7 @@ def _suite_induced2d(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
         for (s,) in _grid_times(m_cells, 1, 1)
     ]
     space = cocycle_space(rep, tol)
-    lifts = [lift_cocycle_2d(coc, rep, m_cells, tol) for coc in space.basis]
+    lifts = [lift_cocycle_2d(coc, grid, tol) for coc in space.basis]
     additivity = [
         lift.additivity_residual((s, t), (1 - s, 1 - t))
         for lift in lifts

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import isorep.commutant
 from isorep.commutant import (
-    _block_entries,
     _equivalence_from_basis,
+    _matched_entries,
     _random_algebra_element,
     are_unitarily_equivalent,
     is_irreducible,
@@ -192,6 +192,29 @@ def test_star_intertwiner_matches_dense_reference(case, same_rest):
         assert _star_residual(t, pairs) < 1e-8
 
 
+@settings(max_examples=30, deadline=None)
+@given(repeated_sums(), st.booleans())
+def test_polar_witness_decides_rotated_sums(case, same_rest):
+    # u(A ⊕ … ⊕ A ⊕ B)u* and v(A ⊕ … ⊕ A ⊕ B')v* are equivalent when B' = B or
+    # B is empty: then the polar factor of a generic intertwiner intertwines.
+    # Otherwise every intertwiner is singular and no witness passes.
+    rng, m, summands, rotate = case
+    n = m * summands[0][0].shape[0] + summands[0][1].shape[0]
+    u = _random_unitary(rng, n) if rotate else np.eye(n)
+    v = _random_unitary(rng, n)
+    pairs = []
+    for a, b in summands:
+        b2 = b if same_rest else rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+        pairs.append((_rotated_sum([a] * m + [b], u), _rotated_sum([a] * m + [b2], v)))
+    verdict = _equivalence_from_basis(star_intertwiner_basis(pairs), pairs, DEFAULT_TOL, 0)
+    if same_rest or not summands[0][1].size:
+        assert verdict.status == "equivalent"
+        assert _star_residual(verdict.witness, pairs) <= DEFAULT_TOL.identity_tol
+    else:
+        assert verdict.status == "inconclusive"
+        assert verdict.diagnostics["best_residual"] > DEFAULT_TOL.identity_tol
+
+
 def stacked_qr_commutant(mats, tol=DEFAULT_TOL, seed=0):
     """Reference solve in the same block coordinates: the n²×m constraint
     vec(T Â − Â T) of every generator and adjoint, each QR-reduced to its
@@ -199,7 +222,7 @@ def stacked_qr_commutant(mats, tol=DEFAULT_TOL, seed=0):
     mats = [np.asarray(a, dtype=complex) for a in mats]
     n = mats[0].shape[0]
     w, q = np.linalg.eigh(_random_algebra_element(mats, np.random.default_rng(seed)))
-    alpha, beta = _block_entries(w, gap=1e-8 * max(1.0, float(np.max(np.abs(w)))))
+    alpha, beta = _matched_entries(w, w, gap=1e-8 * max(1.0, float(np.max(np.abs(w)))))
     rows = np.arange(n)[:, None]
     cols = np.arange(alpha.size)[None, :]
     reduced = []
@@ -249,7 +272,7 @@ def test_gram_solve_matches_stacked_qr_on_grid_generators(seed):
     grid = induce_2d(build_reflection_rep(a / np.linalg.norm(a), TruncationParams(2, 8, 2)), 2)
     gens = [grid.V(1 / 2, 0), grid.V(0, 1 / 2)]
     w = np.linalg.eigh(_random_algebra_element(gens, np.random.default_rng(0)))[0]
-    alpha, beta = _block_entries(w, gap=1e-8 * max(1.0, float(np.max(np.abs(w)))))
+    alpha, beta = _matched_entries(w, w, gap=1e-8 * max(1.0, float(np.max(np.abs(w)))))
     assert alpha.size == grid.dim  # every eigenspace block is 1×1
     assert len(assert_matches_stacked_qr(gens)) == 1
 
@@ -308,6 +331,38 @@ def test_unitaries_1e6_apart_stay_inequivalent(seed):
     verdict = are_unitarily_equivalent(rep_a, rep_b)
     assert verdict.status == "inequivalent"
     assert verdict.diagnostics["intertwiner_dim"] == 0
+
+
+@pytest.mark.parametrize(
+    "spectrum, seed", [([-1.0, 0.2, 1.5], 29), ([-1.0, 0.2, 1.5], 61), ([0.5, 0.5, 0.5], 6)]
+)
+def test_near_pairs_share_no_eigenvalue_cluster(spectrum, seed):
+    # the two random algebra elements' spectra are 1e-6 apart, so no entry is
+    # matched; the direct-sum corners used to straddle rank_tol here
+    rep_a, rep_b = perturbed_pair(seed, spectrum)
+    verdict = are_unitarily_equivalent(rep_a, rep_b)
+    assert verdict.status == "inequivalent"
+    assert verdict.diagnostics["intertwiner_dim"] == 0
+
+
+@pytest.mark.parametrize("phases", [(0.0, 0.0, 0.0), (0.3, 0.3, 1.0)])
+@pytest.mark.parametrize("as_rep", [False, True])
+def test_reducible_pair_is_equivalent_to_itself(phases, as_rep):
+    # the commutant is the diagonal algebra, where no random combination is
+    # unitary; the polar factor of one is
+    fam = ProjectionFamily(
+        projections=coord_projections(3), unitary=np.diag(np.exp(1j * np.array(phases)))
+    )
+    a = b = fam
+    pairs = [(fam.unitary, fam.unitary)] + [(p, p) for p in fam.projections]
+    if as_rep:
+        a, b = (build_projection_family_rep(fam, TruncationParams(3, 8, 3)) for _ in range(2))
+        pairs = [(b.W1, a.W1), (b.W2, a.W2)]
+    verdict = are_unitarily_equivalent(a, b)
+    assert verdict.status == "equivalent"
+    assert verdict.diagnostics["intertwiner_dim"] == 3
+    assert _star_residual(verdict.witness, pairs) <= DEFAULT_TOL.identity_tol
+    assert verdict.diagnostics["unitarity"] <= DEFAULT_TOL.identity_tol
 
 
 def test_well_conditioned_non_intertwiner_is_no_witness():

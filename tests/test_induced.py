@@ -30,7 +30,9 @@ from isorep.repmodel import (
     build_projection_family_rep,
     build_reflection_rep,
 )
-from isorep.suites import _adjoint_check, _grid_times, _semigroup_check, induce_report
+from isorep.suites import (
+    _adjoint_check, _grid_times, _semigroup_check, induce_report, verify_suite
+)
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -421,7 +423,7 @@ def test_2d_translations_match_dense_reference(n, seed, m, data):
     want = _reference_v2(rep, m, j1, j2)
     assert np.array_equal(grid.V(s, t), want)
     assert np.array_equal(adjoint_2d(grid, s, t), want.conj().T)
-    lift = lift_cocycle_2d(cocycle, rep, m)
+    lift = lift_cocycle_2d(cocycle, grid)
     assert np.array_equal(lift.at(s, t), _reference_step_2d(lift, m, j1, j2))
 
 
@@ -431,14 +433,14 @@ def test_2d_translations_match_dense_reference(n, seed, m, data):
 def test_2d_lift_zero_time():
     rep = small_rep()
     c = cocycle_space(rep).basis[0]
-    lift = lift_cocycle_2d(c, rep, 2)
+    lift = lift_cocycle_2d(c, induce_2d(rep, 2))
     assert np.max(np.abs(lift.at(0, 0))) == 0.0
 
 
 def test_2d_lift_half_half_cell_values():
     rep = small_rep()
     c = cocycle_space(rep).basis[0]
-    lift = lift_cocycle_2d(c, rep, 2)
+    lift = lift_cocycle_2d(c, induce_2d(rep, 2))
     out = lift.at(0.5, 0.5)
     f = rep.dim
     cells = {
@@ -455,7 +457,7 @@ def test_2d_lift_half_half_cell_values():
 def test_2d_lift_additivity():
     rep = small_rep()
     for c in cocycle_space(rep).basis:
-        lift = lift_cocycle_2d(c, rep, 2)
+        lift = lift_cocycle_2d(c, induce_2d(rep, 2))
         assert lift.additivity_residual((0.5, 0.5), (0.5, 0.5)) <= 1e-12
         for js in range(3):
             for jt in range(3):
@@ -471,7 +473,40 @@ def test_2d_lift_rejects_invalid():
 
     junk = Cocycle2(eta10=rng.normal(size=rep.dim), eta01=rng.normal(size=rep.dim))
     with pytest.raises(ValueError, match="cocycle"):
-        lift_cocycle_2d(junk, rep, 2)
+        lift_cocycle_2d(junk, induce_2d(rep, 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    axes=st.sampled_from([1, 2]),
+    seed=st.integers(0, 7),
+    m=st.sampled_from([2, 3]),
+    junk=st.booleans(),
+    data=st.data(),
+)
+def test_cellwise_additivity_matches_dense_product(axes, seed, m, junk, data):
+    # V(a) xi(b) is applied cell by cell; a junk step function (random values
+    # in place of the cocycle's) has O(1) residuals that must match too
+    rng = np.random.default_rng(seed)
+    if axes == 1:
+        sigma, mask = shift_fiber(2, 8)
+        grid = induce_1d(sigma, m, mask)
+        eta = discrete_cocycle_values(sigma, nullspace(sigma.conj().T)[:, 0], 3)
+        lift = StepCocycle1(grid, rng.normal(size=eta.shape) if junk else eta)
+    else:
+        rep, cocycle = _reflection_pair(2, seed)
+        grid = induce_2d(rep, m)
+        lift = lift_cocycle_2d(cocycle, grid)
+        if junk:
+            # times up to 2 read the lattice values at (p, q) with p, q <= 2
+            lift._values.update({pq: rng.normal(size=rep.dim) for pq in np.ndindex(3, 3)})
+    a, b = ([data.draw(st.integers(0, m)) / m for _ in range(axes)] for _ in range(2))
+    total = [x + y for x, y in zip(a, b)]
+    dense = lift.at(*total) - (lift.at(*a) + grid.V(*a) @ lift.at(*b))
+    got = lift.additivity_residual(*a, *b) if axes == 1 else lift.additivity_residual(a, b)
+    assert got == pytest.approx(float(np.max(np.abs(dense))), rel=1e-14, abs=1e-15)
+    if junk:
+        assert got >= 0.1
 
 
 # --- 2-d commutant check ----------------------------------------------------------------
@@ -679,3 +714,19 @@ def test_induce_report_assembles_only_the_generators(monkeypatch):
     report = induce_report(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 3)
     assert report.passed
     assert sorted(calls) == [((0, 1), 1), ((1, 0), 1)]
+
+
+def test_induced2d_assembles_the_generators_and_the_flip_check(monkeypatch):
+    # the additivity check applies V cell by cell; only the generators and the
+    # axis-flip identity (2-d and 1-d translations at s = 0, 1/2, 1) are dense
+    calls = []
+    translation = induced._translation
+
+    def counted(grid, ts, sign=1):
+        calls.append((tuple(grid.grid_index(t) for t in ts), sign))
+        return translation(grid, ts, sign)
+
+    monkeypatch.setattr(induced, "_translation", counted)
+    assert verify_suite("induced2d").passed
+    flip = [((j, 0), 1) for j in range(3)] + [((j,), 1) for j in range(3)]
+    assert sorted(calls) == sorted([((0, 1), 1), ((1, 0), 1)] + flip)

@@ -13,7 +13,6 @@ from isorep.linalg import (
     ToleranceConfig,
     adjoint_kernel,
     intertwiner_space,
-    joint_kernel,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -263,28 +262,6 @@ def test_family_kernels_take_no_square_svd(monkeypatch):
     assert rep.dim == 128
     assert cocycle_space(rep).dim == 3
     assert strong_purity_check(rep, depth=3).verdict == "strongly_pure"
-
-
-# --- joint_kernel -------------------------------------------------------------
-
-
-def test_joint_kernel_identity_constraint_is_empty():
-    assert joint_kernel([np.eye(2)]).shape == (2, 0)
-
-
-def test_joint_kernel_vacuous_constraints():
-    basis = joint_kernel([], ambient_dim=3)
-    assert np.array_equal(basis, np.eye(3))
-
-
-def test_joint_kernel_two_row_system():
-    basis = joint_kernel([np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])])
-    assert basis.shape == (2, 0)
-
-
-def test_joint_kernel_shape_mismatch():
-    with pytest.raises(ValueError, match="column counts differ"):
-        joint_kernel([np.eye(2), np.eye(3)])
 
 
 # --- intertwiner_space --------------------------------------------------------
