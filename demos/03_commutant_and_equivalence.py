@@ -1,9 +1,9 @@
 """Commutants, irreducibility, and unitary equivalence.
 
 Two routes to the commutant: the structured one solves for operators on C^n
-commuting with U and every projection; the truncated oracle solves on the
-full model space and filters interior-faithful elements. They must agree,
-and dimension one means irreducible.
+commuting with U and every projection; the truncated oracle counts the star
+commutant of the pair on the full model space, with no interior filter. They
+must agree, and dimension one means irreducible.
 
 Equivalence of two reflection families reduces to an intertwiner space on
 C^n; an empty space settles inequivalence, and a space containing a unitary

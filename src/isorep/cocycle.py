@@ -117,9 +117,17 @@ def cocycle_pair_basis(
     noise that a purely relative cutoff counts as rank.
     """
     k1, k2 = adjoint_kernel(w1, tol), adjoint_kernel(w2, tol)
+    return pair_basis_from_kernels(k1, k2, w1 @ k2, w2 @ k1, tol)
+
+
+def pair_basis_from_kernels(
+    k1: np.ndarray, k2: np.ndarray, w1k2: np.ndarray, w2k1: np.ndarray, tol: ToleranceConfig
+) -> np.ndarray:
+    """The compatibility solve of ``cocycle_pair_basis``, given orthonormal
+    kernels K1, K2 of w1*, w2* and the products w1·K2, w2·K1."""
     if k1.shape[1] + k2.shape[1] == 0:
-        return np.zeros((2 * w1.shape[0], 0), dtype=complex)
-    coeffs = nullspace(np.hstack([k1 - w2 @ k1, w1 @ k2 - k2]), tol, scale=1.0)
+        return np.zeros((2 * k1.shape[0], 0), dtype=complex)
+    coeffs = nullspace(np.hstack([k1 - w2k1, w1k2 - k2]), tol, scale=1.0)
     return np.vstack([k1 @ coeffs[: k1.shape[1]], k2 @ coeffs[k1.shape[1] :]])
 
 

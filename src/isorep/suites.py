@@ -9,7 +9,9 @@ re-derive their criteria independently.
 Each grid identity shared by the induced batteries (region adjoint, semigroup
 law, index and commutant preservation) is written once below and called by
 ``induced1d``, ``induced2d`` and ``induce_report`` alike. The adjoint and
-semigroup checks compare translations cell by cell, never as dense products.
+semigroup checks compare translations cell by cell, never as dense products,
+and the preservation checks solve on per-cell kernels and on the fiber, so
+the 2-d batteries assemble no dense grid generator.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import numpy as np
 
 from .cocycle import (
     CocycleSpace,
-    cocycle_pair_basis,
     cocycle_space,
     extend_cocycle,
     family_witness_residual,
@@ -39,6 +40,7 @@ from .induced import (
     GridRep2,
     adjoint_1d,
     discrete_cocycle_values,
+    grid_cocycle_pair_basis,
     grid_cocycle_space_1d,
     induce_1d,
     induce_2d,
@@ -214,7 +216,7 @@ def _grid_preservation_checks(
     when ``scalar_commutant`` is set.
     """
     rep, m = space.rep, grid.M
-    solved = cocycle_pair_basis(*grid.generators(), tol)
+    solved = grid_cocycle_pair_basis(grid, tol)
     lifts = [lift_cocycle_2d(coc, grid, tol) for coc in space.basis]
     stacked = np.array([np.concatenate([f.at(1 / m, 0), f.at(0, 1 / m)]) for f in lifts]).T
     # worst distance of a lifted generator pair from the solved span

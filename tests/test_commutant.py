@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isorep.commutant
+import isorep.induced
 from isorep.commutant import (
     _equivalence_from_basis,
     _matched_entries,
@@ -436,6 +437,7 @@ def _rotate_returned_bases(monkeypatch):
         return list(np.einsum("ij,ikl->jkl", u, np.array(basis)))
 
     monkeypatch.setattr(isorep.commutant, "star_commutant_basis", rotated)
+    monkeypatch.setattr(isorep.induced, "star_commutant_basis", rotated)
 
 
 # --- irreducibility ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -6,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isorep import induced
-from isorep.cocycle import cocycle_space
-from isorep.commutant import structured_commutant_basis
+from isorep.cocycle import cocycle_pair_basis, cocycle_space
+from isorep.commutant import star_commutant_basis, structured_commutant_basis
 from isorep.induced import (
     GridRep2,
     StepCocycle1,
     adjoint_1d,
     adjoint_2d,
     discrete_cocycle_values,
+    grid_adjoint_kernel,
+    grid_cocycle_pair_basis,
     grid_cocycle_space_1d,
     induce_1d,
     induce_2d,
@@ -22,13 +25,16 @@ from isorep.induced import (
     lift_cocycle_2d,
     shift_fiber,
 )
-from isorep.linalg import kron, nullspace
+from isorep.linalg import adjoint_kernel, kron, nullspace
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
     TruncationParams,
     build_projection_family_rep,
     build_reflection_rep,
+    direct_sum_family,
+    interior_isometry_deviation,
+    reflection_family,
 )
 from isorep.suites import (
     _adjoint_check, _grid_times, _semigroup_check, induce_report, verify_suite
@@ -582,6 +588,16 @@ def _planted_rep(n, rng):
     return build_projection_family_rep(fam, TruncationParams(n, 8, n - 1))
 
 
+def _rotated(rep, rng):
+    """The pair conjugated by Q ⊗ 1, Q a random unitary: its generators
+    commute only to rounding."""
+    n = rep.trunc.n
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u = kron(np.linalg.qr(z)[0], np.eye(rep.trunc.L))
+    w1, w2 = (u @ w @ u.conj().T for w in (rep.W1, rep.W2))
+    return IsoRep2(W1=w1, W2=w2, trunc=rep.trunc, family=rep.family)
+
+
 def _check_pair(kind, n, seed):
     """Library pairs (exact arithmetic), a rotated pair (commuting to rounding
     only), and two pairs whose cell blocks disagree by O(1): W2 halved on the
@@ -592,10 +608,7 @@ def _check_pair(kind, n, seed):
         return _planted_rep(n, rng)
     rep = _reflection_pair(n, seed % 8)[0]
     if kind == "rotated":
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        u = kron(np.linalg.qr(z)[0], np.eye(rep.trunc.L))
-        w1, w2 = (u @ w @ u.conj().T for w in (rep.W1, rep.W2))
-        return IsoRep2(W1=w1, W2=w2, trunc=rep.trunc, family=rep.family)
+        return _rotated(rep, rng)
     if kind == "level_scaled":
         halve = kron(np.eye(n), np.diag([0.5] + [1.0] * (rep.trunc.L - 1)))
         return IsoRep2(W1=rep.W1, W2=rep.W2 @ halve, trunc=rep.trunc, family=rep.family)
@@ -700,9 +713,147 @@ def test_mismatched_adjoint_cells_fail_as_the_dense_check(monkeypatch, axes):
     assert not check.passed
 
 
-def test_induce_report_assembles_only_the_generators(monkeypatch):
-    # the adjoint, semigroup and tensor-direction checks read cells; only the
-    # star commutant, the cocycle solve and the isometry check need dense V
+# --- fiber commutant solve and per-cell kernels against the dense generators --------
+# star_commutant_basis, adjoint_kernel, cocycle_pair_basis and the interior
+# isometry deviation on the dense generators V(1/M, 0), V(0, 1/M) are the
+# reference for the grid commutant dimension, the grid kernels and the grid
+# isometry residual.
+
+
+def _nonpure_rep(L=8, guard=2):
+    """U = 1 over two coordinate projections: W2 fixes a fiber."""
+    fam = ProjectionFamily(projections=coord_projections(2), unitary=np.eye(2, dtype=complex))
+    return build_projection_family_rep(fam, TruncationParams(2, L, guard))
+
+
+def _blind_spot_rep(L=12, guard=2):
+    """The mixed-summand pair of the purity blind-spot test in test_repmodel."""
+    fam = ProjectionFamily(
+        projections=(np.diag([1.0 + 0j, 0, 0]), np.diag([0, 1.0 + 0j, 1.0])),
+        unitary=np.eye(3, dtype=complex),
+    )
+    return build_projection_family_rep(fam, TruncationParams(3, L, guard))
+
+
+def _fiber_pair(kind, n, seed):
+    """Pure, reducible, non-pure, rotated and non-isometric pairs, small enough
+    for the dense reference."""
+    if kind in ("reflection", "planted"):
+        return _check_pair(kind, n, seed)
+    if kind == "nonpure":
+        return _nonpure_rep()
+    if kind == "blind_spot":
+        return _blind_spot_rep(L=8)
+    if kind == "doubled":
+        fam = reflection_family(EX2_VECTOR)
+        return build_projection_family_rep(direct_sum_family(fam, fam), TruncationParams(8, 6, 2))
+    rep = build_reflection_rep(np.array([0.6, 0.8]), TruncationParams(2, 8, 2))
+    if kind == "rotated":
+        return _rotated(rep, np.random.default_rng(seed))
+    return IsoRep2(W1=0.5 * rep.W1, W2=rep.W2, trunc=rep.trunc, family=rep.family)
+
+
+FIBER_PAIRS = ["reflection", "planted", "nonpure", "blind_spot", "doubled", "rotated", "half_w1"]
+
+
+def _small_grid(kind, n, m, seed):
+    """The pair's grid at m cells, or fewer when the dense generators would
+    exceed 300 dimensions."""
+    rep = _fiber_pair(kind, n, seed)
+    while m > 2 and m * m * rep.dim > 300:
+        m -= 1
+    return induce_2d(rep, m)
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(FIBER_PAIRS),
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**16),
+)
+def test_grid_commutant_dim_matches_dense_star_commutant(kind, n, m, seed):
+    grid = _small_grid(kind, n, m, seed)
+    dense = star_commutant_basis([grid.V(1 / grid.M, 0), grid.V(0, 1 / grid.M)])
+    assert induced_commutant_check_2d(grid).grid_commutant_dim == len(dense)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(FIBER_PAIRS),
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**16),
+)
+def test_per_cell_grid_kernels_match_dense_generators(kind, n, m, seed):
+    grid = _small_grid(kind, n, m, seed)
+    dense = [grid.V(1 / grid.M, 0), grid.V(0, 1 / grid.M)]
+    for axis, v in enumerate(dense):
+        got, want = grid_adjoint_kernel(grid, axis), adjoint_kernel(v)
+        assert got.shape == want.shape
+        assert np.max(np.abs(_projector(got) - _projector(want))) <= 1e-12
+    got, want = grid_cocycle_pair_basis(grid), cocycle_pair_basis(*dense)
+    assert got.shape == want.shape
+    if want.size:
+        assert np.max(np.abs(_projector(got) - _projector(want))) <= 1e-12
+    mask = np.tile(grid.rep.trunc.level_mask(), grid.M**2)
+    isometry = max(interior_isometry_deviation(v, mask) for v in dense)
+    residual = induced_commutant_check_2d(grid).grid_isometry_residual
+    assert residual == pytest.approx(isometry, rel=1e-14, abs=1e-15)
+
+
+# dims of star_commutant_basis on the dense grid generators at M = 2, 3, 4
+GRID_COMMUTANT_DIMS = {
+    "example2": (1, 1, 1),
+    "reflection_n4_seed0": (1, 1, 1),
+    "reflection_n4_seed1": (1, 1, 1),
+    "reflection_0.6_0.8": (1, 1, 1),
+    "nonpure": (3, 4, 5),
+    "blind_spot": (6, 7, 8),
+}
+
+
+def _table_pair(name):
+    if name == "example2":
+        return build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3))
+    if name.startswith("reflection_n4"):
+        return _reflection_pair(4, int(name[-1]))[0]
+    if name == "reflection_0.6_0.8":
+        return build_reflection_rep(np.array([0.6, 0.8]), TruncationParams(2, 8, 2))
+    return _nonpure_rep() if name == "nonpure" else _blind_spot_rep()
+
+
+@pytest.mark.parametrize(
+    "name, m, dim",
+    [(name, m, d) for name, dims in GRID_COMMUTANT_DIMS.items() for m, d in zip((2, 3, 4), dims)],
+)
+def test_grid_commutant_dims_table(name, m, dim):
+    assert induced_commutant_check_2d(induce_2d(_table_pair(name), m)).grid_commutant_dim == dim
+
+
+def test_induced_commutant_check_fits_in_memory_at_m6():
+    # a star commutant of the dense generators at N = 1152 needs about 650 MB;
+    # the fiber solve holds M² small block systems
+    grid = induce_2d(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 6)
+    tracemalloc.start()
+    try:
+        report = induced_commutant_check_2d(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.grid_commutant_dim == 1
+    assert peak < 100 * 2**20
+
+
+# --- route guards ----------------------------------------------------------------------
+
+
+def _count_dense_translations(monkeypatch):
+    """Record (grid indices, sign) of every dense translation assembled."""
     calls = []
     translation = induced._translation
 
@@ -711,22 +862,22 @@ def test_induce_report_assembles_only_the_generators(monkeypatch):
         return translation(grid, ts, sign)
 
     monkeypatch.setattr(induced, "_translation", counted)
+    return calls
+
+
+def test_induce_report_assembles_no_dense_translation(monkeypatch):
+    # every check reads cells: the commutant is solved on the fiber, the grid
+    # kernels and the isometry residual per cell
+    calls = _count_dense_translations(monkeypatch)
     report = induce_report(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 3)
     assert report.passed
-    assert sorted(calls) == [((0, 1), 1), ((1, 0), 1)]
+    assert calls == []
 
 
-def test_induced2d_assembles_the_generators_and_the_flip_check(monkeypatch):
-    # the additivity check applies V cell by cell; only the generators and the
-    # axis-flip identity (2-d and 1-d translations at s = 0, 1/2, 1) are dense
-    calls = []
-    translation = induced._translation
-
-    def counted(grid, ts, sign=1):
-        calls.append((tuple(grid.grid_index(t) for t in ts), sign))
-        return translation(grid, ts, sign)
-
-    monkeypatch.setattr(induced, "_translation", counted)
+def test_induced2d_assembles_only_the_flip_check(monkeypatch):
+    # only the axis-flip identity (2-d and 1-d translations at s = 0, 1/2, 1)
+    # is dense
+    calls = _count_dense_translations(monkeypatch)
     assert verify_suite("induced2d").passed
     flip = [((j, 0), 1) for j in range(3)] + [((j,), 1) for j in range(3)]
-    assert sorted(calls) == sorted([((0, 1), 1), ((1, 0), 1)] + flip)
+    assert sorted(calls) == sorted(flip)
