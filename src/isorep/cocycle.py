@@ -72,7 +72,8 @@ class Cocycle2:
         }
 
     def max_residual(self, rep: IsoRep2) -> float:
-        return max(self.residuals(rep).values())
+        # np.max propagates a NaN, where max() drops one that is not first
+        return float(np.max(list(self.residuals(rep).values())))
 
     def to_json(self) -> dict:
         return {
@@ -93,7 +94,7 @@ class CocycleSpace:
         return len(self.basis)
 
     def max_residual(self) -> float:
-        return max((c.max_residual(self.rep) for c in self.basis), default=0.0)
+        return float(np.max([c.max_residual(self.rep) for c in self.basis], initial=0.0))
 
     def to_json(self) -> dict:
         return {

@@ -19,9 +19,10 @@ on each cell of the forward map.
 
 A grid gives each translation cell by cell (``cells``: a source cell and a
 fiber block per cell). The grid checks, step-cocycle additivity, the adjoint
-kernels of the 2-d generators and the grid commutant read these cell maps and
-blocks and never form a dense grid product; ``V`` and the adjoints are their
-scatters.
+kernels and isometry residuals at any grid time, the 1-d cocycle solve and
+the grid commutant read these cell maps and blocks and never form a dense
+grid product; ``V`` and the adjoints are their scatters, kept as the dense
+references.
 
 The 2-d grid commutant is solved on the fiber. Every cell wraps exactly once
 in M steps, so V(1/M, 0)^M = 1 ⊗ W1 and V(0, 1/M)^M = 1 ⊗ W2 as matrices, and
@@ -36,7 +37,7 @@ as kernels at nonzero displacements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import product
 from operator import add
@@ -44,7 +45,7 @@ from operator import add
 import numpy as np
 
 from .commutant import star_commutant_basis, structured_commutant_basis
-from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, nullspace, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, numerical_rank
 from .repmodel import (
     IsoRep2, TruncationParams, interior_isometry_deviation, sigma_power, truncated_shift
 )
@@ -69,16 +70,6 @@ __all__ = [
     "induced_commutant_check_2d",
     "shift_fiber",
 ]
-
-
-def _grid_index(t, m: int) -> int:
-    j = float(t) * m
-    rounded = round(j)
-    if abs(j - rounded) > 1e-9:
-        raise ValueError(f"time {t} is not aligned to the 1/{m} grid")
-    if rounded < 0:
-        raise ValueError("grid times must be nonnegative")
-    return int(rounded)
 
 
 def _cell_count(m) -> int:
@@ -113,7 +104,13 @@ class _GridTranslations:
     ``_power`` (one exponent per axis)."""
 
     def grid_index(self, t) -> int:
-        return _grid_index(t, self.M)
+        j = float(t) * self.M
+        rounded = round(j)
+        if abs(j - rounded) > 1e-9:
+            raise ValueError(f"time {t} is not aligned to the 1/{self.M} grid")
+        if rounded < 0:
+            raise ValueError("grid times must be nonnegative")
+        return int(rounded)
 
     def _row(self, exponents: tuple[int, ...], sign: int) -> int:
         """Row of the power (its adjoint for sign −1) in the block table."""
@@ -126,25 +123,41 @@ class _GridTranslations:
             rows[exponents] = len(rows)
         return rows[exponents]
 
+    def _layout(self, ts, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Source cell and block-table row per cell, and the block table,
+        whose row 0 is the identity."""
+        key = ("cells", tuple(map(self.grid_index, ts)), sign)
+        if key not in self._cache:
+            self._row((0,) * len(ts), sign)
+            q, source, wrapped = zip(*(_cell_map(self.M, j, sign) for j in key[1]))
+            flat = [reduce(lambda a, b: a * self.M + b, c) for c in product(*source)]
+            rows = [self._row(tuple(map(int, e)), sign) for e in product(*map(add, q, wrapped))]
+            self._cache[key] = np.array(flat), np.array(rows)
+        return (*self._cache[key], self._cache[("table", sign)])
+
     def cells(self, *ts, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Translation by the grid times ts (sign −1: its adjoint) cell by
         cell: row cell c reads column cell source[c] through blocks[c], the
         fiber power with exponents q + wrapped[c] (one per axis). The layout
         is cached per time, and each power is formed once."""
-        key = ("cells", tuple(map(self.grid_index, ts)), sign)
-        if key not in self._cache:
-            q, source, wrapped = zip(*(_cell_map(self.M, j, sign) for j in key[1]))
-            flat = [reduce(lambda a, b: a * self.M + b, c) for c in product(*source)]
-            rows = [self._row(tuple(map(int, e)), sign) for e in product(*map(add, q, wrapped))]
-            self._cache[key] = np.array(flat), np.array(rows)
-        source, rows = self._cache[key]
-        return source, self._cache[("table", sign)][rows]
+        source, rows, table = self._layout(ts, sign)
+        return source, table[rows]
 
-    def apply(self, ts, x: np.ndarray) -> np.ndarray:
-        """V(ts) @ x cell by cell, for x of shape (dim,) or (dim, k)."""
-        source, blocks = self.cells(*ts)
+    def apply(self, ts, x: np.ndarray, sign: int = 1) -> np.ndarray:
+        """V(ts) @ x (sign −1: V(ts)* @ x) cell by cell, for x of shape
+        (dim,) or (dim, k)."""
+        source, blocks = self.cells(*ts, sign=sign)
         cols = x.reshape(source.size, blocks.shape[-1], -1)
         return (blocks @ cols[source]).reshape(x.shape)
+
+    def isometry_deviation(self, ts, fiber_mask: np.ndarray) -> float:
+        """``interior_isometry_deviation`` of V(ts) on ``fiber_mask`` tiled
+        over the cells, read per cell: the cell map is a permutation, so V*V
+        is cell-diagonal with blocks B_c*B_c, and the worst distinct block
+        decides."""
+        _, rows, table = self._layout(ts, 1)
+        devs = [interior_isometry_deviation(table[r], fiber_mask) for r in set(rows)]
+        return float(np.max(devs))
 
 
 @dataclass
@@ -158,7 +171,7 @@ class GridRep1(_GridTranslations):
 
     M: int
     sigma: np.ndarray
-    fiber_interior: np.ndarray | None = None
+    fiber_interior: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -170,31 +183,27 @@ class GridRep1(_GridTranslations):
         return self.M * self.fiber_dim
 
     def _power(self, k: int) -> np.ndarray:
-        if not k:
-            return np.eye(self.fiber_dim, dtype=complex)
         return np.linalg.matrix_power(self.sigma, k)
 
     def V(self, t) -> np.ndarray:
-        key = ("V", self.grid_index(t))
-        if key not in self._cache:
-            self._cache[key] = _translation(self, (t,))
-        return self._cache[key]
-
-    def interior_mask(self) -> np.ndarray:
-        """Boolean mask over the grid space selecting interior coordinates."""
-        if self.fiber_interior is None:
-            return np.ones(self.dim, dtype=bool)
-        return np.tile(self.fiber_interior, self.M)
+        return _translation(self, (t,))
 
 
 def induce_1d(
     sigma: np.ndarray, m: int, fiber_interior: np.ndarray | None = None
 ) -> GridRep1:
+    """The grid of sigma at m cells; no ``fiber_interior`` means every fiber
+    coordinate is interior."""
     m = _cell_count(m)
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
-    return GridRep1(M=m, sigma=sigma, fiber_interior=fiber_interior)
+    if not np.isfinite(sigma).all():
+        raise ValueError("sigma has non-finite entries")
+    mask = np.ones(len(sigma), bool) if fiber_interior is None else np.asarray(fiber_interior, bool)
+    if mask.shape != sigma.shape[:1]:
+        raise ValueError(f"fiber_interior has shape {mask.shape}, not {sigma.shape[:1]}")
+    return GridRep1(M=m, sigma=sigma, fiber_interior=mask)
 
 
 def adjoint_1d(grid: GridRep1, t) -> np.ndarray:
@@ -210,9 +219,7 @@ def shift_fiber(multiplicity: int, levels: int, guard: int = 2):
     return sigma, trunc.level_mask()
 
 
-def discrete_cocycle_values(
-    sigma: np.ndarray, eta1: np.ndarray, count: int
-) -> np.ndarray:
+def discrete_cocycle_values(sigma: np.ndarray, eta1: np.ndarray, count: int) -> np.ndarray:
     """The values eta_0 … eta_count generated by eta_{k+1} = eta_k + sigma^k eta_1."""
     f = sigma.shape[0]
     eta1 = np.asarray(eta1, dtype=complex).ravel()
@@ -256,43 +263,44 @@ def lift_cocycle_1d(
         raise ValueError(f"eta must be (K+1, {grid.fiber_dim})")
     if eta.shape[0] < 2:
         raise ValueError("need at least eta_0 and eta_1")
-    if float(np.max(np.abs(eta[0]))) > tol.identity_tol:
+    # each test is written so that a NaN residual fails it
+    if not float(np.max(np.abs(eta[0]))) <= tol.identity_tol:
         raise ValueError("eta_0 must vanish")
     kernel_dev = float(np.max(np.abs(grid.sigma.conj().T @ eta[1])))
-    if kernel_dev > tol.identity_tol:
+    if not kernel_dev <= tol.identity_tol:
         raise ValueError(f"sigma* eta_1 != 0 (residual {kernel_dev:.3e})")
     power = np.eye(grid.fiber_dim, dtype=complex)
     for k in range(eta.shape[0] - 1):
         dev = float(np.max(np.abs(eta[k + 1] - eta[k] - power @ eta[1])))
-        if dev > tol.identity_tol:
-            raise ValueError(
-                f"eta_{k + 1} != eta_{k} + sigma^{k} eta_1 (residual {dev:.3e})"
-            )
+        if not dev <= tol.identity_tol:
+            raise ValueError(f"eta_{k + 1} != eta_{k} + sigma^{k} eta_1 (residual {dev:.3e})")
         power = grid.sigma @ power
     return StepCocycle1(grid=grid, eta=eta)
 
 
-def grid_cocycle_space_1d(
-    grid: GridRep1, horizon, tol: ToleranceConfig = DEFAULT_TOL
-) -> int:
+def grid_cocycle_space_1d(grid: GridRep1, horizon, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of the space of grid-time step cocycles within the horizon.
 
     The relation xi_{(k+1)/M} = xi_{k/M} + V(k/M) xi_{1/M} fixes every value
     from the first one, xi_{j/M} = Σ_{k<j} V(k/M) xi_{1/M}, so only xi_{1/M}
     is solved for: the rows demand xi_{j/M} ∈ ker V(j/M)* for j ≤ horizon·M.
-    Additivity at every other grid pair then follows from the exact semigroup
-    law V(j/M) V(k/M) = V((j+k)/M), which the ``semigroup_law_exact`` check
+    Kernel first: xi_{1/M} = K c with K = ``grid_adjoint_kernel`` at 1/M,
+    which settles j = 1, and the rows V(j/M)* Σ_{k<j} V(k/M) K for j ≥ 2 are
+    applied cell by cell. K is orthonormal and the translations have unit
+    scale, so the cutoff is anchored at scale 1. Additivity at every other
+    grid pair then follows from the exact semigroup law
+    V(j/M) V(k/M) = V((j+k)/M), which the ``semigroup_law_exact`` check
     asserts.
     """
     j_max = grid.grid_index(horizon)
     if j_max < grid.M:
         raise ValueError("horizon must be at least one time unit")
-    partial_sum = np.zeros((grid.dim, grid.dim), dtype=complex)
-    rows = []
-    for j in range(1, j_max + 1):
-        partial_sum += grid.V((j - 1) / grid.M)
-        rows.append(grid.V(j / grid.M).conj().T @ partial_sum)
-    return nullspace(np.vstack(rows), tol).shape[1]
+    kernel = grid_adjoint_kernel(grid, (1 / grid.M,), tol)
+    partial_sum, rows = kernel.copy(), []
+    for j in range(2, j_max + 1):
+        partial_sum += grid.apply(((j - 1) / grid.M,), kernel)
+        rows.append(grid.apply((j / grid.M,), partial_sum, sign=-1))
+    return kernel.shape[1] - numerical_rank(np.vstack(rows), tol, scale=1.0)
 
 
 @dataclass
@@ -317,11 +325,6 @@ class GridRep2(_GridTranslations):
     def V(self, s, t) -> np.ndarray:
         return _translation(self, (s, t))
 
-    def flip(self) -> np.ndarray:
-        """The coordinate swap (x, y) ↦ (y, x) on cells, identity on fibers."""
-        cells = np.arange(self.M * self.M).reshape(self.M, self.M)
-        return kron(np.eye(self.M * self.M)[cells.T.ravel()], np.eye(self.fiber_dim))
-
 
 def induce_2d(rep: IsoRep2, m: int) -> GridRep2:
     return GridRep2(M=_cell_count(m), rep=rep)
@@ -337,28 +340,24 @@ def adjoint_2d(grid: GridRep2, s, t) -> np.ndarray:
     return _translation(grid, (s, t), sign=-1)
 
 
-def _generator_cells(m: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source cell and wrapped flag per cell of the generator along ``axis``
-    (0: V(1/M, 0), 1: V(0, 1/M)). A wrapped cell's block is W1 (axis 0) or
-    W2 (axis 1), every other cell's the identity."""
-    (sx, wx), (sy, wy) = (_cell_map(m, int(a == axis), 1)[1:] for a in (0, 1))
-    return (sx[:, None] * m + sy).ravel(), (wx[:, None] | wy).ravel() == 1
-
-
 def grid_adjoint_kernel(
-    grid: GridRep2, axis: int, tol: ToleranceConfig = DEFAULT_TOL
+    grid: GridRep1 | GridRep2, ts, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
-    """Orthonormal basis of ker V*, V the generator along ``axis``.
+    """Orthonormal basis of ker V(ts)*, the same space as
+    ``adjoint_kernel(grid.V(*ts))``.
 
     V* sends cell c to its source cell through B_c*, and the cell map is a
-    permutation, so V*ξ = 0 iff B_c* ξ_c = 0 on every cell: ξ vanishes where
-    B_c = 1 and lies in ker W* on the wrapped cells. The basis is e_c ⊗ K over
-    those cells, K = ``adjoint_kernel(W)`` on the fiber.
+    permutation, so V*ξ = 0 iff B_c* ξ_c = 0 on every cell: ker V* is
+    ⊕_c e_c ⊗ ker B_c*. ``adjoint_kernel`` runs once per distinct fiber block;
+    the identity block (table row 0) has no kernel and takes no solve.
     """
-    kernel = adjoint_kernel((grid.rep.W1, grid.rep.W2)[axis], tol)
-    wrapped = np.flatnonzero(_generator_cells(grid.M, axis)[1])
-    out = np.zeros((grid.M**2, grid.fiber_dim, wrapped.size, kernel.shape[1]), dtype=complex)
-    out[wrapped, :, np.arange(wrapped.size)] = kernel
+    _, rows, table = grid._layout(ts, 1)
+    kernels = {r: table[r][:, :0] if r == 0 else adjoint_kernel(table[r], tol) for r in set(rows)}
+    blocks = [kernels[r] for r in rows]
+    widths = [block.shape[1] for block in blocks]
+    out = np.zeros((rows.size, grid.fiber_dim, sum(widths)), dtype=complex)
+    # basis column j holds a kernel column of one cell, cells in order
+    out[np.repeat(np.arange(rows.size), widths), :, np.arange(sum(widths))] = np.hstack(blocks).T
     return out.reshape(grid.dim, -1)
 
 
@@ -366,8 +365,8 @@ def grid_cocycle_pair_basis(grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) 
     """``cocycle_pair_basis`` of the generators V(1/M, 0) and V(0, 1/M): the
     same compatibility solve, on their per-cell adjoint kernels, with V
     applied cell by cell."""
-    k1, k2 = (grid_adjoint_kernel(grid, axis, tol) for axis in (0, 1))
     step = 1 / grid.M
+    k1, k2 = (grid_adjoint_kernel(grid, ts, tol) for ts in ((step, 0), (0, step)))
     return pair_basis_from_kernels(
         k1, k2, grid.apply((step, 0), k2), grid.apply((0, step), k1), tol
     )
@@ -397,11 +396,13 @@ def _grid_commutant_dim(grid: GridRep2, basis: list[np.ndarray], tol: ToleranceC
     cells = np.arange(m * m)
     c = np.array(basis)
     relations = []
-    for axis, w in enumerate((grid.rep.W1, grid.rep.W2)):
+    for ts, w in zip(((1 / m, 0), (0, 1 / m)), (grid.rep.W1, grid.rep.W2)):
         ws = w.conj().T
         families = np.concatenate([c, c @ w, w @ c, c @ ws, ws @ c]).reshape(5 * r, -1)
         r5 = np.linalg.qr(families.T, mode="r").reshape(-1, 5, r)
-        relations.append((r5, *_generator_cells(m, axis)))
+        # a generator's blocks are 1 (table row 0) or W, on the wrapped cells
+        source, rows, _ = grid._layout(ts, 1)
+        relations.append((r5, source, rows != 0))
     dim = 0
     for shift in product(range(m), repeat=2):
         # d = c + shift, cell by cell
@@ -468,7 +469,7 @@ def lift_cocycle_2d(
     """Lift a cocycle of the pair to a step cocycle on ``grid``, the grid of
     that pair."""
     worst = c.max_residual(grid.rep)
-    if worst > tol.identity_tol:
+    if not worst <= tol.identity_tol:  # a NaN residual fails
         raise ValueError(f"not a cocycle of the pair (residual {worst:.3e})")
     return StepCocycle2(grid=grid, cocycle=c, tol=tol)
 
@@ -488,16 +489,7 @@ class InducedCommutantReport:
         return self.tensor_direction_ok and self.generic_direction_ok
 
     def as_dict(self) -> dict:
-        return {
-            "structured_dim": self.structured_dim,
-            "grid_commutant_dim": self.grid_commutant_dim,
-            "tensor_direction_residual": self.tensor_direction_residual,
-            "grid_isometry_residual": self.grid_isometry_residual,
-            "tensor_direction_ok": self.tensor_direction_ok,
-            "generic_direction_ok": self.generic_direction_ok,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def induced_commutant_check_2d(
@@ -534,9 +526,9 @@ def induced_commutant_check_2d(
     if rep.family is None:
         raise ValueError("needs a representation built from a projection family")
     base = structured_commutant_basis(rep.family, tol)
-    # non-isometric input shows up here; the identity blocks of V*V deviate by 0
-    mask = rep.trunc.level_mask()
-    iso_worst = float(np.max([interior_isometry_deviation(w, mask) for w in (rep.W1, rep.W2)]))
+    # non-isometric input shows up here
+    step, mask = 1 / grid.M, rep.trunc.level_mask()
+    iso_worst = float(np.max([grid.isometry_deviation(ts, mask) for ts in ((step, 0), (0, step))]))
     blocks = np.array([sigma_power(rep, a, b) for a in (0, 1) for b in (0, 1)])
     fiber_ops = [kron(t0, np.eye(rep.trunc.L)) for t0 in base]
     worst = float(np.max([np.abs(t @ blocks - blocks @ t).max() for t in fiber_ops], initial=0.0))

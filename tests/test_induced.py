@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isorep import induced
-from isorep.cocycle import cocycle_pair_basis, cocycle_space
+from isorep.cocycle import Cocycle2, cocycle_pair_basis, cocycle_space
 from isorep.commutant import star_commutant_basis, structured_commutant_basis
 from isorep.induced import (
     GridRep2,
@@ -162,6 +162,29 @@ def test_rejects_offgrid_times_and_tiny_grids():
         induce_1d(sigma, 1)
 
 
+def test_induce_1d_rejects_a_mask_of_the_wrong_shape():
+    sigma, mask = shift_fiber(1, 8)
+    with pytest.raises(ValueError, match=r"fiber_interior has shape \(5,\), not \(8,\)"):
+        induce_1d(sigma, 4, mask[:5])
+
+
+def test_induce_1d_reads_an_integer_mask_as_booleans():
+    # a 0/1 mask must select coordinates, not index columns 0 and 1
+    sigma, mask = shift_fiber(1, 8)
+    grid = induce_1d(sigma, 4, mask.astype(int))
+    assert grid.fiber_interior.dtype == bool
+    assert np.array_equal(grid.fiber_interior, mask)
+    assert grid.isometry_deviation((0.25,), grid.fiber_interior) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_induce_1d_rejects_non_finite_sigma(bad):
+    sigma, mask = shift_fiber(1, 8)
+    sigma[2, 1] = bad
+    with pytest.raises(ValueError, match="sigma has non-finite entries"):
+        induce_1d(sigma, 4, mask)
+
+
 # --- 1-d adjoint -------------------------------------------------------------------
 
 
@@ -280,6 +303,16 @@ def test_lift_rejects_invalid_values():
         lift_cocycle_1d(eta, grid)
 
 
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_lift_rejects_non_finite_values(row):
+    sigma, mask = shift_fiber(1, 8)
+    grid = induce_1d(sigma, 4, mask)
+    eta = discrete_cocycle_values(sigma, nullspace(sigma.conj().T)[:, 0], 3)
+    eta[row, 3] = np.nan
+    with pytest.raises(ValueError, match=f"eta_{row}"):
+        lift_cocycle_1d(eta, grid)
+
+
 @pytest.mark.parametrize("mult", [1, 2, 3])
 def test_grid_cocycle_dimension_matches_multiplicity(mult):
     sigma, mask = shift_fiber(mult, 8)
@@ -321,8 +354,11 @@ def _fiber(kind, rng):
     return u @ np.diag([1.3, 0.4, 0.0, 0.0]) @ u.conj().T, None
 
 
-@pytest.mark.parametrize("kind", ["shift1", "shift2", "rotated_shift", "unitary", "rank_deficient"])
-@pytest.mark.parametrize("m, horizon", [(2, 1), (3, 2), (4, 1)])
+FIBER_KINDS = ["shift1", "shift2", "rotated_shift", "unitary", "rank_deficient"]
+
+
+@pytest.mark.parametrize("kind", [*FIBER_KINDS, "shift3"])
+@pytest.mark.parametrize("m, horizon", [(2, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
 def test_grid_cocycle_solve_matches_all_pairs_system(kind, m, horizon):
     sigma, mask = _fiber(kind, np.random.default_rng(m * 10 + horizon))
     grid = induce_1d(sigma, m, mask)
@@ -335,9 +371,6 @@ def test_grid_cocycle_dimension_unitary_sigma():
     q, _ = np.linalg.qr(z)
     grid = induce_1d(q, 4)
     assert grid_cocycle_space_1d(grid, 2) == 0
-
-
-FIBER_KINDS = ["shift1", "shift2", "rotated_shift", "unitary", "rank_deficient"]
 
 
 def _assert_matches(got, want, exact):
@@ -395,7 +428,9 @@ def test_2d_flip_identity():
     rep = small_rep()
     m_cells = 4
     grid = induce_2d(rep, m_cells)
-    flip = grid.flip()
+    # the coordinate swap (x, y) ↦ (y, x) on cells, identity on fibers
+    swapped = np.arange(m_cells**2).reshape(m_cells, m_cells).T.ravel()
+    flip = kron(np.eye(m_cells**2)[swapped], np.eye(rep.dim))
     g1 = induce_1d(rep.W1, m_cells)
     g2 = induce_1d(rep.W2, m_cells)
     for j in range(m_cells + 1):
@@ -475,11 +510,22 @@ def test_2d_lift_additivity():
 def test_2d_lift_rejects_invalid():
     rep = small_rep()
     rng = np.random.default_rng(1)
-    from isorep.cocycle import Cocycle2
-
     junk = Cocycle2(eta10=rng.normal(size=rep.dim), eta01=rng.normal(size=rep.dim))
     with pytest.raises(ValueError, match="cocycle"):
         lift_cocycle_2d(junk, induce_2d(rep, 2))
+
+
+@pytest.mark.parametrize("name", ["eta10", "eta01"])
+def test_2d_lift_rejects_non_finite_cocycle(name):
+    # a NaN that max() would drop unless it came first must fail the lift
+    rep = small_rep()
+    c = cocycle_space(rep).basis[0]
+    values = {"eta10": c.eta10.copy(), "eta01": c.eta01.copy()}
+    values[name][3] = np.nan
+    bad = Cocycle2(**values)
+    assert np.isnan(bad.max_residual(rep))
+    with pytest.raises(ValueError, match="not a cocycle"):
+        lift_cocycle_2d(bad, induce_2d(rep, 2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -792,8 +838,9 @@ def test_grid_commutant_dim_matches_dense_star_commutant(kind, n, m, seed):
 def test_per_cell_grid_kernels_match_dense_generators(kind, n, m, seed):
     grid = _small_grid(kind, n, m, seed)
     dense = [grid.V(1 / grid.M, 0), grid.V(0, 1 / grid.M)]
-    for axis, v in enumerate(dense):
-        got, want = grid_adjoint_kernel(grid, axis), adjoint_kernel(v)
+    step = 1 / grid.M
+    for ts, v in zip(((step, 0), (0, step)), dense):
+        got, want = grid_adjoint_kernel(grid, ts), adjoint_kernel(v)
         assert got.shape == want.shape
         assert np.max(np.abs(_projector(got) - _projector(want))) <= 1e-12
     got, want = grid_cocycle_pair_basis(grid), cocycle_pair_basis(*dense)
@@ -804,6 +851,51 @@ def test_per_cell_grid_kernels_match_dense_generators(kind, n, m, seed):
     isometry = max(interior_isometry_deviation(v, mask) for v in dense)
     residual = induced_commutant_check_2d(grid).grid_isometry_residual
     assert residual == pytest.approx(isometry, rel=1e-14, abs=1e-15)
+
+
+def _assert_cellwise_matches_dense(grid, ts, fiber_mask):
+    """grid_adjoint_kernel and the per-cell isometry residual at ts against
+    the kernel of the dense V(ts)* and its dense interior deviation."""
+    dense = grid.V(*ts)
+    got, want = grid_adjoint_kernel(grid, ts), nullspace(dense.conj().T)
+    assert got.shape == want.shape
+    if want.size:
+        assert np.max(np.abs(got.conj().T @ got - np.eye(got.shape[1]))) <= 1e-12
+        assert np.max(np.abs(_projector(got) - _projector(want))) <= 1e-12
+    cells = grid.dim // grid.fiber_dim
+    want = interior_isometry_deviation(dense, np.tile(fiber_mask, cells))
+    assert grid.isometry_deviation(ts, fiber_mask) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([*FIBER_KINDS, "shift3"]),
+    m=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**16),
+)
+def test_per_cell_kernels_and_isometry_match_dense_1d(kind, m, seed):
+    # every grid time up to horizon 2, q = 0, 1 and 2
+    sigma, mask = _fiber(kind, np.random.default_rng(seed))
+    grid = induce_1d(sigma, m, mask)
+    for j in range(2 * m + 1):
+        _assert_cellwise_matches_dense(grid, (j / m,), grid.fiber_interior)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(FIBER_PAIRS),
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_per_cell_kernels_and_isometry_match_dense_2d(kind, n, m, seed, data):
+    # a few of the grid times up to horizon 2 per pair (each dense solve is
+    # costly), q = 0, 1 and 2 on either axis
+    grid = _small_grid(kind, n, m, seed)
+    times = st.lists(st.sampled_from(_grid_times(grid.M, 2, 2)), min_size=1, max_size=3)
+    for ts in data.draw(times, label="times"):
+        _assert_cellwise_matches_dense(grid, ts, grid.rep.trunc.level_mask())
 
 
 # dims of star_commutant_basis on the dense grid generators at M = 2, 3, 4
@@ -865,19 +957,23 @@ def _count_dense_translations(monkeypatch):
     return calls
 
 
-def test_induce_report_assembles_no_dense_translation(monkeypatch):
-    # every check reads cells: the commutant is solved on the fiber, the grid
-    # kernels and the isometry residual per cell
+def _example2_report(m):
+    return induce_report(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), m)
+
+
+GUARDED_BATTERIES = {
+    "induced1d": lambda: verify_suite("induced1d"),
+    "induced2d": lambda: verify_suite("induced2d"),
+    "induce_report_m2": lambda: _example2_report(2),
+    "induce_report_m3": lambda: _example2_report(3),
+}
+
+
+@pytest.mark.parametrize("battery", GUARDED_BATTERIES)
+def test_batteries_assemble_no_dense_translation(monkeypatch, battery):
+    # every check reads cells: kernels, isometry residuals, the pairing and the
+    # axis flip per cell, the cocycle solves on per-cell kernels and the
+    # commutant on the fiber
     calls = _count_dense_translations(monkeypatch)
-    report = induce_report(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 3)
-    assert report.passed
+    assert GUARDED_BATTERIES[battery]().passed
     assert calls == []
-
-
-def test_induced2d_assembles_only_the_flip_check(monkeypatch):
-    # only the axis-flip identity (2-d and 1-d translations at s = 0, 1/2, 1)
-    # is dense
-    calls = _count_dense_translations(monkeypatch)
-    assert verify_suite("induced2d").passed
-    flip = [((j, 0), 1) for j in range(3)] + [((j,), 1) for j in range(3)]
-    assert sorted(calls) == sorted(flip)
