@@ -111,9 +111,10 @@ def cocycle_pair_basis(
     """Orthonormal basis (2N×dim) of the stacked cocycle pairs of (w1, w2).
 
     Kernel first: K1, K2 span ker w1*, ker w2* (``adjoint_kernel``: a sketch
-    of 1 − ww* for partial isometries, sized by N − tr(w*w), an SVD of w*
-    otherwise), and the compatibility relation is solved over their k1+k2
-    coordinates, [(1 - w2)K1 | (w1 - 1)K2]. That cutoff is anchored at the
+    of 1 − ww* sized by N − ‖w‖_F², kept when its rank is exactly that size
+    and w* annihilates it, an SVD of w* otherwise), and the compatibility
+    relation is solved over their k1+k2 coordinates,
+    [(1 - w2)K1 | (w1 - 1)K2]. That cutoff is anchored at the
     isometries' scale 1: when w2 is the identity up to rounding, the matrix is
     noise that a purely relative cutoff counts as rank.
     """
@@ -332,8 +333,11 @@ def extend_cocycle(
         eta10=np.asarray(eta_on_q[a], dtype=complex).ravel(),
         eta01=np.asarray(eta_on_q[b], dtype=complex).ravel(),
     )
+    if not np.isfinite(c_q.stacked()).all():
+        raise ValueError("eta_on_q must have finite entries")
+    # the tests below are written so that a NaN deviation fails them
     worst = c_q.max_residual(rep_q)
-    if worst > tol.identity_tol:
+    if not (worst <= tol.identity_tol):
         raise ValueError(
             f"eta_on_q is not a cocycle of the reparametrized pair (residual {worst:.3e})"
         )
@@ -349,7 +353,7 @@ def extend_cocycle(
         eta_y2 = evaluate(c_q, rep_q, (pp + 1, qq), tol)
         value2 = eta_x2 - v_g @ eta_y2
         dev = float(np.max(np.abs(value - value2)))
-        if dev > tol.identity_tol:
+        if not (dev <= tol.identity_tol):
             raise InconsistentCocycleError(
                 f"extension of {g} depends on the decomposition (deviation {dev:.3e})"
             )
@@ -357,7 +361,7 @@ def extend_cocycle(
 
     result = Cocycle2(eta10=xi[(1, 0)], eta01=xi[(0, 1)])
     worst = result.max_residual(rep)
-    if worst > tol.identity_tol:
+    if not (worst <= tol.identity_tol):
         raise InconsistentCocycleError(
             f"extended pair violates the cocycle constraints (residual {worst:.3e})"
         )

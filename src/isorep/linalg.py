@@ -8,12 +8,13 @@ general kernel.
 
 The kernel of an adjoint W* is the one exception. Every generator the library
 builds is a partial isometry on the truncation, so ker W* is the range of the
-projection 1 − WW*, of rank k = N − tr(W*W). ``adjoint_kernel`` reads that
+projection 1 − WW*, of rank k = N − ‖W‖_F². ``adjoint_kernel`` reads that
 range off an N×(k+8) Gaussian sketch (Halko, Martinsson & Tropp, SIAM Review
-53, 2011) instead of an N×N SVD. It accepts the sketch only when its
-singular values show exactly rank k at the usual cutoff and W* annihilates the
-result at that cutoff. It falls back to ``nullspace(w*)`` when W*W is not a
-projection at identity_tol, as a custom pair may be, or when either test fails.
+53, 2011) instead of an N×N SVD, and forms no N×N product. Two tests on the
+sketch are the gate: its singular values show exactly rank k at the usual
+cutoff, and W* annihilates the result at that cutoff. Together they imply that
+WW* is a projection. Any input that fails either test, a custom pair's
+generator say, falls back to ``nullspace(w*)``.
 """
 from __future__ import annotations
 
@@ -120,34 +121,35 @@ _SKETCH_SEED = 0
 def adjoint_kernel(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ker w*, the same space as ``nullspace(w.conj().T)``.
 
-    When G = w*w is a projection (max|G² − G| ≤ identity_tol), w is a partial
-    isometry and ker w* is the range of 1 − ww*, of rank k = N − tr G. The
-    columns of Y = Ω − w(w*Ω), for an N×min(N, k+8) complex Gaussian Ω from a
-    fixed seed, span that range. Y's first k left singular vectors Q are
-    returned once Y's singular values give exactly rank k at the usual cutoff,
-    anchored at Ω's largest column norm, and ‖w*Q‖_F ≤ rank_tol confirms them
-    at ``nullspace``'s cutoff (a singular value of w between rank_tol and
-    √identity_tol passes the projection test but is no kernel direction
-    there). Any other input, or a sketch that fails either test, takes the
-    full SVD route.
+    For a partial isometry w, ker w* is the range of the projection 1 − ww*,
+    of rank k = N − ‖w‖_F². For any w, the columns of Y = Ω − w(w*Ω), for an
+    N×min(N, k+8) complex Gaussian Ω from a fixed seed, lie in
+    range(1 − ww*) ⊇ ker w*. Y's first k left singular vectors Q are returned
+    when two tests pass. Y's singular values give exactly rank k at the usual
+    cutoff, anchored at Ω's largest column norm, so Q spans all of
+    range(1 − ww*). And ‖w*Q‖_F ≤ rank_tol puts that range inside ker w* at
+    ``nullspace``'s cutoff. Together they say that ww* is a projection. A k
+    outside [0, N], or a sketch that fails either test, takes the full SVD
+    route. w* is applied as (x*w)*, so no N×N product or copy is formed.
     """
     w = _as_complex_matrix(w)
     if not np.isfinite(w).all():
         raise ValueError("adjoint_kernel needs finite entries")
-    gram = w.conj().T @ w
-    # written so that a NaN deviation falls back instead of passing
-    if not (float(np.max(np.abs(gram @ gram - gram), initial=0.0)) <= tol.identity_tol):
-        return nullspace(w.conj().T, tol)
     n = w.shape[0]
-    k = int(round(n - float(np.trace(gram).real)))
+    deficit = n - float(np.vdot(w, w).real)
+    # ‖w‖_F² ≥ 0 keeps k ≤ N; an overfull w, or one whose norm overflows,
+    # has k < 0 and no sketch
+    if not deficit >= -0.5:
+        return nullspace(w.conj().T, tol)
+    k = int(round(deficit))
     rng = np.random.default_rng(_SKETCH_SEED)
     shape = (n, min(n, k + _SKETCH_OVERSAMPLE))
     omega = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    u, s, _ = np.linalg.svd(omega - w @ (w.conj().T @ omega), full_matrices=False)
+    u, s, _ = np.linalg.svd(omega - w @ (omega.conj().T @ w).conj().T, full_matrices=False)
     kernel = u[:, :k]
     scale = float(np.max(np.linalg.norm(omega, axis=0)))
     if _rank_from_singular_values(s, tol, scale) != k or not (
-        np.linalg.norm(w.conj().T @ kernel) <= tol.rank_tol
+        np.linalg.norm(kernel.conj().T @ w) <= tol.rank_tol
     ):
         return nullspace(w.conj().T, tol)
     return kernel

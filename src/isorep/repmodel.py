@@ -230,13 +230,15 @@ def build_projection_family_rep(
     """
     fam.check(tol)
     trunc = _fit_truncation(fam, trunc)
-    s = truncated_shift(trunc.L)
-    w1 = kron(np.eye(fam.n), s)
-    w2 = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    s_pow = np.eye(trunc.L, dtype=complex)
-    for i, p in enumerate(fam.projections, start=1):
-        w2 += kron(fam.unitary @ p, s_pow)
-        s_pow = s @ s_pow
+    w1 = kron(np.eye(fam.n), truncated_shift(trunc.L))
+    # (U P_i) ⊗ S^{i-1} is U P_i on level offset i - 1: scatter it there.
+    # `+=` keeps the bytes of the summed Kronecker products, whose +0.0
+    # start turns a −0.0 entry of U P_i into +0.0
+    w2 = np.zeros((fam.n, trunc.L, fam.n, trunc.L), dtype=complex)
+    for offset, p in enumerate(fam.projections):
+        levels = np.arange(trunc.L - offset)
+        w2[:, levels + offset, :, levels] += fam.unitary @ p
+    w2 = w2.reshape(trunc.dim, trunc.dim)
 
     def rebuild(tr: TruncationParams) -> IsoRep2:
         return build_projection_family_rep(fam, tr, tol)

@@ -422,6 +422,15 @@ def test_restricted_space_has_same_dimension():
     assert cocycle_space(sub).dim == cocycle_space(rep).dim == 3
 
 
+def test_extend_rejects_non_finite_values():
+    rep = build_reflection_rep(np.array([0.6, 0.8]), TruncationParams(2, 16, 3))
+    values = restrict_to_subsemigroup(cocycle_space(rep).basis[0], rep, (1, 1), (2, 1))
+    values[(2, 1)] = values[(2, 1)].copy()
+    values[(2, 1)][0] = np.nan
+    with pytest.raises(ValueError, match="eta_on_q"):
+        extend_cocycle(rep, (1, 1), (2, 1), values)
+
+
 def test_extend_rejects_invalid_values():
     rep = example2_rep(L=16, guard=3)
     rng = np.random.default_rng(8)

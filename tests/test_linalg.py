@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from isorep.repmodel import (
     reflection_family,
     reparametrize,
     strong_purity_check,
+    truncated_infinite_reflection_family,
     truncated_shift,
 )
 
@@ -167,13 +169,26 @@ def _family_rep(rng, n, reflection):
 
 @st.composite
 def adjoint_kernel_inputs(draw):
-    """(w, partial isometry?): every kind of generator the library builds, and
-    matrices that are not partial isometries."""
+    """(w, partial isometry?): every kind of generator the library builds,
+    matrices that are not partial isometries, and (w, None) for a partial
+    isometry with one singular value just below 1, which may take either
+    route."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 4))
     kind = draw(
         st.sampled_from(
-            ["planted", "reflection", "reparametrized", "grid", "half", "contraction", "faint"]
+            [
+                "planted",
+                "reflection",
+                "reparametrized",
+                "grid",
+                "half",
+                "contraction",
+                "faint",
+                "rounded",
+                "overfull",
+                "near",
+            ]
         )
     )
     rep = _family_rep(rng, n, reflection=kind == "reflection")
@@ -187,6 +202,9 @@ def adjoint_kernel_inputs(draw):
     w = (rep.W1, rep.W2)[pick]
     if kind == "half":
         return 0.5 * w, False
+    if kind == "overfull":
+        # ‖w‖_F² > N: no sketch size k = N − ‖w‖_F² ≥ 0 exists
+        return 2.0 * w, False
     if kind == "contraction":
         # random singular vectors, fewer than all singular values 0, the rest in (0, 1)
         size = int(rng.integers(2, 24))
@@ -195,13 +213,24 @@ def adjoint_kernel_inputs(draw):
         s = rng.uniform(0.1, 0.9, size=size)
         s[rng.permutation(size)[: rng.integers(0, size)]] = 0.0
         return u @ np.diag(s) @ v.conj().T, False
+    if kind not in ("faint", "rounded", "near"):
+        return w, True
+    u, s, vh = np.linalg.svd(w)
     if kind == "faint":
-        # one singular value of w in [1e-8, 3e-6]: w*w passes the projection
-        # test, but that direction is outside ker w* at the rank cutoff
-        u, s, vh = np.linalg.svd(w)
+        # one singular value of w in [1e-8, 3e-6]: the sketch shows rank
+        # k = N − ‖w‖_F², but w* does not annihilate that direction at the
+        # rank cutoff
         s[np.flatnonzero(s > 0.5)[-1]] = 10.0 ** rng.uniform(-8.0, -5.5)
-        return u @ np.diag(s) @ vh, False
-    return w, True
+    elif kind == "rounded":
+        # one σ² in (0, 0.5): round(N − ‖w‖_F²) = N is the sketch's rank, and
+        # only ‖w*Q‖_F = σ rejects it
+        s[:] = 0.0
+        s[0] = np.sqrt(rng.uniform(0.0, 0.5))
+    else:
+        # one singular value 1 − ε: the sketch is kept only while that
+        # direction stays below the rank cutoff, and falls back otherwise
+        s[np.flatnonzero(s > 0.5)[-1]] = 1.0 - 10.0 ** rng.uniform(-14.0, -3.0)
+    return u @ np.diag(s) @ vh, None if kind == "near" else False
 
 
 def _kernel_with_route(w):
@@ -211,18 +240,23 @@ def _kernel_with_route(w):
     return basis, svd_route.called
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(adjoint_kernel_inputs())
 def test_adjoint_kernel_matches_svd_route(case):
     w, partial_isometry = case
     basis, fell_back = _kernel_with_route(w)
     reference = nullspace(w.conj().T)
     assert basis.shape == reference.shape
-    assert fell_back != partial_isometry
     k = basis.shape[1]
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(k)), initial=0.0) <= 1e-12
-    gap = basis @ basis.conj().T - reference @ reference.conj().T
-    assert np.max(np.abs(gap), initial=0.0) <= 1e-12
+    gap = np.max(np.abs(basis @ basis.conj().T - reference @ reference.conj().T), initial=0.0)
+    if partial_isometry is None:
+        # a sketch kept near a partial isometry is held to the rank cutoff
+        assert np.linalg.norm(w.conj().T @ basis) <= DEFAULT_TOL.rank_tol
+        assert gap <= DEFAULT_TOL.rank_tol
+    else:
+        assert fell_back != partial_isometry
+        assert gap <= 1e-12
 
 
 def test_adjoint_kernel_of_a_unitary_is_empty():
@@ -262,6 +296,24 @@ def test_family_kernels_take_no_square_svd(monkeypatch):
     assert rep.dim == 128
     assert cocycle_space(rep).dim == 3
     assert strong_purity_check(rep, depth=3).verdict == "strongly_pure"
+
+
+def test_growth_probe_kernels_stay_below_one_square_array():
+    # the n = 16 growth-probe generators (N = 640): neither sketch test may
+    # form an N×N product or copy, such as a Gram matrix or a conjugate of w
+    rep = build_projection_family_rep(
+        truncated_infinite_reflection_family(16), TruncationParams(16, 40, 17)
+    )
+    square = rep.W1.nbytes
+    assert rep.dim == 640
+    for w in (rep.W1, rep.W2):
+        tracemalloc.start()
+        try:
+            adjoint_kernel(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < square
 
 
 # --- intertwiner_space --------------------------------------------------------

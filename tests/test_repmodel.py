@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isorep.commutant import star_commutant_basis, truncated_commutant_oracle
-from isorep.linalg import DEFAULT_TOL, matrix_to_json, numerical_rank
+from isorep.linalg import DEFAULT_TOL, kron, matrix_to_json, numerical_rank
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -90,6 +90,39 @@ def test_two_projection_basis_action():
         assert np.array_equal(rep.W2 @ basis_vec(0, j), basis_vec(0, j))
     for j in range(L - 1):
         assert np.array_equal(rep.W2 @ basis_vec(1, j), basis_vec(1, j + 1))
+
+
+@st.composite
+def projection_families_with_truncations(draw):
+    """A coordinate family, or a rank-1 projection and its complement, under a
+    random unitary, with a truncation that fits it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    if draw(st.booleans()):
+        projections = coord_projections(n)
+    else:
+        v = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
+        p = v @ v.conj().T / np.vdot(v, v).real
+        projections = (p, np.eye(n) - p)
+    guard = draw(st.integers(1, 6))
+    L = draw(st.integers(guard + len(projections), guard + len(projections) + 8))
+    return ProjectionFamily(projections=projections, unitary=u), TruncationParams(n, L, guard)
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_families_with_truncations())
+def test_scattered_generators_equal_the_kronecker_sums(case):
+    # byte for byte: the scatter must also keep the sums' +0.0 signs
+    fam, trunc = case
+    rep = build_projection_family_rep(fam, trunc)
+    s = truncated_shift(trunc.L)
+    w2 = sum(
+        (kron(fam.unitary @ p, np.linalg.matrix_power(s, i)) for i, p in enumerate(fam.projections)),
+        start=np.zeros((trunc.dim, trunc.dim), dtype=complex),
+    )
+    assert rep.W1.tobytes() == kron(np.eye(fam.n), s).tobytes()
+    assert rep.W2.tobytes() == w2.tobytes()
 
 
 def test_example2_reflection_unitary():
