@@ -1,13 +1,14 @@
 """Commutants, irreducibility, and unitary equivalence.
 
-Two routes to the commutant: the structured one solves for operators on C^n
-commuting with U and every projection; the truncated oracle counts the star
-commutant of the pair on the full model space, with no interior filter. They
-must agree, and dimension one means irreducible.
+Two commutants, one solver: the structured one is the star commutant on C^n
+of U and the level operator H = Σ (i/d)·P_i, whose spectral projections are
+the P_i; the truncated oracle counts the star commutant of the pair on the
+full model space, with no interior filter. Their dimensions must agree, and
+dimension one means irreducible.
 
-Equivalence of two reflection families reduces to an intertwiner space on
-C^n; an empty space settles inequivalence, and a space containing a unitary
-settles equivalence with an explicit witness.
+Equivalence of two reflection families reduces to the *-intertwiners on C^n
+of their unitaries and H; an empty space settles inequivalence, and a space
+containing a unitary settles equivalence with an explicit witness.
 """
 import numpy as np
 

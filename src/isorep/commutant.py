@@ -1,20 +1,19 @@
 """Commutants, irreducibility, and unitary equivalence.
 
-Two routes are kept deliberately separate: the structured route works on the
-small space C^n via the generating unitary and projections, while the
-truncated oracle works on the full C^n ⊗ C^L and is documented as an
-upper-bound heuristic at fixed truncation, certified only by agreement with
-the structured answer.
+Two spaces, one solver. The structured space is the commutant on C^n of U and
+every P_i; the truncated oracle's is the star commutant of the pair on the
+full C^n ⊗ C^L, an upper-bound heuristic at fixed truncation, certified only
+by agreement with the structured answer. That cross-check compares different
+matrices; the solver itself is tested against ``linalg.intertwiner_space``.
 
-One solver gives the *-intertwiners {T : A T = T B, A* T = T B*} of two
-lists of generators, and the star commutant is its case B = A. It works by
-eigenspace refinement (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010): the
-same seeded random word gives self-adjoint elements h_A and h_B of the two
-generated *-algebras, T maps each eigenspace of h_B into the eigenspace of
-h_A at the same eigenvalue, so only its m matched entries are unknown, and
-clustering eigenvalues conservatively can only enlarge that candidate space.
-Unitary equivalence takes the polar factor of one generic intertwiner as its
-witness and accepts it only when it intertwines to within ``identity_tol``.
+The solver gives the *-intertwiners {T : A T = T B, A* T = T B*} of two lists
+of generators, and the star commutant is its case B = A. It works by
+eigenspace refinement (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010), as
+``star_intertwiner_basis`` describes. A checked family needs two generators:
+its P_i are the spectral projections of H = Σ_i (i/d)·P_i, and T U = U T gives
+T U* = U* T for unitary U. Unitary equivalence takes the polar factor of one
+generic intertwiner as its witness and accepts it only when it intertwines to
+within ``identity_tol``.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, intertwiner_space, matrix_to_json, nullspace
+from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_to_json, nullspace
 from .repmodel import IsoRep2, ProjectionFamily, certify_two_truncations
 
 __all__ = [
@@ -40,16 +39,18 @@ __all__ = [
 def structured_commutant_basis(
     fam: ProjectionFamily, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Basis of {T0 on C^n : T0 U = U T0, T0 P_i = P_i T0 for all i}."""
+    """Orthonormal basis of {T0 on C^n : T0 U = U T0, T0 P_i = P_i T0 for all i}."""
+    return star_commutant_basis(_checked_generators(fam, tol), tol)
+
+
+def _checked_generators(fam: ProjectionFamily, tol: ToleranceConfig) -> list[np.ndarray]:
+    """[U, H] with H = Σ_i (i/d)·P_i, whose spectral projections are the checked P_i."""
     fam.check(tol)
-    pairs = [(fam.unitary, fam.unitary)]
-    pairs += [(p, p) for p in fam.projections]
-    return intertwiner_space(pairs, tol)
+    levels = enumerate(fam.projections, start=1)
+    return [fam.unitary, sum((i / fam.d) * np.asarray(p, dtype=complex) for i, p in levels)]
 
 
-def structured_commutant_dim(
-    fam: ProjectionFamily, tol: ToleranceConfig = DEFAULT_TOL
-) -> int:
+def structured_commutant_dim(fam: ProjectionFamily, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return len(structured_commutant_basis(fam, tol))
 
 
@@ -273,13 +274,14 @@ def are_unitarily_equivalent(
 ) -> EquivalenceVerdict:
     """Unitary equivalence of two pairs, via their intertwiner space.
 
-    Families sharing one projection list reduce to operators T0 on C^n
-    intertwining the unitaries and commuting with every projection; an empty
-    space settles inequivalence, a space containing a unitary settles
-    equivalence. Full truncated pairs of equal dimension go through the
-    generic (heuristic) route.
+    Checked families sharing one projection list reduce to operators T0 on
+    C^n intertwining the unitaries and commuting with H; an empty space
+    settles inequivalence, a space containing a unitary (checked against
+    every P_i) equivalence. Full truncated pairs of equal dimension go
+    through the generic (heuristic) route.
     """
     if isinstance(a, ProjectionFamily) and isinstance(b, ProjectionFamily):
+        (u_a, h), (u_b, _) = _checked_generators(a, tol), _checked_generators(b, tol)
         if a.n != b.n:
             raise ValueError(f"families live on different spaces: {a.n} vs {b.n}")
         if a.d != b.d or any(
@@ -287,14 +289,12 @@ def are_unitarily_equivalent(
             for p, q in zip(a.projections, b.projections)
         ):
             raise ValueError("structured equivalence needs a shared projection list")
-        pairs = [(b.unitary, a.unitary)]
-        pairs += [(p, p) for p in a.projections]
-        basis = intertwiner_space(pairs, tol)
-        return _equivalence_from_basis(basis, pairs, tol, seed)
-    if isinstance(a, IsoRep2) and isinstance(b, IsoRep2):
+        solve = [(u_b, u_a), (h, h)]
+        pairs = solve[:1] + [(p, p) for p in a.projections]
+    elif isinstance(a, IsoRep2) and isinstance(b, IsoRep2):
         if a.dim != b.dim:
             raise ValueError(f"representations have different dimensions: {a.dim} vs {b.dim}")
-        pairs = [(b.W1, a.W1), (b.W2, a.W2)]
-        basis = star_intertwiner_basis(pairs, tol, seed)
-        return _equivalence_from_basis(basis, pairs, tol, seed)
-    raise TypeError("arguments must be two families or two representations")
+        solve = pairs = [(b.W1, a.W1), (b.W2, a.W2)]
+    else:
+        raise TypeError("arguments must be two families or two representations")
+    return _equivalence_from_basis(star_intertwiner_basis(solve, tol, seed), pairs, tol, seed)

@@ -1,10 +1,10 @@
 """Dense complex linear algebra substrate.
 
 Everything downstream (representation builders, cocycle solves, commutant
-computations) reduces to Kronecker products, rank-revealing nullspaces and
-vectorized intertwiner solves over dense complex matrices. Problem sizes stay
-in the low thousands, so dense storage and SVDs are the right tool for a
-general kernel.
+computations) reduces to Kronecker products and rank-revealing nullspaces
+over dense complex matrices; ``intertwiner_space`` is the tests' dense
+reference. Problem sizes stay in the low thousands, so dense storage and
+SVDs are the right tool for a general kernel.
 
 The kernel of an adjoint W* is the one exception. Every generator the library
 builds is a partial isometry on the truncation, so ker W* is the range of the
@@ -127,9 +127,9 @@ def adjoint_kernel(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     range(1 − ww*) ⊇ ker w*. Y's first k left singular vectors Q are returned
     when two tests pass. Y's singular values give exactly rank k at the usual
     cutoff, anchored at Ω's largest column norm, so Q spans all of
-    range(1 − ww*). And ‖w*Q‖_F ≤ rank_tol puts that range inside ker w* at
-    ``nullspace``'s cutoff. Together they say that ww* is a projection. A k
-    outside [0, N], or a sketch that fails either test, takes the full SVD
+    range(1 − ww*). And ‖w*Q‖_F ≤ rank_tol·‖w‖_F/√N ≤ rank_tol·‖w‖₂ puts that
+    range inside ker w* at ``nullspace``'s cutoff. Together they say that ww*
+    is a projection. A k outside [0, N], or a failed test, takes the full SVD
     route. w* is applied as (x*w)*, so no N×N product or copy is formed.
     """
     w = _as_complex_matrix(w)
@@ -149,7 +149,7 @@ def adjoint_kernel(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     kernel = u[:, :k]
     scale = float(np.max(np.linalg.norm(omega, axis=0)))
     if _rank_from_singular_values(s, tol, scale) != k or not (
-        np.linalg.norm(kernel.conj().T @ w) <= tol.rank_tol
+        np.linalg.norm(kernel.conj().T @ w) <= tol.rank_tol * np.sqrt((n - deficit) / n)
     ):
         return nullspace(w.conj().T, tol)
     return kernel
@@ -167,12 +167,12 @@ def intertwiner_space(
     pairs: list[tuple[np.ndarray, np.ndarray]],
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[np.ndarray]:
-    """Basis of {T : A_i T = T B_i for all pairs (A_i, B_i)}.
+    """Basis of {T : A_i T = T B_i for all pairs (A_i, B_i)}: the tests' dense
+    reference for the commutant solver, which no library path calls.
 
     Each A_i must be square of one size p and each B_i square of one size q;
-    the returned T's are p×q. Uses column-stacking vectorization
-    (vec(A T) = (I ⊗ A) vec T, vec(T B) = (Bᵀ ⊗ I) vec T), so witnesses
-    round-trip deterministically. An empty list means only T = 0 works.
+    the returned T's are p×q, and an empty list means only T = 0 works. Uses
+    column-stacking vectorization: vec(A T) = (I ⊗ A) vec T, vec(T B) = (Bᵀ ⊗ I) vec T.
     """
     if not pairs:
         raise ValueError("need at least one pair of matrices")

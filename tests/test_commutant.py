@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import isorep.commutant
 import isorep.induced
+import isorep.linalg
 from isorep.commutant import (
     _equivalence_from_basis,
     _matched_entries,
@@ -13,9 +16,11 @@ from isorep.commutant import (
     is_irreducible,
     star_commutant_basis,
     star_intertwiner_basis,
+    structured_commutant_basis,
     structured_commutant_dim,
     truncated_commutant_oracle,
 )
+from isorep.cli import main
 from isorep.induced import induce_2d, induced_commutant_check_2d
 from isorep.linalg import DEFAULT_TOL, intertwiner_space, nullspace
 from isorep.repmodel import (
@@ -28,6 +33,7 @@ from isorep.repmodel import (
     reflection_family,
     reparametrize,
 )
+from isorep.suites import seeded_random_family, verify_suite
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -53,6 +59,181 @@ def test_structured_identity_unitary_diagonal():
 
 def test_structured_scalar_case():
     assert structured_commutant_dim(identity_family(1)) == 1
+
+
+def test_structured_dim_of_a_large_doubled_sum():
+    # n = 64: the dense n²×n² route would need a 17 GB system
+    fam = reflection_family(np.full(32, 1 / np.sqrt(32)))
+    assert structured_commutant_dim(direct_sum_family(fam, fam)) == 4
+
+
+# --- structured route against the dense reference ------------------------------------
+
+
+def _unit_vector(rng, n):
+    """Complex unit vector whose coordinates all have modulus ≥ 0.2 before
+    normalization, so reflection_family never warns."""
+    v = rng.uniform(0.2, 1.0, size=n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=n))
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def structured_families(draw):
+    """Checked families on C^n, n ≤ 6: seeded random unitaries over coordinate
+    projections, complex reflections, equal and distinct direct sums of
+    either, and non-coordinate projections of rank 1–3 with U a random
+    unitary, P1 + iP2, 1 or P1 − P2 (the identity on the other blocks)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "reflection", "equal_sum", "distinct_sum", "blocks"]))
+    makers = {
+        "random": lambda n: seeded_random_family(rng, n),
+        "reflection": lambda n: reflection_family(_unit_vector(rng, n)),
+    }
+    if kind in makers:
+        return makers[kind](draw(st.integers(1, 6)))
+    if kind != "blocks":
+        make, n = makers[draw(st.sampled_from(sorted(makers)))], draw(st.integers(1, 3))
+        first = make(n)
+        return direct_sum_family(first, first if kind == "equal_sum" else make(n))
+    n, ranks = draw(st.integers(1, 6)), []
+    while sum(ranks) < n:
+        ranks.append(draw(st.integers(1, min(3, n - sum(ranks)))))
+    q, cuts = _random_unitary(rng, n), np.cumsum([0] + ranks)
+    projections = tuple(q[:, i:j] @ q[:, i:j].conj().T for i, j in zip(cuts, cuts[1:]))
+    second = projections[1] if len(projections) > 1 else 0.0
+    unitary = {
+        "random": _random_unitary(rng, n),
+        "phase": np.eye(n) + (1j - 1) * second,
+        "one": np.eye(n, dtype=complex),
+        "flip": np.eye(n) - 2 * second,
+    }[draw(st.sampled_from(["random", "phase", "one", "flip"]))]
+    return ProjectionFamily(projections=projections, unitary=unitary)
+
+
+def _structured_pairs(fam_a, fam_b):
+    return [(fam_b.unitary, fam_a.unitary)] + [(p, p) for p in fam_a.projections]
+
+
+@settings(max_examples=80, deadline=None)
+@given(structured_families())
+def test_structured_basis_matches_dense_reference(fam):
+    pairs = _structured_pairs(fam, fam)
+    basis = structured_commutant_basis(fam)
+    assert len(basis) == len(intertwiner_space(pairs))
+    for t in basis:
+        assert _star_residual(t, pairs) <= 1e-8
+
+
+@st.composite
+def structured_family_pairs(draw):
+    """(a, b) over a's projections: b is a conjugated by a unitary commuting
+    with every P_i (equivalent), a redrawn unitary, or, on a direct sum, a
+    redrawn unitary on the second summand only."""
+    fam = draw(structured_families())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    how = draw(st.sampled_from(["conjugate", "redraw", "half"]))
+    if how == "conjugate":
+        x = rng.normal(size=(fam.n, fam.n)) + 1j * rng.normal(size=(fam.n, fam.n))
+        v = _exp_i(sum(p @ (x + x.conj().T) @ p for p in fam.projections))
+        unitary = v @ fam.unitary @ v.conj().T
+    elif how == "redraw":
+        unitary = _random_unitary(rng, fam.n)
+    else:
+        half = seeded_random_family(rng, draw(st.integers(1, 3)))
+        fam = direct_sum_family(half, seeded_random_family(rng, half.n))
+        unitary = fam.unitary.copy()
+        unitary[half.n :, half.n :] = _random_unitary(rng, half.n)
+    return fam, ProjectionFamily(projections=fam.projections, unitary=unitary), how
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_family_pairs())
+def test_family_equivalence_matches_dense_reference(case):
+    fam_a, fam_b, how = case
+    pairs = _structured_pairs(fam_a, fam_b)
+    reference = _equivalence_from_basis(intertwiner_space(pairs), pairs, DEFAULT_TOL, 0)
+    verdict = are_unitarily_equivalent(fam_a, fam_b)
+    assert verdict.status == reference.status
+    assert verdict.diagnostics["intertwiner_dim"] == reference.diagnostics["intertwiner_dim"]
+    if how == "conjugate":
+        assert verdict.status == "equivalent"
+    if verdict.status == "equivalent":
+        assert set(verdict.diagnostics) == set(reference.diagnostics)
+        assert _star_residual(verdict.witness, pairs) <= DEFAULT_TOL.identity_tol
+
+
+def _nan_unitary_family():
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = np.nan
+    return ProjectionFamily(projections=coord_projections(2), unitary=u)
+
+
+UNCHECKED_FAMILIES = {
+    "scaled_unitary": (
+        lambda: ProjectionFamily(projections=coord_projections(2), unitary=2 * np.eye(2)),
+        "not unitary",
+    ),
+    "non_projection": (
+        lambda: ProjectionFamily(
+            projections=(np.diag([1.0, 0.0]), np.diag([0.0, 0.5])), unitary=np.eye(2)
+        ),
+        "P_2 is not idempotent",
+    ),
+    "nan_unitary": (_nan_unitary_family, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("name", UNCHECKED_FAMILIES)
+@pytest.mark.parametrize("bad_side", ["both", "second"])
+def test_family_equivalence_checks_its_families(name, bad_side):
+    # unchecked, the first two were called equivalent and the NaN raised
+    # numpy's LinAlgError
+    make, message = UNCHECKED_FAMILIES[name]
+    first = make() if bad_side == "both" else identity_family(2)
+    with pytest.raises(ValueError, match=message):
+        are_unitarily_equivalent(first, make())
+
+
+def _forbid_dense_intertwiner_solve(monkeypatch):
+    """Make every isorep module's intertwiner_space raise."""
+    dense = isorep.linalg.intertwiner_space
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense intertwiner_space was reached")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "isorep" and getattr(module, "intertwiner_space", None) is dense:
+            monkeypatch.setattr(module, "intertwiner_space", forbidden)
+
+
+def _doubled_example2_dim():
+    fam = reflection_family(EX2_VECTOR)
+    return structured_commutant_dim(direct_sum_family(fam, fam)) == 4
+
+
+def _twisted_example2_status():
+    twisted = reflection_family(np.exp(1j * 1.3) * EX2_VECTOR)
+    return are_unitarily_equivalent(reflection_family(EX2_VECTOR), twisted).status == "equivalent"
+
+
+GUARDED_ROUTES = {
+    "structured_dim": _doubled_example2_dim,
+    "family_equivalence": _twisted_example2_status,
+    "example2": lambda: verify_suite("example2").passed,
+    "example3_trunc": lambda: verify_suite("example3_trunc").passed,
+    "projection_random": lambda: verify_suite("projection_random").passed,
+    "cli_irreducible": lambda: main(["irreducible", "--a", "0.5,0.5,0.5,0.5"]) == 0,
+    "cli_equivalent": lambda: main(["equivalent", "--a", "0.6,0.8", "--b", "0.8,0.6"]) == 0,
+    "cli_induce": lambda: main(
+        ["induce", "--a", "0.6,0.8", "--L", "8", "--guard", "2", "--grid", "2"]
+    ) == 0,
+}
+
+
+@pytest.mark.parametrize("route", GUARDED_ROUTES)
+def test_library_never_reaches_the_dense_intertwiner_solve(monkeypatch, capsys, route):
+    _forbid_dense_intertwiner_solve(monkeypatch)
+    assert GUARDED_ROUTES[route]()
 
 
 # --- truncated oracle -------------------------------------------------------------

@@ -188,6 +188,7 @@ def adjoint_kernel_inputs(draw):
                 "rounded",
                 "overfull",
                 "near",
+                "tiny",
             ]
         )
     )
@@ -202,6 +203,10 @@ def adjoint_kernel_inputs(draw):
     w = (rep.W1, rep.W2)[pick]
     if kind == "half":
         return 0.5 * w, False
+    if kind == "tiny":
+        # every singular value below rank_tol: k = N − ‖w‖_F² rounds to N, and
+        # only the annihilation test anchored at ‖w‖_F/√N sends it to the SVD
+        return 10.0 ** -rng.uniform(10.0, 14.0) * w, False
     if kind == "overfull":
         # ‖w‖_F² > N: no sketch size k = N − ‖w‖_F² ≥ 0 exists
         return 2.0 * w, False
@@ -240,7 +245,7 @@ def _kernel_with_route(w):
     return basis, svd_route.called
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=132, deadline=None)
 @given(adjoint_kernel_inputs())
 def test_adjoint_kernel_matches_svd_route(case):
     w, partial_isometry = case
@@ -271,6 +276,21 @@ def test_adjoint_kernel_of_zero_is_everything():
     assert basis.shape == (12, 12)
     assert not fell_back
     assert np.allclose(basis.conj().T @ basis, np.eye(12), rtol=0.0, atol=1e-12)
+
+
+def _one_tiny_entry():
+    w = np.zeros((12, 12))
+    w[3, 4] = 1e-12
+    return w
+
+
+@pytest.mark.parametrize(
+    "w, dim",
+    [(_one_tiny_entry(), 11), (1e-11 * np.kron(np.eye(2), truncated_shift(6)), 2)],
+)
+def test_adjoint_kernel_of_a_tiny_matrix_is_not_everything(w, dim):
+    # ‖w*Q‖_F ≤ rank_tol alone kept all twelve sketch columns here
+    assert adjoint_kernel(w).shape == nullspace(w.conj().T).shape == (12, dim)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
