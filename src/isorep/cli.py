@@ -9,6 +9,7 @@ byte-identical across runs with the same config and seed except for the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,6 +37,11 @@ def _comma_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {exc}")
 
 
+# the destinations of the flags _add_rep_flags gives the first representation,
+# all of which --config replaces
+_REP_FLAGS = ("family", "n", "L", "guard", "kind", "a", "unitary_file", "projections_file")
+
+
 def _add_rep_flags(p: argparse.ArgumentParser, suffix: str = "") -> None:
     p.add_argument(f"--config{suffix}", help="representation config JSON file")
     if suffix == "":
@@ -54,8 +60,19 @@ def _add_rep_flags(p: argparse.ArgumentParser, suffix: str = "") -> None:
         p.add_argument("--b", type=_comma_floats, help="second reflection vector")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse prints usage and exits 2 here, but this tool reserves 2 for
+        # verification failures: a usage error is an input error like any other
+        raise ValueError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The ``isorep`` parser, built on first use and shared by every later
+    call of the process, so callers must not change it. Parsing stores
+    nothing on it; help, version and usage errors leave it as it was."""
+    parser = _Parser(
         prog="isorep",
         description="Commuting-isometry models: index, commutants, equivalence, "
         "induced grid semigroups.",
@@ -101,7 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
-    if getattr(args, "config", None):
+    if args.config:
+        given = [f"--{k.replace('_', '-')}" for k in _REP_FLAGS if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: not allowed with --config")
         with open(args.config, encoding="utf-8") as fh:
             return json.load(fh)
     config: dict = {}
@@ -127,7 +147,9 @@ def _config_from_args(args: argparse.Namespace) -> dict:
 
 
 def _second_config(args: argparse.Namespace) -> dict:
-    if getattr(args, "config2", None):
+    if args.config2:
+        if args.b is not None:
+            raise ValueError("--b: not allowed with --config2")
         with open(args.config2, encoding="utf-8") as fh:
             return json.load(fh)
     if args.b is not None:
@@ -226,17 +248,14 @@ def _write_csv(path: str, results: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; this tool reserves 2 for
-        # verification failures and reports input problems as 1
-        return 0 if exc.code == 0 else 1
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         tol = ToleranceConfig(rank_tol=args.tol_rank, identity_tol=args.tol_id)
         config_echo, results, code = _COMMANDS[args.command](args, tol)
+    except SystemExit as exc:
+        # --help and --version print, then exit 0
+        return exc.code
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

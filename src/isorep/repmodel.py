@@ -581,6 +581,8 @@ def family_from_config(
     takes the uniform profile at every size, so its a_vector must be uniform:
     one vector cannot fix the profile at other sizes. Only reflection configs
     describe a family at other sizes, so the other families must be finite.
+    Without L the family's default truncation is taken, so guard needs L,
+    and a given n must equal the family's size.
     """
     family = config.get("family")
     if family not in ("reflection", "projection", "custom"):
@@ -592,6 +594,8 @@ def family_from_config(
         raise ValueError(
             f"config field kind: {kind} needs family reflection, got {family!r}"
         )
+    if "guard" in config and "L" not in config:
+        raise ValueError("config field guard: needs L, the truncation it guards")
     trunc = None
     if "L" in config:
         trunc = TruncationParams(
@@ -627,6 +631,8 @@ def family_from_config(
                 _config_matrix(p, f"projections[{i}]") for i, p in enumerate(projections)
             ]
         fam = ProjectionFamily(projections=tuple(projections), unitary=unitary)
+    if "n" in config and _config_int(config, "n") != fam.n:
+        raise ValueError(f"config field n: {config['n']} does not match family n={fam.n}")
     return fam, _fit_truncation(fam, trunc)
 
 

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +331,9 @@ def test_uniform_truncated_infinite_vector_probes_growth(capsys):
         ({"L": 8.5, "kind": "bogus"}, "kind"),
         ({"L": 8.5}, "L"),
         ({"guard": None, "L": 12}, "guard"),
+        # without L the default truncation is taken: n must fit, guard is refused
+        ({"n": 5}, "n"),
+        ({"guard": 3}, "guard"),
     ],
 )
 @pytest.mark.parametrize("position", ["--config", "--config2"])
@@ -351,3 +359,144 @@ def test_equivalent_rejects_reflection_config_whose_truncation_does_not_fit(tmp_
     code = main(["equivalent", "--config", str(config), "--b", "1,1,1,1"])
     assert code == 1
     assert "does not match" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["build", "--a=0.6,0.8", "--n", "3"], "n"),
+        (["index", "--a=0.6,0.8", "--n", "3"], "n"),
+        (["build", "--a=0.6,0.8", "--guard", "5"], "guard"),
+        (["irreducible", "--a=0.6,0.8", "--n", "2", "--guard", "5"], "guard"),
+        (["equivalent", "--a=0.6,0.8", "--n", "3", "--b=0.8,0.6"], "n"),
+    ],
+)
+def test_n_or_guard_without_L_exits_one_naming_the_field(args, field, capsys):
+    # both used to be echoed in the config and ignored by the computation
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"config field {field}" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--L", "12", "--guard", "3", "--a=0.5,0.5,0.5,0.5"], "--L, --guard, --a"),
+        (["--family", "reflection"], "--family"),
+        (["--n", "4"], "--n"),
+        (["--kind", "finite"], "--kind"),
+        (["--unitary-file", "u.json"], "--unitary-file"),
+        (["--projections-file", "p.json"], "--projections-file"),
+    ],
+)
+def test_config_excludes_the_representation_flags(tmp_path, capsys, flags, named):
+    cfg = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"family": "reflection", "a_vector": [0.5, 0.5, 0.5, 0.5]}))
+    code = main(["build", "--config", str(cfg), *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith(f"{named}: not allowed with --config")
+
+
+def test_config2_excludes_b_but_config_takes_it(tmp_path, capsys):
+    cfg = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"family": "reflection", "a_vector": [0.6, 0.8]}))
+    code = main(["equivalent", "--a=0.6,0.8", "--config2", str(cfg), "--b=0.8,0.6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("--b: not allowed with --config2")
+    # --config and --b describe the two different representations
+    code, report = run_cli(["equivalent", "--config", str(cfg), "--b=-0.6,0.8"], capsys)
+    assert code == 0
+    assert report["results"]["status"] == "equivalent"
+
+
+# --- one parser per process -------------------------------------------------------
+
+# every subcommand, with --help, --version and usage errors in between
+_SEQUENCE = [
+    ["index", "--a=0.6,0.8"],
+    ["--help"],
+    ["build", "--family", "reflection", "--a=0.6,0.8", "--L", "8", "--guard", "3"],
+    ["--version"],
+    ["irreducible", "--a=0.6,0.8", "--L", "8", "--guard", "3"],
+    ["index", "--bogus"],
+    ["equivalent", "--a=0.6,0.8", "--b=-0.6,0.8"],
+    ["induce", "--help"],
+    ["induce", "--a=0.6,0.8", "--L", "8", "--guard", "2", "--grid", "2"],
+    ["frobnicate"],
+    ["verify-suite", "--preset", "example2", "--seed", "1"],
+    ["index", "--a=0.6,0.8", "--seed", "2"],
+]
+
+
+def _run_modulo_meta(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    try:
+        report = json.loads(out)
+    except ValueError:  # help and version text
+        return code, out, err
+    report.pop("meta")
+    return code, report, err
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "isorep":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    isorep.cli.build_parser.cache_clear()
+    shared = [_run_modulo_meta(argv, capsys) for argv in _SEQUENCE]
+    assert len(built) == 1
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
+    for argv, outcome in zip(_SEQUENCE, shared):
+        isorep.cli.build_parser.cache_clear()
+        assert _run_modulo_meta(argv, capsys) == outcome, argv
+
+
+# --- the entry point as its own process -------------------------------------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _isorep_process(*argv):
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "isorep.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_entry_point_process_exit_codes_and_streams():
+    run = _isorep_process("index", "--a=0.6,0.8")
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert json.loads(run.stdout)["results"]["index"] == {"finite": 1}  # one JSON report
+
+    # argparse's own exit 2 is an input error here
+    run = _isorep_process("index", "--a=0.6,0.8", "--bogus")
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert "--bogus" in json.loads(run.stderr)["error"]
+
+    run = _isorep_process("build", "--a=0.6,0.8", "--n", "3")
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert "config field n" in json.loads(run.stderr)["error"]
+
+    run = _isorep_process("--version")
+    assert run.returncode == 0
+    assert run.stdout.startswith("isorep ")

@@ -404,6 +404,22 @@ def test_rep_from_config_requires_integer_unitary_rows(bad):
         rep_from_config(config)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"n": 3}, "n"), ({"guard": 5}, "guard"), ({"n": 2, "guard": 5}, "guard")],
+)
+@pytest.mark.parametrize("family", ["reflection", "projection"])
+def test_rep_from_config_rejects_n_or_guard_it_would_ignore(family, fields, name):
+    # without L the default truncation is taken, which used to drop both fields
+    base = {
+        "reflection": {"family": "reflection", "a_vector": [0.6, 0.8]},
+        "projection": {"family": "projection", "unitary": matrix_to_json(np.eye(2))},
+    }[family]
+    with pytest.raises(ValueError, match=f"config field {name}:"):
+        rep_from_config({**base, **fields})
+    assert rep_from_config({**base, "n": 2}).trunc == default_truncation(2, 2)
+
+
 def test_rep_from_config_rejects_non_uniform_truncated_infinite_vector():
     config = {"family": "reflection", "a_vector": [0.9, 0.1, 0.3, 0.2], "kind": "truncated_infinite"}
     with pytest.raises(ValueError, match="a_vector"):
