@@ -18,11 +18,15 @@ axis in 2-d (adjoints for the adjoint). A step cocycle holds η_(q + wrapped)
 on each cell of the forward map.
 
 A grid gives each translation cell by cell (``cells``: a source cell and a
-fiber block per cell). The grid checks, step-cocycle additivity, the adjoint
-kernels and isometry residuals at any grid time, the 1-d cocycle solve and
-the grid commutant read these cell maps and blocks and never form a dense
-grid product; ``V`` and the adjoints are their scatters, kept as the dense
-references.
+fiber block per cell). Underneath, a time's layout is a source cell and a
+row of a small block table per cell (``_layout``), and every block is a row
+of that table, a fiber power. The adjoint, semigroup and axis-flip checks
+compose and compare the layouts in integers and evaluate each distinct block
+identity once; the adjoint kernels and isometry residuals take one solve or
+one residual per distinct block. Step-cocycle additivity, the 1-d cocycle
+solve and the grid commutant read cell maps and blocks too, and none of them
+forms a dense grid product; ``V`` and the adjoints are the scatters of
+``cells``, kept as the dense references.
 
 The 2-d grid commutant is solved on the fiber. Every cell wraps exactly once
 in M steps, so V(1/M, 0)^M = 1 ⊗ W1 and V(0, 1/M)^M = 1 ⊗ W2 as matrices, and

@@ -9,10 +9,12 @@ re-derive their criteria independently.
 Each grid identity shared by the induced batteries (region adjoint, semigroup
 law, index and commutant preservation) is written once below and called by
 ``induced1d``, ``induced2d`` and ``induce_report`` alike. The adjoint,
-semigroup and axis-flip checks compare translations cell by cell, never as
-dense products; kernel dimensions, isometry residuals and the adjoint pairing
-read cells too, and the cocycle and commutant solves run on per-cell kernels
-and on the fiber, so no battery assembles a dense grid translation.
+semigroup and axis-flip checks key each cell by integers read off the grid's
+cached layouts (block-table rows, and whether the sources agree) and compare
+each distinct key's blocks once, never dense products; kernel dimensions,
+isometry residuals and the adjoint pairing read cells too, and the cocycle
+and commutant solves run on per-cell kernels and on the fiber, so no battery
+assembles a dense grid translation.
 """
 from __future__ import annotations
 
@@ -157,25 +159,48 @@ def _grid_times(m: int, horizon: int, axes: int) -> list[tuple[float, ...]]:
     return list(product([j / m for j in range(horizon * m + 1)], repeat=axes))
 
 
-def _cellwise_deviation(p, q) -> float:
-    """max|P − Q| for translations given as (source, blocks) per cell: the
-    block difference where a cell's sources agree, else both whole blocks."""
-    (source_p, blocks_p), (source_q, blocks_q) = p, q
-    same = (source_p == source_q)[:, None, None]
-    apart = np.maximum(np.abs(blocks_p), np.abs(blocks_q))
-    return float(np.max(np.where(same, np.abs(blocks_p - blocks_q), apart)))
+def _keys(*columns: np.ndarray) -> set[tuple]:
+    """The distinct rows of per-cell integer columns, as tuples."""
+    return set(zip(*(column.tolist() for column in columns)))
 
 
-def _transposed(source, blocks):
-    """V* cell by cell: cell d reads src⁻¹(d) through B[src⁻¹(d)]*."""
-    inverse = np.argsort(source)  # the cell map is a permutation
-    return inverse, blocks[inverse].conj().transpose(0, 2, 1)
+def _distinct_deviation(keys: set[tuple], left, right) -> float:
+    """max|P − Q| for translations compared cell by cell, from the distinct
+    per-cell keys (*P's block key, Q's block key, whether the cell's sources
+    agree): the block difference where the sources agree, else both whole
+    blocks. ``left`` and ``right`` form a block from its key; each distinct
+    key is evaluated once and the worst decides, as in
+    ``isometry_deviation``."""
+    deviations = []
+    for *p, q, same in keys:
+        a, b = left(*p), right(q)
+        deviations.append(np.abs(a - b) if same else np.maximum(np.abs(a), np.abs(b)))
+    return _worst(deviations)
 
 
-def _composed(g: GridRep1 | GridRep2, a, b):
-    """V(a)V(b) cell by cell: cell c reads src_b(src_a(c)) through B_a[c]·B_b[src_a(c)]."""
-    (source_a, blocks_a), (source_b, blocks_b) = g.cells(*a), g.cells(*b)
-    return source_b[source_a], blocks_a @ blocks_b[source_a]
+def _adjoint_deviation(g: GridRep1 | GridRep2, times) -> float:
+    """V(t)* from its regions against V(t) conjugate-transposed: cell d of V*
+    reads src⁻¹(d) through B[src⁻¹(d)]*, the cell map being a permutation."""
+    keys = set()
+    for ts in times:
+        source, rows, table = g._layout(ts, 1)
+        inverse = np.argsort(source)
+        adjoint_source, adjoint_rows, adjoint_table = g._layout(ts, -1)
+        keys |= _keys(adjoint_rows, rows[inverse], adjoint_source == inverse)
+    # the block tables only grow, so the last ones read hold every row
+    return _distinct_deviation(keys, adjoint_table.__getitem__, lambda r: table[r].conj().T)
+
+
+def _semigroup_deviation(g: GridRep1 | GridRep2, pairs) -> float:
+    """V(a)V(b) against V(a + b): cell c of the product reads src_b(src_a(c))
+    through B_a[c]·B_b[src_a(c)]."""
+    keys = set()
+    for a, b in pairs:
+        source_a, rows_a, _ = g._layout(a, 1)
+        source_b, rows_b, _ = g._layout(b, 1)
+        source, rows, table = g._layout(tuple(map(add, a, b)), 1)
+        keys |= _keys(rows_a, rows_b[source_a], rows, source_b[source_a] == source)
+    return _distinct_deviation(keys, lambda ra, rb: table[ra] @ table[rb], table.__getitem__)
 
 
 def _adjoint_check(times, *grids: GridRep1 | GridRep2) -> CheckResult:
@@ -185,20 +210,37 @@ def _adjoint_check(times, *grids: GridRep1 | GridRep2) -> CheckResult:
         axes, regions = "1d", "region-assembled"
     else:
         axes, regions = "2d", "four-region"
-    pairs = ((g.cells(*ts, sign=-1), _transposed(*g.cells(*ts))) for g in grids for ts in times)
     return _residual_check(
         f"adjoint_region_formula_{axes}",
         f"{regions} adjoint equals the conjugate transpose",
-        _worst(_cellwise_deviation(*pair) for pair in pairs),
+        _worst(_adjoint_deviation(g, times) for g in grids),
         1e-12,
     )
 
 
 def _semigroup_check(pairs, description: str, *grids: GridRep1 | GridRep2) -> CheckResult:
     """V(a)V(b) = V(a + b) entrywise for every pair of grid times (a, b)."""
-    sides = ((_composed(g, a, b), g.cells(*map(add, a, b))) for g in grids for a, b in pairs)
-    worst = _worst(_cellwise_deviation(*side) for side in sides)
+    worst = _worst(_semigroup_deviation(g, pairs) for g in grids)
     return _residual_check("semigroup_law_exact", description, worst, 0.0)
+
+
+def _axis_flip_check(grid: GridRep2) -> CheckResult:
+    """V(s, 0) against the flip conjugate of 1 ⊗ V₁(s), V₁ the 1-d grid of
+    W1, at s in [0, 1]: cell (cx, cy) reads (src(cx), cy) through B(cx)."""
+    m = grid.M
+    line = induce_1d(grid.rep.W1, m)
+    keys = set()
+    for (s,) in _grid_times(m, 1, 1):
+        line_source, line_rows, line_table = line._layout((s,), 1)
+        source, rows, table = grid._layout((s, 0), 1)
+        conjugate = (line_source[:, None] * m + np.arange(m)).ravel()
+        keys |= _keys(line_rows.repeat(m), rows, conjugate == source)
+    return _residual_check(
+        "axis_flip_identity",
+        "x-translations are the flip conjugates of ampliated 1-d translations",
+        _distinct_deviation(keys, line_table.__getitem__, table.__getitem__),
+        0.0,
+    )
 
 
 def _grid_preservation_checks(
@@ -520,15 +562,6 @@ def _suite_induced2d(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
     rep = _example2_rep()
     m_cells = 2
     grid = induce_2d(rep, m_cells)
-    g1x = induce_1d(rep.W1, m_cells)
-    flips = []
-    for (s,) in _grid_times(m_cells, 1, 1):
-        # the flip conjugate of 1 ⊗ V₁(s): cell (cx, cy) reads (src(cx), cy) through B(cx)
-        source, blocks = g1x.cells(s)
-        conjugate = (source[:, None] * m_cells + np.arange(m_cells)).ravel()
-        flips.append(
-            _cellwise_deviation((conjugate, blocks.repeat(m_cells, axis=0)), grid.cells(s, 0))
-        )
     space = cocycle_space(rep, tol)
     lifts = [lift_cocycle_2d(coc, grid, tol) for coc in space.basis]
     additivity = [
@@ -538,12 +571,7 @@ def _suite_induced2d(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
     ]
     return [
         _adjoint_check(_grid_times(m_cells, 2, 2), grid),
-        _residual_check(
-            "axis_flip_identity",
-            "x-translations are the flip conjugates of ampliated 1-d translations",
-            _worst(flips),
-            0.0,
-        ),
+        _axis_flip_check(grid),
         _residual_check(
             "lifted_cocycle_additivity_2d",
             "lifted step cocycles satisfy 2-d additivity at grid pairs",

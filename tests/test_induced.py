@@ -1,12 +1,13 @@
 import tracemalloc
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isorep import induced
+from isorep import induced, suites
 from isorep.cocycle import Cocycle2, cocycle_pair_basis, cocycle_space
 from isorep.commutant import star_commutant_basis, structured_commutant_basis
 from isorep.induced import (
@@ -37,7 +38,7 @@ from isorep.repmodel import (
     reflection_family,
 )
 from isorep.suites import (
-    _adjoint_check, _grid_times, _semigroup_check, induce_report, verify_suite
+    _adjoint_check, _axis_flip_check, _grid_times, _semigroup_check, induce_report, verify_suite
 )
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
@@ -727,13 +728,14 @@ def test_cellwise_checks_match_dense_products(kind, n, m, seed):
         assert tensor >= 0.1
 
 
-def _off_by_one_adjoint_wrap(monkeypatch):
-    """Make the adjoint's wrapped cells read one cell too far."""
+def _off_by_one_wrap(monkeypatch, mutated_sign):
+    """Make the wrapped cells of V (sign +1) or of its adjoint (−1) read one
+    cell too far."""
     cell_map = induced._cell_map
 
     def shifted(m, j, sign):
         q, source, wrapped = cell_map(m, j, sign)
-        if sign < 0:
+        if sign == mutated_sign:
             source = np.where(wrapped == 1, (source + 1) % m, source)
         return q, source, wrapped
 
@@ -742,7 +744,7 @@ def _off_by_one_adjoint_wrap(monkeypatch):
 
 @pytest.mark.parametrize("axes", [1, 2])
 def test_mismatched_adjoint_cells_fail_as_the_dense_check(monkeypatch, axes):
-    _off_by_one_adjoint_wrap(monkeypatch)
+    _off_by_one_wrap(monkeypatch, -1)
     m = 3
     if axes == 1:
         sigma, mask = shift_fiber(2, 8)
@@ -757,6 +759,142 @@ def test_mismatched_adjoint_cells_fail_as_the_dense_check(monkeypatch, axes):
     assert dense >= 1.0
     assert check.residual == dense
     assert not check.passed
+
+
+@pytest.mark.parametrize("axes", [1, 2])
+def test_mismatched_semigroup_cells_fail_as_the_dense_check(monkeypatch, axes):
+    _off_by_one_wrap(monkeypatch, 1)
+    m = 3
+    if axes == 1:
+        sigma, mask = shift_fiber(2, 8)
+        grid = induce_1d(sigma, m, mask)
+    else:
+        grid = induce_2d(small_rep(), m)
+    times = _grid_times(m, 1, axes)
+    pairs = [(a, b) for a in times for b in times]
+    dense = max(
+        np.max(np.abs(grid.V(*a) @ grid.V(*b) - grid.V(*map(add, a, b)))) for a, b in pairs
+    )
+    check = _semigroup_check(pairs, "", grid)
+    assert dense >= 1.0
+    assert check.residual == dense
+    assert not check.passed
+
+
+# --- distinct-key checks against the per-cell route ------------------------------------
+# The adjoint, semigroup and axis-flip checks evaluate each distinct per-cell key
+# (block, block, sources agree) once. The per-cell helpers below form and compare
+# one fiber block per cell; both routes take the same block products and compare
+# them entry by entry, so the residuals agree exactly.
+
+
+def _cellwise_deviation(p, q) -> float:
+    """max|P − Q| for translations given as (source, blocks) per cell: the
+    block difference where a cell's sources agree, else both whole blocks."""
+    (source_p, blocks_p), (source_q, blocks_q) = p, q
+    same = (source_p == source_q)[:, None, None]
+    apart = np.maximum(np.abs(blocks_p), np.abs(blocks_q))
+    return float(np.max(np.where(same, np.abs(blocks_p - blocks_q), apart)))
+
+
+def _transposed(source, blocks):
+    """V* cell by cell: cell d reads src⁻¹(d) through B[src⁻¹(d)]*."""
+    inverse = np.argsort(source)  # the cell map is a permutation
+    return inverse, blocks[inverse].conj().transpose(0, 2, 1)
+
+
+def _composed(g, a, b):
+    """V(a)V(b) cell by cell: cell c reads src_b(src_a(c)) through B_a[c]·B_b[src_a(c)]."""
+    (source_a, blocks_a), (source_b, blocks_b) = g.cells(*a), g.cells(*b)
+    return source_b[source_a], blocks_a @ blocks_b[source_a]
+
+
+def _cellwise_residuals(grids, times, pairs):
+    """Worst adjoint and semigroup deviations over the grids, cell by cell."""
+    adjoint = max(
+        _cellwise_deviation(g.cells(*ts, sign=-1), _transposed(*g.cells(*ts)))
+        for g in grids
+        for ts in times
+    )
+    semigroup = max(
+        _cellwise_deviation(_composed(g, a, b), g.cells(*map(add, a, b)))
+        for g in grids
+        for a, b in pairs
+    )
+    return adjoint, semigroup
+
+
+def _cellwise_flip(grid):
+    """x-translations against the flip conjugates of 1 ⊗ V₁(s), cell by cell."""
+    m = grid.M
+    line = induce_1d(grid.rep.W1, m)
+    flips = []
+    for (s,) in _grid_times(m, 1, 1):
+        source, blocks = line.cells(s)
+        conjugate = (source[:, None] * m + np.arange(m)).ravel()
+        flips.append(
+            _cellwise_deviation((conjugate, blocks.repeat(m, axis=0)), grid.cells(s, 0))
+        )
+    return max(flips)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(CHECK_PAIRS),
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_distinct_key_checks_match_cellwise_route(kind, n, m, seed, data):
+    rep = _check_pair(kind, n, seed)
+    sigma, mask = shift_fiber(n, 8)
+    lines = [induce_1d(sigma, m, mask), induce_1d(rep.W2, m)]
+    line_times = _grid_times(m, 2, 1)
+    line_pairs = [(a, b) for a in line_times for b in line_times]
+    grid = induce_2d(rep, m)
+    times = _grid_times(m, 1, 2)
+    # up to (M + 1)^4 pairs of 2-d times: a drawn subset keeps the per-cell
+    # reference fast
+    time_pairs = st.tuples(st.sampled_from(times), st.sampled_from(times))
+    pairs = data.draw(st.lists(time_pairs, min_size=1, max_size=40))
+    got = (
+        _adjoint_check(line_times, *lines).residual,
+        _semigroup_check(line_pairs, "", *lines).residual,
+        _adjoint_check(times, grid).residual,
+        _semigroup_check(pairs, "", grid).residual,
+        _axis_flip_check(grid).residual,
+    )
+    want = (
+        *_cellwise_residuals(lines, line_times, line_pairs),
+        *_cellwise_residuals([grid], times, pairs),
+        _cellwise_flip(grid),
+    )
+    assert got == want
+
+
+def test_semigroup_check_forms_as_many_products_at_every_m(monkeypatch):
+    # one fiber product per distinct (row_a, row_b[src_a], row_{a+b}, sources
+    # agree) key, where the per-cell route forms M² products per pair of times
+    products = []
+    distinct = suites._distinct_deviation
+
+    def counted(keys, left, right):
+        def product(*p):
+            products.append(p)
+            return left(*p)
+
+        return distinct(keys, product, right)
+
+    monkeypatch.setattr(suites, "_distinct_deviation", counted)
+    rep = build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3))
+    counts = []
+    for m in (2, 3, 4, 6):
+        products.clear()
+        times = _grid_times(m, 1, 2)
+        assert _semigroup_check([(ts, ts[::-1]) for ts in times], "", induce_2d(rep, m)).passed
+        counts.append(len(products))
+    assert counts == [14, 14, 14, 14]
 
 
 # --- fiber commutant solve and per-cell kernels against the dense generators --------
