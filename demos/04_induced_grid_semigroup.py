@@ -5,6 +5,8 @@ grid time permutes cells and applies lattice powers of the pair on the wrap.
 Everything the construction promises -- the semigroup law, the region-wise
 adjoint formula, kernel descriptions, cocycle lifting, and the commutant
 identity -- is checkable to rounding error because no interpolation enters.
+A cocycle is lifted from its generator values: eta_1 in ker sigma* for one
+parameter, the generator pair for two.
 """
 import numpy as np
 
@@ -14,7 +16,6 @@ from isorep import (
     adjoint_kernel,
     build_reflection_rep,
     cocycle_space,
-    discrete_cocycle_values,
     grid_cocycle_space_1d,
     induce_1d,
     induce_2d,
@@ -32,10 +33,11 @@ print("1-d semigroup law V(1/2)V(3/4) == V(5/4):",
 print("solved grid cocycle dimension:", grid_cocycle_space_1d(grid, 2),
       "(the shift multiplicity)")
 
+# a cocycle of sigma is fixed by its generator eta_1 in ker sigma*
 eta1 = adjoint_kernel(sigma)[:, 0]
-lift = lift_cocycle_1d(discrete_cocycle_values(sigma, eta1, 3), grid)
+lift = lift_cocycle_1d(eta1, grid)
 print("lifted cocycle additivity residual at (1/2, 3/4):",
-      lift.additivity_residual(0.5, 0.75))
+      lift.additivity_residual((0.5,), (0.75,)))
 
 # two parameters: the n=4 reflection pair, 2 cells per axis
 rep = build_reflection_rep(np.array([0.5, 0.5, 0.5, 0.5]), TruncationParams(4, 8, 3))

@@ -59,8 +59,7 @@ from .induced import (
     GridRep1,
     GridRep2,
     InducedCommutantReport,
-    StepCocycle1,
-    StepCocycle2,
+    StepCocycle,
     adjoint_1d,
     adjoint_2d,
     discrete_cocycle_values,

@@ -219,8 +219,6 @@ def index(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
 
 
 def _index_growth_probe(fam: ProjectionFamily, tol: ToleranceConfig) -> IndexResult:
-    if fam.regenerate is None:
-        raise ValueError("truncated_infinite family lacks a regenerate recipe")
     dims: tuple[int, ...] = ()
     for size in (fam.n, 2 * fam.n):
         fam_s = fam if size == fam.n else fam.regenerate(size)

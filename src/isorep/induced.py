@@ -14,8 +14,10 @@ Wrap rule, per axis, written once in ``_cell_map``: translation by j/M with
 j = q·M + r makes cell c of V read cell c + r, and cell c of the adjoint read
 cell c − r. A cell whose source leaves [0, M) wraps around and takes one
 extra power: σ^(q+1) in place of σ^q in 1-d, one more W1 or W2 per wrapped
-axis in 2-d (adjoints for the adjoint). A step cocycle holds η_(q + wrapped)
-on each cell of the forward map.
+axis in 2-d (adjoints for the adjoint). ``_cell_exponents`` gives each cell's
+source and exponents q + wrapped, to the translations and to the one step
+cocycle of both grids, which holds the lattice value η_(q + wrapped) on each
+cell of the forward map, generated by η_1 in 1-d and by the pair in 2-d.
 
 A grid gives each translation cell by cell (``cells``: a source cell and a
 fiber block per cell). Underneath, a time's layout is a source cell and a
@@ -45,6 +47,7 @@ from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import product
 from operator import add
+from typing import Callable
 
 import numpy as np
 
@@ -58,8 +61,7 @@ from .cocycle import Cocycle2, evaluate, pair_basis_from_kernels
 __all__ = [
     "GridRep1",
     "GridRep2",
-    "StepCocycle1",
-    "StepCocycle2",
+    "StepCocycle",
     "InducedCommutantReport",
     "induce_1d",
     "adjoint_1d",
@@ -127,17 +129,26 @@ class _GridTranslations:
             rows[exponents] = len(rows)
         return rows[exponents]
 
+    def _cell_exponents(self, ts, sign: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Flat source cell and per-axis fiber exponents q + wrapped of each
+        cell, cells in grid order, for translation by the grid times ts."""
+        q, source, wrapped = zip(*(_cell_map(self.M, self.grid_index(t), sign) for t in ts))
+        flat = [reduce(lambda a, b: a * self.M + b, c) for c in product(*source)]
+        return flat, [tuple(map(int, e)) for e in product(*map(add, q, wrapped))]
+
     def _layout(self, ts, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Source cell and block-table row per cell, and the block table,
         whose row 0 is the identity."""
         key = ("cells", tuple(map(self.grid_index, ts)), sign)
         if key not in self._cache:
             self._row((0,) * len(ts), sign)
-            q, source, wrapped = zip(*(_cell_map(self.M, j, sign) for j in key[1]))
-            flat = [reduce(lambda a, b: a * self.M + b, c) for c in product(*source)]
-            rows = [self._row(tuple(map(int, e)), sign) for e in product(*map(add, q, wrapped))]
-            self._cache[key] = np.array(flat), np.array(rows)
+            flat, exponents = self._cell_exponents(ts, sign)
+            self._cache[key] = np.array(flat), np.array([self._row(e, sign) for e in exponents])
         return (*self._cache[key], self._cache[("table", sign)])
+
+    def V(self, *ts) -> np.ndarray:
+        """Dense V(ts), the scatter of ``cells``, kept as the reference."""
+        return _translation(self, ts)
 
     def cells(self, *ts, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Translation by the grid times ts (sign −1: its adjoint) cell by
@@ -189,9 +200,6 @@ class GridRep1(_GridTranslations):
     def _power(self, k: int) -> np.ndarray:
         return np.linalg.matrix_power(self.sigma, k)
 
-    def V(self, t) -> np.ndarray:
-        return _translation(self, (t,))
-
 
 def induce_1d(
     sigma: np.ndarray, m: int, fiber_interior: np.ndarray | None = None
@@ -225,61 +233,58 @@ def shift_fiber(multiplicity: int, levels: int, guard: int = 2):
 
 def discrete_cocycle_values(sigma: np.ndarray, eta1: np.ndarray, count: int) -> np.ndarray:
     """The values eta_0 … eta_count generated by eta_{k+1} = eta_k + sigma^k eta_1."""
-    f = sigma.shape[0]
-    eta1 = np.asarray(eta1, dtype=complex).ravel()
-    out = np.zeros((count + 1, f), dtype=complex)
-    power = np.eye(f, dtype=complex)
+    out = np.zeros((count + 1, sigma.shape[0]), dtype=complex)
+    step = np.asarray(eta1, dtype=complex).ravel()
     for k in range(1, count + 1):
-        out[k] = out[k - 1] + power @ eta1
-        power = sigma @ power
+        out[k] = out[k - 1] + step
+        step = sigma @ step
     return out
 
 
 @dataclass
-class StepCocycle1:
-    """Step-function cocycle of a 1-d grid semigroup, determined by the
-    discrete values eta_k: constant eta_n below the wrap cell, eta_{n+1} above."""
+class StepCocycle:
+    """Step-function cocycle of a grid semigroup in one or two axes.
 
-    grid: GridRep1
-    eta: np.ndarray  # (K+1, F)
+    ``value(*e)`` is the discrete cocycle at the lattice point e (one exponent
+    per axis), cached by ``lattice_value``. At grid times ts, each cell holds
+    the value at the exponents of the fiber power that V(ts) applies there.
+    """
 
-    def at(self, t) -> np.ndarray:
-        q, _, wrapped = _cell_map(self.grid.M, self.grid.grid_index(t), 1)
-        index = q + wrapped
-        if index.max() >= self.eta.shape[0]:
-            raise ValueError(f"no discrete values stored past index {self.eta.shape[0] - 1}")
-        return self.eta[index].astype(complex).ravel()
+    grid: GridRep1 | GridRep2
+    value: Callable[..., np.ndarray]
+    _values: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def additivity_residual(self, s, t) -> float:
-        return _additivity_residual(self, (s,), (t,))
+    def lattice_value(self, *e: int) -> np.ndarray:
+        if e not in self._values:
+            self._values[e] = self.value(*e)
+        return self._values[e]
+
+    def at(self, *ts) -> np.ndarray:
+        _, exponents = self.grid._cell_exponents(ts, 1)
+        return np.concatenate([self.lattice_value(*e) for e in exponents])
+
+    def additivity_residual(self, a, b) -> float:
+        """max |xi(a + b) − (xi(a) + V(a) xi(b))| at the grid times a and b
+        (one time per axis each), with V(a) applied cell by cell."""
+        lhs = self.at(*(float(x) + float(y) for x, y in zip(a, b)))
+        rhs = self.at(*a) + self.grid.apply(a, self.at(*b))
+        return float(np.max(np.abs(lhs - rhs)))
 
 
 def lift_cocycle_1d(
-    eta: np.ndarray, grid: GridRep1, tol: ToleranceConfig = DEFAULT_TOL
-) -> StepCocycle1:
-    """Lift discrete cocycle values to a step cocycle of the grid semigroup.
-
-    The values must satisfy eta_0 = 0, sigma* eta_1 = 0 and the additivity
-    recursion; the violated relation is reported otherwise.
-    """
-    eta = np.asarray(eta, dtype=complex)
-    if eta.ndim != 2 or eta.shape[1] != grid.fiber_dim:
-        raise ValueError(f"eta must be (K+1, {grid.fiber_dim})")
-    if eta.shape[0] < 2:
-        raise ValueError("need at least eta_0 and eta_1")
-    # each test is written so that a NaN residual fails it
-    if not float(np.max(np.abs(eta[0]))) <= tol.identity_tol:
-        raise ValueError("eta_0 must vanish")
-    kernel_dev = float(np.max(np.abs(grid.sigma.conj().T @ eta[1])))
-    if not kernel_dev <= tol.identity_tol:
+    eta1: np.ndarray, grid: GridRep1, tol: ToleranceConfig = DEFAULT_TOL
+) -> StepCocycle:
+    """Lift the cocycle with generator eta_1 ∈ ker sigma* to a step cocycle
+    of the grid semigroup; its lattice values are ``discrete_cocycle_values``."""
+    eta1 = np.asarray(eta1, dtype=complex)
+    if eta1.shape != (grid.fiber_dim,):
+        raise ValueError(f"eta_1 must have shape ({grid.fiber_dim},), got {eta1.shape}")
+    if not np.isfinite(eta1).all():
+        raise ValueError("eta_1 has non-finite entries")
+    kernel_dev = float(np.max(np.abs(grid.sigma.conj().T @ eta1)))
+    if not kernel_dev <= tol.identity_tol:  # an overflow's NaN fails
         raise ValueError(f"sigma* eta_1 != 0 (residual {kernel_dev:.3e})")
-    power = np.eye(grid.fiber_dim, dtype=complex)
-    for k in range(eta.shape[0] - 1):
-        dev = float(np.max(np.abs(eta[k + 1] - eta[k] - power @ eta[1])))
-        if not dev <= tol.identity_tol:
-            raise ValueError(f"eta_{k + 1} != eta_{k} + sigma^{k} eta_1 (residual {dev:.3e})")
-        power = grid.sigma @ power
-    return StepCocycle1(grid=grid, eta=eta)
+    return StepCocycle(grid, lambda k: discrete_cocycle_values(grid.sigma, eta1, k)[k])
 
 
 def grid_cocycle_space_1d(grid: GridRep1, horizon, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -289,21 +294,26 @@ def grid_cocycle_space_1d(grid: GridRep1, horizon, tol: ToleranceConfig = DEFAUL
     from the first one, xi_{j/M} = Σ_{k<j} V(k/M) xi_{1/M}, so only xi_{1/M}
     is solved for: the rows demand xi_{j/M} ∈ ker V(j/M)* for j ≤ horizon·M.
     Kernel first: xi_{1/M} = K c with K = ``grid_adjoint_kernel`` at 1/M,
-    which settles j = 1, and the rows V(j/M)* Σ_{k<j} V(k/M) K for j ≥ 2 are
-    applied cell by cell. K is orthonormal and the translations have unit
-    scale, so the cutoff is anchored at scale 1. Additivity at every other
-    grid pair then follows from the exact semigroup law
-    V(j/M) V(k/M) = V((j+k)/M), which the ``semigroup_law_exact`` check
-    asserts.
+    which settles j = 1. For j ≥ 2 the rows are the last terms
+    B_j = V(j/M)* V((j−1)/M) K, applied cell by cell, not the accumulated
+    A_j = V(j/M)* Σ_{k<j} V(k/M) K; both stacks have one kernel. With
+    V = V(1/M) and the exact grid law V(j/M) = V^j, A_j − B_j is
+    Σ_{k≤j−2} V*^(j−k−1) (V*^(k+1) V^k K); its k = 0 term vanishes as V*K = 0,
+    and each k ≥ 1 term is V*^(j−k−1) applied to the earlier row B_(k+1). So
+    A_j c = B_j c wherever B_2 … B_(j−1) vanish, and by induction on j the
+    stacks vanish on the same c. K is orthonormal and the translations have
+    unit scale, so the cutoff is anchored at scale 1. Additivity at every
+    other grid pair follows from the exact semigroup law, which the
+    ``semigroup_law_exact`` check asserts.
     """
     j_max = grid.grid_index(horizon)
     if j_max < grid.M:
         raise ValueError("horizon must be at least one time unit")
     kernel = grid_adjoint_kernel(grid, (1 / grid.M,), tol)
-    partial_sum, rows = kernel.copy(), []
-    for j in range(2, j_max + 1):
-        partial_sum += grid.apply(((j - 1) / grid.M,), kernel)
-        rows.append(grid.apply((j / grid.M,), partial_sum, sign=-1))
+    rows = [
+        grid.apply((j / grid.M,), grid.apply(((j - 1) / grid.M,), kernel), sign=-1)
+        for j in range(2, j_max + 1)
+    ]
     return kernel.shape[1] - numerical_rank(np.vstack(rows), tol, scale=1.0)
 
 
@@ -326,21 +336,15 @@ class GridRep2(_GridTranslations):
     def _power(self, a: int, b: int) -> np.ndarray:
         return sigma_power(self.rep, a, b)
 
-    def V(self, s, t) -> np.ndarray:
-        return _translation(self, (s, t))
-
 
 def induce_2d(rep: IsoRep2, m: int) -> GridRep2:
     return GridRep2(M=_cell_count(m), rep=rep)
 
 
 def adjoint_2d(grid: GridRep2, s, t) -> np.ndarray:
-    """V(s,t)* assembled from its four-region description.
-
-    Cell (cx, cy) reads (cx − r1, cy − r2) with the adjoint of the lower
-    lattice power of the pair; each wrapped axis (cx < r1, cy < r2) adds one
-    generator adjoint.
-    """
+    """V(s,t)* from its four-region description: cell (cx, cy) reads
+    (cx − r1, cy − r2) with the adjoint of the lower lattice power of the
+    pair, and each wrapped axis (cx < r1, cy < r2) adds one generator adjoint."""
     return _translation(grid, (s, t), sign=-1)
 
 
@@ -428,54 +432,13 @@ def _grid_commutant_dim(grid: GridRep2, basis: list[np.ndarray], tol: ToleranceC
     return dim
 
 
-@dataclass
-class StepCocycle2:
-    """Step-function cocycle of a 2-d grid semigroup.
-
-    Lattice values are produced on demand from the generating pair and
-    cached; at time (s,t) the step function takes the four lattice values on
-    the four wrap rectangles.
-    """
-
-    grid: GridRep2
-    cocycle: Cocycle2
-    tol: ToleranceConfig = DEFAULT_TOL
-    _values: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def lattice_value(self, m: int, n: int) -> np.ndarray:
-        key = (m, n)
-        if key not in self._values:
-            self._values[key] = evaluate(self.cocycle, self.grid.rep, key, self.tol)
-        return self._values[key]
-
-    def at(self, s, t) -> np.ndarray:
-        q1, _, wx = _cell_map(self.grid.M, self.grid.grid_index(s), 1)
-        q2, _, wy = _cell_map(self.grid.M, self.grid.grid_index(t), 1)
-        return np.concatenate(
-            [self.lattice_value(int(a), int(b)) for a in q1 + wx for b in q2 + wy]
-        )
-
-    def additivity_residual(self, st1, st2) -> float:
-        return _additivity_residual(self, st1, st2)
-
-
-def _additivity_residual(cocycle: StepCocycle1 | StepCocycle2, a, b) -> float:
-    """max |xi(a + b) − (xi(a) + V(a) xi(b))| at grid times a and b, with V(a)
-    applied cell by cell."""
-    lhs = cocycle.at(*(float(x) + float(y) for x, y in zip(a, b)))
-    rhs = cocycle.at(*a) + cocycle.grid.apply(a, cocycle.at(*b))
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def lift_cocycle_2d(
-    c: Cocycle2, grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL
-) -> StepCocycle2:
+def lift_cocycle_2d(c: Cocycle2, grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) -> StepCocycle:
     """Lift a cocycle of the pair to a step cocycle on ``grid``, the grid of
-    that pair."""
+    that pair; its lattice values are ``evaluate``d from the generator pair."""
     worst = c.max_residual(grid.rep)
     if not worst <= tol.identity_tol:  # a NaN residual fails
         raise ValueError(f"not a cocycle of the pair (residual {worst:.3e})")
-    return StepCocycle2(grid=grid, cocycle=c, tol=tol)
+    return StepCocycle(grid, lambda a, b: evaluate(c, grid.rep, (a, b), tol))
 
 
 @dataclass(frozen=True)

@@ -103,18 +103,20 @@ def truncated_shift(L: int) -> np.ndarray:
 class ProjectionFamily:
     """A unitary U together with mutually orthogonal projections summing to 1.
 
-    ``kind`` is "finite" for genuinely finite families and
-    "truncated_infinite" when the family is a size-n snapshot of an infinite
-    one; in the latter case ``regenerate`` rebuilds the family at another n so
-    index computations can report growth instead of a single number.
+    ``kind`` is "truncated_infinite" for a size-n snapshot of an infinite
+    family, whose ``regenerate`` recipe rebuilds it at another n so index
+    computations can report growth instead of a single number, else "finite".
     """
 
     projections: tuple[np.ndarray, ...]
     unitary: np.ndarray
-    kind: str = "finite"
     regenerate: Callable[[int], "ProjectionFamily"] | None = field(
         default=None, compare=False, repr=False
     )
+
+    @property
+    def kind(self) -> str:
+        return "finite" if self.regenerate is None else "truncated_infinite"
 
     @property
     def n(self) -> int:
@@ -322,7 +324,6 @@ def truncated_infinite_reflection_family(
     return ProjectionFamily(
         projections=base.projections,
         unitary=base.unitary,
-        kind="truncated_infinite",
         regenerate=regenerate,
     )
 

@@ -41,7 +41,6 @@ from .commutant import (
 from .induced import (
     GridRep1,
     GridRep2,
-    discrete_cocycle_values,
     grid_adjoint_kernel,
     grid_cocycle_pair_basis,
     grid_cocycle_space_1d,
@@ -505,10 +504,9 @@ def _suite_induced1d(tol: ToleranceConfig, seed: int) -> list[CheckResult]:
 
         kernel = adjoint_kernel(sigma, tol)
         for col in range(kernel.shape[1]):
-            eta = discrete_cocycle_values(sigma, kernel[:, col], 3)
-            lift = lift_cocycle_1d(eta, grid, tol)
+            lift = lift_cocycle_1d(kernel[:, col], grid, tol)
             additivity += [
-                lift.additivity_residual(j / m_cells, k / m_cells)
+                lift.additivity_residual((j / m_cells,), (k / m_cells,))
                 for j in range(m_cells + 1)
                 for k in range(m_cells + 1)
                 if j + k > 0

@@ -24,7 +24,6 @@ from isorep.commutant import (
 from isorep.induced import (
     adjoint_1d,
     adjoint_2d,
-    discrete_cocycle_values,
     grid_cocycle_space_1d,
     induce_1d,
     induce_2d,
@@ -139,13 +138,12 @@ def test_criterion_7_induced_1d_dimensions():
         assert grid_cocycle_space_1d(grid, 2, TOL) == mult
         kernel = nullspace(sigma.conj().T, TOL)
         for col in range(kernel.shape[1]):
-            lift = lift_cocycle_1d(
-                discrete_cocycle_values(sigma, kernel[:, col], 3), grid, TOL
-            )
+            lift = lift_cocycle_1d(kernel[:, col], grid, TOL)
             for j in range(2 * m_cells + 1):
                 for k in range(2 * m_cells + 1 - j):
                     if j + k:
-                        assert lift.additivity_residual(j / m_cells, k / m_cells) <= 1e-10
+                        a, b = (j / m_cells,), (k / m_cells,)
+                        assert lift.additivity_residual(a, b) <= 1e-10
     announce(7, "grid cocycle space has dimension m for shift multiplicity m in {1,2,3}; "
                 "lifted cocycles are additive at every grid pair within horizon 2")
 

@@ -12,7 +12,7 @@ from isorep.cocycle import Cocycle2, cocycle_pair_basis, cocycle_space
 from isorep.commutant import star_commutant_basis, structured_commutant_basis
 from isorep.induced import (
     GridRep2,
-    StepCocycle1,
+    StepCocycle,
     adjoint_1d,
     adjoint_2d,
     discrete_cocycle_values,
@@ -260,22 +260,21 @@ def test_interior_isometry_and_range_projection():
 def test_lift_zero_time_is_zero():
     sigma, mask = shift_fiber(1, 8)
     grid = induce_1d(sigma, 4, mask)
-    eta1 = nullspace(sigma.conj().T)[:, 0]
-    lift = lift_cocycle_1d(discrete_cocycle_values(sigma, eta1, 3), grid)
+    lift = lift_cocycle_1d(nullspace(sigma.conj().T)[:, 0], grid)
     assert np.max(np.abs(lift.at(0))) == 0.0
 
 
 def test_lift_half_step_cell_values():
     sigma, mask = shift_fiber(1, 8)
     grid = induce_1d(sigma, 4, mask)
-    eta = discrete_cocycle_values(sigma, nullspace(sigma.conj().T)[:, 0], 3)
-    out = lift_cocycle_1d(eta, grid).at(0.5)
+    eta1 = nullspace(sigma.conj().T)[:, 0]
+    out = lift_cocycle_1d(eta1, grid).at(0.5)
     f = grid.fiber_dim
     cells = [out[c * f : (c + 1) * f] for c in range(4)]
     assert np.max(np.abs(cells[0])) == 0.0
     assert np.max(np.abs(cells[1])) == 0.0
-    assert np.allclose(cells[2], eta[1])
-    assert np.allclose(cells[3], eta[1])
+    assert np.allclose(cells[2], eta1)
+    assert np.allclose(cells[3], eta1)
 
 
 def test_lift_additivity():
@@ -283,35 +282,37 @@ def test_lift_additivity():
     grid = induce_1d(sigma, 4, mask)
     kernel = nullspace(sigma.conj().T)
     for col in range(kernel.shape[1]):
-        lift = lift_cocycle_1d(discrete_cocycle_values(sigma, kernel[:, col], 3), grid)
-        assert lift.additivity_residual(0.5, 0.75) <= 1e-12
+        lift = lift_cocycle_1d(kernel[:, col], grid)
+        assert lift.additivity_residual((0.5,), (0.75,)) <= 1e-12
         for j in range(5):
             for k in range(5):
                 if 0 < j + k <= 8:
-                    assert lift.additivity_residual(j / 4, k / 4) <= 1e-10
+                    assert lift.additivity_residual((j / 4,), (k / 4,)) <= 1e-10
 
 
 def test_lift_rejects_invalid_values():
     sigma, mask = shift_fiber(1, 8)
     grid = induce_1d(sigma, 4, mask)
-    bad = np.zeros((3, grid.fiber_dim), dtype=complex)
-    bad[1, 3] = 1.0  # not in ker sigma*
-    with pytest.raises(ValueError, match="sigma"):
+    eta1 = nullspace(sigma.conj().T)[:, 0]
+    # a table of values, a column and a truncated vector are not eta_1
+    for bad in (discrete_cocycle_values(sigma, eta1, 3), eta1[:, None], eta1[1:]):
+        with pytest.raises(ValueError, match="shape"):
+            lift_cocycle_1d(bad, grid)
+    bad = eta1.copy()
+    bad[3] = 1.0  # not in ker sigma*
+    with pytest.raises(ValueError, match=r"sigma\* eta_1"):
         lift_cocycle_1d(bad, grid)
-    eta = discrete_cocycle_values(sigma, nullspace(sigma.conj().T)[:, 0], 3)
-    eta[2] += 1.0
-    with pytest.raises(ValueError, match="eta_2"):
-        lift_cocycle_1d(eta, grid)
 
 
-@pytest.mark.parametrize("row", [0, 1, 2])
-def test_lift_rejects_non_finite_values(row):
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_lift_rejects_non_finite_values(entry):
+    # the NaN is named as such wherever it sits, on ker sigma* (entry 0) or off it
     sigma, mask = shift_fiber(1, 8)
     grid = induce_1d(sigma, 4, mask)
-    eta = discrete_cocycle_values(sigma, nullspace(sigma.conj().T)[:, 0], 3)
-    eta[row, 3] = np.nan
-    with pytest.raises(ValueError, match=f"eta_{row}"):
-        lift_cocycle_1d(eta, grid)
+    eta1 = nullspace(sigma.conj().T)[:, 0]
+    eta1[entry] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        lift_cocycle_1d(eta1, grid)
 
 
 @pytest.mark.parametrize("mult", [1, 2, 3])
@@ -392,7 +393,7 @@ def test_1d_translations_match_dense_reference(kind, m, data):
     _assert_matches(grid.V(j / m), _induced_matrix(grid.sigma, m, j), exact)
     _assert_matches(adjoint_1d(grid, j / m), _adjoint_formula_matrix(grid.sigma, m, j), exact)
     eta = rng.normal(size=(5, grid.fiber_dim)) + 1j * rng.normal(size=(5, grid.fiber_dim))
-    step = StepCocycle1(grid=grid, eta=eta)
+    step = StepCocycle(grid, lambda k: eta[k])
     assert np.array_equal(step.at(j / m), _reference_step_1d(eta, m, j))
 
 
@@ -531,6 +532,25 @@ def test_2d_lift_rejects_non_finite_cocycle(name):
 
 @settings(max_examples=20, deadline=None)
 @given(
+    n=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 7),
+    m=st.sampled_from([2, 3, 4]),
+    data=st.data(),
+)
+def test_2d_lift_on_the_x_axis_is_the_1d_lift(n, seed, m, data):
+    # at (s, 0) every y-cell holds eta_(k, 0), the 1-d cocycle of W1 with
+    # generator eta10, on the x-cell's exponent k
+    j = data.draw(st.integers(0, 2 * m), label="j")
+    rep, _ = _reflection_pair(n, seed)
+    grid = induce_1d(rep.W1, m)
+    for c in cocycle_space(rep).basis:
+        plane = lift_cocycle_2d(c, induce_2d(rep, m)).at(j / m, 0).reshape(m, m, -1)
+        line = lift_cocycle_1d(c.eta10, grid).at(j / m).reshape(m, 1, -1)
+        assert np.max(np.abs(plane - line)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
     axes=st.sampled_from([1, 2]),
     seed=st.integers(0, 7),
     m=st.sampled_from([2, 3]),
@@ -544,19 +564,18 @@ def test_cellwise_additivity_matches_dense_product(axes, seed, m, junk, data):
     if axes == 1:
         sigma, mask = shift_fiber(2, 8)
         grid = induce_1d(sigma, m, mask)
-        eta = discrete_cocycle_values(sigma, nullspace(sigma.conj().T)[:, 0], 3)
-        lift = StepCocycle1(grid, rng.normal(size=eta.shape) if junk else eta)
+        lift = lift_cocycle_1d(nullspace(sigma.conj().T)[:, 0], grid)
     else:
         rep, cocycle = _reflection_pair(2, seed)
         grid = induce_2d(rep, m)
         lift = lift_cocycle_2d(cocycle, grid)
-        if junk:
-            # times up to 2 read the lattice values at (p, q) with p, q <= 2
-            lift._values.update({pq: rng.normal(size=rep.dim) for pq in np.ndindex(3, 3)})
+    if junk:
+        # times up to 2 read the lattice values with every exponent <= 2
+        lift._values.update({e: rng.normal(size=grid.fiber_dim) for e in np.ndindex((3,) * axes)})
     a, b = ([data.draw(st.integers(0, m)) / m for _ in range(axes)] for _ in range(2))
     total = [x + y for x, y in zip(a, b)]
     dense = lift.at(*total) - (lift.at(*a) + grid.V(*a) @ lift.at(*b))
-    got = lift.additivity_residual(*a, *b) if axes == 1 else lift.additivity_residual(a, b)
+    got = lift.additivity_residual(a, b)
     assert got == pytest.approx(float(np.max(np.abs(dense))), rel=1e-14, abs=1e-15)
     if junk:
         assert got >= 0.1
