@@ -16,6 +16,7 @@ from isorep.repmodel import (
     build_projection_family_rep,
     build_reflection_rep,
     default_truncation,
+    level_band,
     reflection_family,
     rep_from_config,
     reparametrize,
@@ -486,6 +487,15 @@ def test_validation_verdicts_are_nan_safe(devs):
 # --- interior masks against the dense projector -------------------------------------
 
 
+def _dense_deviations(pair):
+    """max|p(W*W − 1)p| per generator and max|p[W1, W2]p|, p the interior projector."""
+    p = np.diag(pair.trunc.level_mask().astype(complex))
+    eye = np.eye(pair.dim)
+    dense = [np.max(np.abs(p @ (w.conj().T @ w - eye) @ p)) for w in (pair.W1, pair.W2)]
+    dense.append(np.max(np.abs(p @ (pair.W1 @ pair.W2 - pair.W2 @ pair.W1) @ p)))
+    return dense
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_mask_route_matches_dense_projector(seed):
@@ -496,18 +506,13 @@ def test_mask_route_matches_dense_projector(seed):
     fam = ProjectionFamily(projections=coord_projections(n), unitary=q)
     rep = build_projection_family_rep(fam, TruncationParams(n, 16, 2 * n))
     p = np.diag(rep.trunc.level_mask().astype(complex))
-    eye = np.eye(rep.dim)
 
     # a perturbed pair makes every deviation sizeable
     g = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
     for pair in (rep, IsoRep2(W1=rep.W1 + 0.1 * g, W2=rep.W2, trunc=rep.trunc)):
         report = validate(pair)
-        dense = [
-            np.max(np.abs(p @ (w.conj().T @ w - eye) @ p)) for w in (pair.W1, pair.W2)
-        ]
-        dense.append(np.max(np.abs(p @ (pair.W1 @ pair.W2 - pair.W2 @ pair.W1) @ p)))
         masked = [report.isometry_dev_w1, report.isometry_dev_w2, report.commutation_dev]
-        np.testing.assert_allclose(masked, dense, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(masked, _dense_deviations(pair), rtol=1e-12, atol=1e-15)
 
     purity = strong_purity_check(rep, depth=3)
     for w, ranks in zip((rep.W1, rep.W2), purity.rank_sequences):
@@ -521,3 +526,84 @@ def test_mask_route_matches_dense_projector(seed):
         dev = max(np.max(np.abs(t_int @ w - w @ t_int)) for w in w_int)
         survivors += dev <= DEFAULT_TOL.identity_tol
     assert truncated_commutant_oracle(rep) == survivors
+
+
+# --- level band of the generators -------------------------------------------------------
+
+
+def test_level_band_of_example2():
+    rep = example2_rep()
+    assert level_band(rep.W1, rep.trunc) == (1, 1)
+    assert level_band(rep.W2, rep.trunc) == (0, 3)
+    assert level_band(np.zeros_like(rep.W1), rep.trunc) == (0, 0)
+    # a NaN counts as nonzero: at row level 0, column level 7 it opens offset −7
+    w2 = rep.W2.copy()
+    w2[0, 7] = np.nan
+    assert level_band(w2, rep.trunc) == (-7, 3)
+
+
+def _level_banded(rng, trunc, offsets):
+    """A random matrix whose nonzero level blocks sit at the level offsets
+    (out − in) given."""
+    n, L = trunc.n, trunc.L
+    g = np.zeros((n, L, n, L), dtype=complex)
+    for off in offsets:
+        for level in range(max(0, -off), min(L, L - off)):
+            g[:, level + off, :, level] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g.reshape(trunc.dim, trunc.dim)
+
+
+def _band_route_pair(kind, seed):
+    """A family pair (reparametrized for that kind) and the same pair
+    perturbed: within each generator's band, by blocks above the diagonal
+    (negative offsets), or densely."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    # a one-chunk interior spans at most two chunk widths; L ≥ 24 spans more
+    L = int(rng.integers(2 * n, 16)) if kind == "one_chunk" else int(rng.integers(24, 41))
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    fam = ProjectionFamily(projections=coord_projections(n), unitary=np.linalg.qr(z)[0])
+    rep = build_projection_family_rep(fam, TruncationParams(n, L, n))
+    if kind == "reparametrized":
+        rep = reparametrize(rep, (1, 1), ((2, 1), (1, 2))[seed % 2])
+    gens = [rep.W1, rep.W2]
+    if kind == "above_diagonal":
+        gens[1] = gens[1] + 0.1 * _level_banded(rng, rep.trunc, [-2, -1])
+    elif kind == "dense":
+        gens[0] = gens[0] + 0.1 * _level_banded(rng, rep.trunc, range(1 - L, L))
+    else:
+        for i, w in enumerate(gens):
+            lo, hi = level_band(w, rep.trunc)
+            gens[i] = w + 0.1 * _level_banded(rng, rep.trunc, range(lo, hi + 1))
+    return rep, IsoRep2(W1=gens[0], W2=gens[1], trunc=rep.trunc)
+
+
+@pytest.mark.parametrize(
+    "kind", ["one_chunk", "chunks", "reparametrized", "above_diagonal", "dense"]
+)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_band_route_matches_dense_projector(kind, seed):
+    for pair in _band_route_pair(kind, seed):
+        report = validate(pair)
+        got = [report.isometry_dev_w1, report.isometry_dev_w2, report.commutation_dev]
+        dense = _dense_deviations(pair)
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-15)
+        assert report.ok == (max(dense) <= report.tol)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry", [(1, 0), (1, 7), (7, 7)], ids=["interior", "guard_column", "guard"]
+)
+@pytest.mark.parametrize("name", ["W1", "W2"])
+def test_validate_fails_non_finite_entries(name, entry, value):
+    # (1, 7) is an interior row in a guard column, (7, 7) a guard row and
+    # column: no interior product reads the latter
+    rep = example2_rep()
+    gens = {"W1": rep.W1.copy(), "W2": rep.W2.copy()}
+    gens[name][entry] = value
+    report = validate(IsoRep2(W1=gens["W1"], W2=gens["W2"], trunc=rep.trunc))
+    assert not report.ok
+    devs = [report.isometry_dev_w1, report.isometry_dev_w2, report.commutation_dev]
+    assert np.isnan(devs).all()
