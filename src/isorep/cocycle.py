@@ -8,6 +8,15 @@ relation is imposed only in the k1+k2 coordinates of ker W1* ⊕ ker W2*. It is
 restricted to the interior so truncation artifacts in the guard band cannot
 inflate the dimension. The index of the representation is that dimension,
 certified by agreement at two truncation levels.
+
+The kernels come from ``pair_adjoint_kernels``. A family-built pair's are its
+wandering subspaces in closed form, C^n ⊗ δ_0 and (U ⊗ 1)·⊕_i range P_i ⊗
+span{δ_0 … δ_{i-2}}, kept only after ``adjoint_kernel``'s gate against the
+dense W (column count, W*K, and a Gaussian probe of WW* + KK* = 1); any other
+pair, or a rejected candidate, takes the sketch of 1 − WW*, and an input the
+sketch fails takes the SVD of W*. The closed-form kernels live on the levels
+below d − 1, so W1·K2, W2·K1 and the compatibility solve run on the rows that
+are not exactly zero.
 """
 from __future__ import annotations
 
@@ -16,13 +25,21 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, matrix_to_json, nullspace
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    adjoint_kernel,
+    matrix_to_json,
+    nullspace,
+    product_on_support,
+)
 from .repmodel import (
     IsoRep2,
     ProjectionFamily,
     TruncationParams,
     build_projection_family_rep,
     certify_two_truncations,
+    pair_adjoint_kernels,
     reparametrize,
     validate,
 )
@@ -129,25 +146,40 @@ def pair_basis_from_kernels(
     kernels K1, K2 of w1*, w2* and the products w1·K2, w2·K1."""
     if k1.shape[1] + k2.shape[1] == 0:
         return np.zeros((2 * k1.shape[0], 0), dtype=complex)
-    coeffs = nullspace(np.hstack([k1 - w2k1, w1k2 - k2]), tol, scale=1.0)
+    coeffs = _nonzero_row_kernel(np.hstack([k1 - w2k1, w1k2 - k2]), tol)
     return np.vstack([k1 @ coeffs[: k1.shape[1]], k2 @ coeffs[k1.shape[1] :]])
+
+
+def _nonzero_row_kernel(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """``nullspace(a, tol, scale=1.0)`` solved on the rows of ``a`` that are
+    not exactly zero: the others constrain nothing, and with none left the
+    kernel is everything."""
+    rows = a.any(axis=1)
+    if not rows.any():
+        return np.eye(a.shape[1], dtype=complex)
+    return nullspace(a if rows.all() else a[rows], tol, scale=1.0)
 
 
 def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSpace:
     """Interior-supported solutions of the three cocycle constraints.
 
-    The kernel-first pair solve gives an orthonormal basis of all solutions;
-    the interior ones are the kernel of its guard-band rows (cutoff at scale
-    1, the basis's norm), so the basis stays orthonormal. Solutions touching
-    the guard band are truncation suspects; they are dropped and the space is
-    flagged unstable when any were present.
+    The kernel-first pair solve, on ``pair_adjoint_kernels``, gives an
+    orthonormal basis of all solutions; the interior ones are the kernel of
+    its guard-band rows (cutoff at scale 1, the basis's norm), so the basis
+    stays orthonormal. Solutions touching the guard band are truncation
+    suspects; they are dropped and the space is flagged unstable when any
+    were present. A family pair's solutions never reach the guard band, whose
+    rows are then exactly zero and need no solve.
     """
     report = validate(rep, tol)
     if not report.ok:
         raise ValueError(f"representation fails validation: {report.as_dict()}")
-    full = cocycle_pair_basis(rep.W1, rep.W2, tol)
+    k1, k2 = pair_adjoint_kernels(rep, tol)
+    full = pair_basis_from_kernels(
+        k1, k2, product_on_support(rep.W1, k2), product_on_support(rep.W2, k1), tol
+    )
     guard_rows = full[~np.tile(rep.trunc.level_mask(), 2)]
-    inner = full if guard_rows.size == 0 else full @ nullspace(guard_rows, tol, scale=1.0)
+    inner = full if guard_rows.size == 0 else full @ _nonzero_row_kernel(guard_rows, tol)
     n = rep.dim
     basis = tuple(Cocycle2(eta10=v[:n], eta01=v[n:]) for v in inner.T.copy())
     discarded = full.shape[1] - len(basis)

@@ -15,6 +15,12 @@ blocks outside a generator's band of level offsets are exactly zero.
 ``validate`` forms its Gram and commutator products on chunks of interior
 levels from the blocks inside the bands only, and fails any pair with a
 non-finite entry before it multiplies anything.
+
+The kernels of W1* and W2* are the pair's wandering subspaces, known in closed
+form from the family (``family_kernel_candidates``). ``pair_adjoint_kernels``
+is the one place a pair's adjoint kernels are taken: it offers those bases to
+``adjoint_kernel``'s gate against the dense generators, and a pair without a
+family, or one the gate rejects, takes the sketch of 1 − WW*.
 """
 from __future__ import annotations
 
@@ -47,6 +53,8 @@ __all__ = [
     "direct_sum_family",
     "build_projection_family_rep",
     "build_reflection_rep",
+    "family_kernel_candidates",
+    "pair_adjoint_kernels",
     "validate",
     "interior_isometry_deviation",
     "strong_purity_check",
@@ -253,6 +261,56 @@ def build_projection_family_rep(
         return build_projection_family_rep(fam, tr, tol)
 
     return IsoRep2(W1=w1, W2=w2, trunc=trunc, family=fam, rebuild=rebuild)
+
+
+def family_kernel_candidates(
+    fam: ProjectionFamily, trunc: TruncationParams
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Closed-form orthonormal bases of ker W1* and ker W2* for the pair that
+    ``build_projection_family_rep`` assembles from ``fam`` at ``trunc``.
+
+    W1* = 1 ⊗ S* kills C^n ⊗ δ_0. W2* = (Σ_i P_i ⊗ S*^{i-1})(U* ⊗ 1), and on
+    range P_i ⊗ C^L its first factor is 1 ⊗ S*^{i-1}, which kills
+    span{δ_0 … δ_{i-2}}. So ker W2* = (U ⊗ 1)·⊕_i range P_i ⊗ span{δ_0 …
+    δ_{i-2}}, of dimension Σ_i (i−1)·rank P_i. The ranges are read off one
+    ``eigh`` of H = Σ_i (i/d) P_i, whose eigenvalue i/d has eigenspace
+    range P_i. These are candidates: ``adjoint_kernel`` keeps them only when
+    they pass its gate against the dense generators. (None, None) when the
+    family does not fit the truncation.
+    """
+    n, L, d = trunc.n, trunc.L, fam.d
+    if fam.n != n or d > L:
+        return None, None
+    k1 = np.zeros((n, L, n), dtype=complex)
+    k1[np.arange(n), 0, np.arange(n)] = 1.0
+    h = sum((i + 1) / d * np.asarray(p, dtype=complex) for i, p in enumerate(fam.projections))
+    eigvals, eigvecs = np.linalg.eigh(h)
+    # the eigenvector of eigenvalue i/d spans levels δ_0 … δ_{i-2}
+    depths = np.clip(np.rint(eigvals * d).astype(int), 1, d) - 1
+    vectors = np.repeat(np.arange(n), depths)
+    levels = np.concatenate([np.arange(depth) for depth in depths])
+    k2 = np.zeros((n, L, vectors.size), dtype=complex)
+    k2[:, levels, np.arange(vectors.size)] = (fam.unitary @ eigvecs)[:, vectors]
+    return k1.reshape(n * L, n), k2.reshape(n * L, vectors.size)
+
+
+def pair_adjoint_kernels(
+    rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of ker W1* and ker W2* (``adjoint_kernel``).
+
+    A family-carrying pair offers its ``family_kernel_candidates`` to the
+    gate against the dense generators, so a pair altered after its build
+    (scaled, rotated, a guard column changed) is still answered for the pair
+    it is; a pair without a family takes the sketch.
+    """
+    candidates = (None, None)
+    if rep.family is not None:
+        candidates = family_kernel_candidates(rep.family, rep.trunc)
+    return (
+        adjoint_kernel(rep.W1, tol, candidates[0]),
+        adjoint_kernel(rep.W2, tol, candidates[1]),
+    )
 
 
 def _fit_truncation(
@@ -585,12 +643,11 @@ def strong_purity_check(
     mask = rep.trunc.level_mask()
     interior_dim = rep.trunc.interior_dim
 
+    mults = [kernel.shape[1] for kernel in pair_adjoint_kernels(rep, tol)]
     verdicts: list[str] = []
-    mults: list[int] = []
     rank_seqs: list[tuple[int, ...]] = []
     faithful: list[int] = []
-    for w in (rep.W1, rep.W2):
-        m = adjoint_kernel(w, tol).shape[1]
+    for w, m in zip((rep.W1, rep.W2), mults):
         ranks = []
         power = np.eye(rep.dim, dtype=complex)
         for _ in range(depth):
@@ -607,7 +664,6 @@ def strong_purity_check(
             verdicts.append("not_pure")
         else:
             verdicts.append("inconclusive")
-        mults.append(m)
         rank_seqs.append(tuple(ranks))
         faithful.append(k_max)
 

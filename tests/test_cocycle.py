@@ -1,10 +1,13 @@
 import itertools
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isorep.linalg
 from isorep.cocycle import (
     Cocycle2,
     InconsistentCocycleError,
@@ -17,6 +20,7 @@ from isorep.cocycle import (
     family_witness_residual,
     index,
     index_formula_projection_family,
+    pair_basis_from_kernels,
     restrict_to_subsemigroup,
 )
 from isorep.linalg import DEFAULT_TOL, nullspace
@@ -26,8 +30,10 @@ from isorep.repmodel import (
     TruncationParams,
     build_projection_family_rep,
     build_reflection_rep,
+    pair_adjoint_kernels,
     reflection_family,
     reparametrize,
+    strong_purity_check,
     truncated_infinite_reflection_family,
     truncated_shift,
 )
@@ -437,3 +443,126 @@ def test_extend_rejects_invalid_values():
     junk = {(1, 1): rng.normal(size=rep.dim), (2, 1): rng.normal(size=rep.dim)}
     with pytest.raises(ValueError, match="not a cocycle"):
         extend_cocycle(rep, (1, 1), (2, 1), junk)
+
+
+# --- family kernels and the compatibility solve on nonzero rows --------------------
+
+
+def _unitary(rng, n, fixed=0):
+    """Haar unitary, or one with ker(U - 1) of dimension ``fixed`` planted and
+    the other eigenvalues kept away from 1."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    if not fixed:
+        return q
+    phases = np.exp(1j * rng.uniform(0.3, 2 * np.pi - 0.3, size=n - fixed))
+    return q @ np.diag(np.concatenate([np.ones(fixed), phases])) @ q.conj().T
+
+
+def _random_rank_projections(rng, n):
+    """d ∈ [1, n + 1] projections of random ranks (zero allowed) onto the
+    coordinate blocks of a random basis."""
+    basis = _unitary(rng, n)
+    d = int(rng.integers(1, n + 2))
+    cuts = np.sort(rng.integers(0, n + 1, size=d - 1))
+    bounds = [0, *cuts, n]
+    return tuple(
+        basis[:, lo:hi] @ basis[:, lo:hi].conj().T for lo, hi in zip(bounds, bounds[1:])
+    )
+
+
+@st.composite
+def family_built_reps(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["haar", "planted", "reflection"]))
+    if kind == "reflection":
+        a = rng.uniform(0.2, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        fam = reflection_family(a / np.linalg.norm(a))
+    else:
+        u = _unitary(rng, n, int(rng.integers(1, n + 1)) if kind == "planted" else 0)
+        random_ranks = draw(st.booleans())
+        projections = _random_rank_projections(rng, n) if random_ranks else coord_projections(n)
+        fam = ProjectionFamily(projections=projections, unitary=u)
+    trunc = None
+    if draw(st.booleans()):
+        # the tight truncation: guard = d - 1, and just enough interior for d levels
+        guard = max(fam.d - 1, 1)
+        trunc = TruncationParams(n, fam.d + guard + draw(st.integers(0, 2)), guard)
+    return build_projection_family_rep(fam, trunc)
+
+
+def _no_sketch():
+    """Patch that fails on any sketch of 1 - WW*."""
+    return mock.patch.object(
+        isorep.linalg, "_sketch_adjoint_kernel", side_effect=AssertionError("sketch")
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_built_reps())
+def test_family_kernels_match_the_dense_kernels(rep):
+    with _no_sketch():
+        kernels = pair_adjoint_kernels(rep)
+        space = cocycle_space(rep)
+    for w, kernel in zip((rep.W1, rep.W2), kernels):
+        reference = nullspace(w.conj().T)
+        assert kernel.shape == reference.shape
+        gap = np.max(np.abs(projector(kernel) - projector(reference)), initial=0.0)
+        assert gap <= 1e-10
+    sketched = cocycle_space(replace(rep, family=None))
+    assert (space.dim, space.stable, space.discarded) == (
+        sketched.dim,
+        sketched.stable,
+        sketched.discarded,
+    )
+
+
+def test_index_of_a_family_pair_makes_no_sketch_call():
+    rep = example2_rep()
+    probe = build_projection_family_rep(truncated_infinite_reflection_family(3))
+    with _no_sketch():
+        assert index(rep).to_json() == {"finite": 3}
+        assert index(probe).to_json() == {"unbounded_with_truncation": {"dims": [2, 5]}}
+        assert strong_purity_check(rep, depth=3).multiplicities == (4, 6)
+    sketch = isorep.linalg._sketch_adjoint_kernel
+    with mock.patch.object(isorep.linalg, "_sketch_adjoint_kernel", wraps=sketch) as spy:
+        assert index(replace(rep, family=None)).to_json() == {"finite": 3}
+    assert spy.called
+
+
+@st.composite
+def sparse_kernel_systems(draw):
+    """Orthonormal K1, K2 and products W1·K2, W2·K1 with rows that are exactly
+    zero, or a system that is all zero (W2·K1 = K1, W1·K2 = K2)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 12))
+
+    def sparse(cols, orthonormal):
+        out = np.zeros((size, cols), dtype=complex)
+        rows = np.flatnonzero(rng.random(size) < rng.uniform(0.2, 0.9))
+        if orthonormal:
+            rows = np.union1d(rows, rng.permutation(size)[:cols])
+        z = rng.normal(size=(rows.size, cols)) + 1j * rng.normal(size=(rows.size, cols))
+        out[rows] = np.linalg.qr(z)[0] if orthonormal else z
+        return out
+
+    k1, k2 = (sparse(draw(st.integers(0, min(4, size))), True) for _ in range(2))
+    if draw(st.booleans()):
+        return k1, k2, k2, k1
+    return k1, k2, sparse(k2.shape[1], False), sparse(k1.shape[1], False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_kernel_systems())
+def test_compatibility_solve_on_nonzero_rows_matches_full_nullspace(system):
+    k1, k2, w1k2, w2k1 = system
+    got = pair_basis_from_kernels(k1, k2, w1k2, w2k1, DEFAULT_TOL)
+    split = k1.shape[1]
+    if split + k2.shape[1] == 0:
+        assert got.shape == (2 * k1.shape[0], 0)
+        return
+    coeffs = nullspace(np.hstack([k1 - w2k1, w1k2 - k2]), scale=1.0)
+    want = np.vstack([k1 @ coeffs[:split], k2 @ coeffs[split:]])
+    assert got.shape == want.shape
+    assert np.max(np.abs(projector(got) - projector(want)), initial=0.0) <= 1e-10

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from isorep import induced, suites
+from isorep import induced, linalg, suites
 from isorep.cocycle import Cocycle2, cocycle_pair_basis, cocycle_space
 from isorep.commutant import star_commutant_basis, structured_commutant_basis
 from isorep.induced import (
@@ -34,7 +34,9 @@ from isorep.repmodel import (
     build_projection_family_rep,
     build_reflection_rep,
     direct_sum_family,
+    family_kernel_candidates,
     interior_isometry_deviation,
+    pair_adjoint_kernels,
     reflection_family,
 )
 from isorep.suites import (
@@ -964,6 +966,32 @@ def _fiber_pair(kind, n, seed):
 
 
 FIBER_PAIRS = ["reflection", "planted", "nonpure", "blind_spot", "doubled", "rotated", "half_w1"]
+
+
+def _altered_pair(kind, n, seed):
+    """A pair that keeps the family of its build after one generator changed,
+    and which generator (0: W1, 1: W2)."""
+    if kind == "half_w1":
+        return _fiber_pair(kind, n, seed), 0
+    if kind == "doubled_w1":
+        rep = small_rep()
+        return IsoRep2(W1=2.0 * rep.W1, W2=rep.W2, trunc=rep.trunc, family=rep.family), 0
+    return _check_pair(kind, n, seed), 1
+
+
+@pytest.mark.parametrize("kind", ["half_w1", "doubled_w1", "level_scaled", "foreign_w2", "rotated"])
+@pytest.mark.parametrize("n, seed", [(2, 3), (3, 11)])
+def test_altered_family_pairs_take_the_fallback_kernel(kind, n, seed):
+    # the family's closed-form kernel describes the pair as built, not this
+    # one: the gate must reject it, and the kernel is then the dense one
+    rep, altered = _altered_pair(kind, n, seed)
+    w = (rep.W1, rep.W2)[altered]
+    candidate = family_kernel_candidates(rep.family, rep.trunc)[altered]
+    deficit = linalg._kernel_deficit(w)
+    assert linalg._gate_failure(w, candidate, deficit, linalg.DEFAULT_TOL) is not None
+    kernel, reference = pair_adjoint_kernels(rep)[altered], nullspace(w.conj().T)
+    assert kernel.shape == reference.shape
+    assert np.max(np.abs(_projector(kernel) - _projector(reference)), initial=0.0) <= 1e-10
 
 
 def _small_grid(kind, n, m, seed):

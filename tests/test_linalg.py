@@ -20,14 +20,19 @@ from isorep.linalg import (
     nullspace,
 )
 from isorep.repmodel import (
+    IsoRep2,
     ProjectionFamily,
     TruncationParams,
     build_projection_family_rep,
+    build_reflection_rep,
+    family_kernel_candidates,
+    pair_adjoint_kernels,
     reflection_family,
     reparametrize,
     strong_purity_check,
     truncated_infinite_reflection_family,
     truncated_shift,
+    validate,
 )
 
 
@@ -302,8 +307,8 @@ def test_adjoint_kernel_rejects_non_finite(bad):
 
 
 def test_family_kernels_take_no_square_svd(monkeypatch):
-    # at the default truncation (N = 128) the adjoint kernels come from the
-    # sketch; only the guard rows and the N×(k1+k2) solve keep small SVDs
+    # at the default truncation (N = 128) the adjoint kernels are the family's
+    # closed-form candidates; only the compatibility solve keeps a small SVD
     svd = np.linalg.svd
 
     def guarded(a, *args, **kwargs):
@@ -326,14 +331,56 @@ def test_growth_probe_kernels_stay_below_one_square_array():
     )
     square = rep.W1.nbytes
     assert rep.dim == 640
-    for w in (rep.W1, rep.W2):
+    candidates = family_kernel_candidates(rep.family, rep.trunc)
+    for w, candidate in [*zip((rep.W1, rep.W2), candidates), (rep.W1, None), (rep.W2, None)]:
         tracemalloc.start()
         try:
-            adjoint_kernel(w)
+            adjoint_kernel(w, candidate=candidate)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < square
+
+
+# --- the candidate gate ---------------------------------------------------------------
+
+
+def _guard_column_swap():
+    """A reflection pair (n = 3, L = 12, guard = 3) that keeps its family, with
+    W2's guard column (h, level) = (0, 9) scaled by √2 and (0, 10) zeroed."""
+    a = np.array([0.5, 0.6, 0.7])
+    rep = build_reflection_rep(a / np.linalg.norm(a), TruncationParams(3, 12, 3))
+    w2 = rep.W2.copy()
+    w2[:, 9] *= np.sqrt(2.0)
+    w2[:, 10] = 0.0
+    return IsoRep2(W1=rep.W1, W2=w2, trunc=rep.trunc, family=rep.family)
+
+
+def test_gate_probe_rejects_a_candidate_the_other_tests_pass():
+    # ‖W2‖_F² is unchanged and the candidate lives on levels 0 and 1, far from
+    # the altered columns: only the probe sees that W2W2* is no projection
+    bad = _guard_column_swap()
+    assert validate(bad).ok
+    candidate = family_kernel_candidates(bad.family, bad.trunc)[1]
+    deficit = isorep.linalg._kernel_deficit(bad.W2)
+    assert candidate.shape[1] == round(deficit) == 3
+    assert isorep.linalg._annihilates(candidate, bad.W2, deficit, DEFAULT_TOL)
+    assert isorep.linalg._gate_failure(bad.W2, candidate, deficit, DEFAULT_TOL) == "probe"
+    reference = nullspace(bad.W2.conj().T)
+    assert reference.shape[1] == 4
+    kernel = pair_adjoint_kernels(bad)[1]
+    assert span_equal(kernel, reference)
+
+
+def test_gate_keeps_the_family_candidates_of_the_unaltered_pair():
+    bad = _guard_column_swap()
+    rep = build_projection_family_rep(bad.family, bad.trunc)
+    candidates = family_kernel_candidates(rep.family, rep.trunc)
+    for w, candidate in zip((rep.W1, rep.W2), candidates):
+        deficit = isorep.linalg._kernel_deficit(w)
+        assert isorep.linalg._gate_failure(w, candidate, deficit, DEFAULT_TOL) is None
+        assert adjoint_kernel(w, candidate=candidate) is candidate
+        assert span_equal(candidate, nullspace(w.conj().T))
 
 
 # --- intertwiner_space --------------------------------------------------------
