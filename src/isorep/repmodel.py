@@ -9,12 +9,15 @@ operator identity is asserted only after compression to the *interior*
 H ⊗ span{δ_0, …, δ_{L-guard-1}}. With guard ≥ d-1 the generators built here
 satisfy their identities exactly on the interior, not merely approximately.
 
-The generators are graded by shift level: W1 = 1 ⊗ S moves every vector up
-one level and W2 = Σ_i U P_i ⊗ S^{i-1} up 0 … d-1 levels, so the n×n level
-blocks outside a generator's band of level offsets are exactly zero.
-``validate`` forms its Gram and commutator products on chunks of interior
-levels from the blocks inside the bands only, and fails any pair with a
-non-finite entry before it multiplies anything.
+The generators are level-shift invariant: W1 = 1 ⊗ S and W2 = Σ_i U P_i ⊗
+S^{i-1} are Σ_k A_k ⊗ S^k, so each n×n level block equals the one a level
+down and to the left, and with guard ≥ d-1 every offset k lies in 0 … guard.
+For such a pair every interior block of W*W − 1 repeats one of block row 0
+or its adjoint, and every interior block of [W1, W2] repeats one of block
+column 0 or is 0, so ``validate`` multiplies only those; it reads the
+invariance off the matrices, and any other pair takes the masked dense
+products. A pair with a non-finite entry fails before anything is
+multiplied.
 
 The kernels of W1* and W2* are the pair's wandering subspaces, known in closed
 form from the family (``family_kernel_candidates``). ``pair_adjoint_kernels``
@@ -451,113 +454,89 @@ def interior_isometry_deviation(w: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
-# a level chunk spans at least this many coordinates (n per level): on
-# narrower chunks the per-product call overhead outweighs the flops it saves
-_MIN_CHUNK_DIM = 24
-
-
 def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Interior-compressed isometry and commutation deviations of the pair.
 
     The deviations are max|P(W*W − 1)P| per generator and max|P[W1, W2]P|,
-    P the interior projector, formed from the level blocks that can be
-    nonzero. Each generator's band (``level_band``) bounds the levels a
-    column of a level chunk reaches, so:
+    P the interior projector. A pair whose generators are both level-shift
+    invariant (``_shift_invariant``: W = Σ_k A_k ⊗ S^k with 0 ≤ k ≤ guard)
+    takes them from its symbols:
 
-    - the Gram block of two interior chunks is formed on the rows both
-      reach, and is skipped when they reach none in common: it is exactly 0,
-      and so is its target;
-    - each commutator term of a column chunk runs over the inner levels its
-      right factor reaches, on the interior rows the pair's bands reach.
+    - the Gram block of interior levels (ℓ, ℓ + δ) is Σ_k A_k* A_{k−δ} for
+      every ℓ, since the rows it sums over stop at ℓ + guard ≤ L − 1, so
+      every interior block of W*W − 1 is a copy, or the adjoint of a copy,
+      of one in block row 0;
+    - the commutator block (ℓ + δ, ℓ) is Σ_k A1_{δ−k} A2_k − (swap), whose
+      inner levels ℓ … ℓ + δ all exist, so every interior block of
+      [W1, W2] on or below the diagonal is a copy of one in block column 0,
+      and those above it are 0.
 
-    Only exact zeros are left out, so the deviations are those of the dense
-    products up to the order of their sums. The interior is cut into equal
-    chunks at least as wide as the widest band of the pair and at least
-    ``_MIN_CHUNK_DIM`` coordinates; an interior of at most two such widths,
-    a dense pair's among them, is a single chunk. A non-finite entry
-    anywhere, guard band included, makes every deviation NaN and the report
-    fail.
+    Any other pair takes the masked dense products. The two routes agree up
+    to the order of their sums. A non-finite entry anywhere, guard band
+    included, makes every deviation NaN and the report fail.
     """
     tr = rep.trunc
-    tables = [_level_blocks(w, tr) for w in (rep.W1, rep.W2)]
-    # max|entry| propagates NaN and inf: a table is finite iff its generator is
-    if not (np.isfinite(tables[0]).all() and np.isfinite(tables[1]).all()):
+    w1, w2 = (np.ascontiguousarray(w, dtype=complex) for w in (rep.W1, rep.W2))
+    # tested as (re, im) float pairs, which numpy runs through SIMD loops
+    floats = [w.view(float).reshape(tr.n, tr.L, tr.n, tr.L, 2) for w in (w1, w2)]
+    if not all(np.isfinite(f).all() for f in floats):
         nan = float("nan")
         return ValidationReport(nan, nan, nan, tol=tol.identity_tol)
-    bands = [_band(table) for table in tables]
-    w1, w2 = (w.reshape(tr.n, tr.L, tr.n, tr.L) for w in (rep.W1, rep.W2))
-    width = max(max(hi - lo + 1 for lo, hi in bands), -(-_MIN_CHUNK_DIM // tr.n))
-    chunks = _level_chunks(tr.interior_levels, width)
-    return ValidationReport(
-        isometry_dev_w1=float(_banded_isometry_deviation(w1, bands[0], chunks)),
-        isometry_dev_w2=float(_banded_isometry_deviation(w2, bands[1], chunks)),
-        commutation_dev=float(_banded_commutation_deviation(w1, w2, bands, chunks, tr)),
-        tol=tol.identity_tol,
+    if all(_shift_invariant(f, tr.guard) for f in floats):
+        w1, w2 = (w.reshape(tr.n, tr.L, tr.n, tr.L) for w in (w1, w2))
+        devs = (
+            _symbol_isometry_deviation(w1, tr),
+            _symbol_isometry_deviation(w2, tr),
+            _symbol_commutation_deviation(w1, w2, tr),
+        )
+    else:
+        mask = tr.level_mask()
+        comm = rep.W1[mask] @ rep.W2[:, mask] - rep.W2[mask] @ rep.W1[:, mask]
+        devs = (
+            interior_isometry_deviation(rep.W1, mask),
+            interior_isometry_deviation(rep.W2, mask),
+            np.abs(comm).max(),
+        )
+    return ValidationReport(*map(float, devs), tol=tol.identity_tol)
+
+
+def _shift_invariant(f: np.ndarray, guard: int) -> bool:
+    """Whether w, its floats viewed as (n, L, n, L, 2), is Σ_k A_k ⊗ S^k over
+    0 ≤ k ≤ guard: each level block equals the one a level down and to the
+    left, level 0's row is zero right of the diagonal (no offset below 0),
+    and level 0's column is zero above level ``guard`` (no offset above it)."""
+    return bool(
+        (f[:, 1:, :, 1:] == f[:, :-1, :, :-1]).all()
+        and not f[:, 0, :, 1:].any()
+        and not f[:, guard + 1 :, :, 0].any()
     )
 
 
-def _level_chunks(levels: int, width: int) -> list[slice]:
-    """Levels 0 … levels−1 cut into equal chunks at least ``width`` wide; one
-    chunk when they span at most two widths."""
-    count = 1 if levels <= 2 * width else levels // width
-    bounds = [levels * i // count for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+def _symbol_isometry_deviation(w4: np.ndarray, trunc: TruncationParams) -> float:
+    """max|W*W − 1| over block row 0 of the interior: W[lv 0…guard, lv 0]*
+    times W[lv 0…guard, lv < k], k = min(guard + 1, interior levels); the
+    blocks right of k have no term and are exactly 0."""
+    n, rows = trunc.n, trunc.guard + 1
+    k = min(rows, trunc.interior_levels)
+    col0 = w4[:, :rows, :, 0].reshape(n * rows, n)
+    # columns run (h, level): level 0 is every k-th
+    gram = col0.conj().T @ w4[:, :rows, :, :k].reshape(n * rows, n * k)
+    gram[:, ::k] -= np.eye(n)
+    return np.abs(gram).max()
 
 
-def _clip(cols: slice, lo: int, hi: int, levels: int) -> slice:
-    """The levels that offsets lo … hi reach from ``cols``, within 0 … levels−1."""
-    return slice(max(cols.start + lo, 0), min(cols.stop + hi, levels))
-
-
-def _level_block(w4: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """The (n·rows)×(n·cols) submatrix of w on those out and in levels."""
-    block = w4[:, rows, :, cols]
-    n, r, _, c = block.shape
-    return block.reshape(n * r, n * c)
-
-
-def _banded_isometry_deviation(
-    w4: np.ndarray, band: tuple[int, int], chunks: list[slice]
+def _symbol_commutation_deviation(
+    w1: np.ndarray, w2: np.ndarray, trunc: TruncationParams
 ) -> float:
-    """max|W*W − 1| over the chunks' columns, chunk pair by chunk pair; the
-    Gram is Hermitian, so each unordered pair is formed once. A diagonal
-    block is formed even on no rows: its target is the identity."""
-    lo, hi = band
-    dev = 0.0
-    for a, left in enumerate(chunks):
-        for right in chunks[a:]:
-            # rows both chunks reach; a later chunk reaches later rows
-            rows = _clip(slice(right.start, left.stop), lo, hi, w4.shape[1])
-            if right is not left and rows.start >= rows.stop:
-                break
-            gram = _level_block(w4, rows, left).conj().T @ _level_block(w4, rows, right)
-            if right is left:
-                gram -= np.eye(len(gram))
-            dev = np.maximum(dev, np.abs(gram).max())
-    return dev
+    """max|[W1, W2]| over block column 0 of the interior, summed over the
+    inner levels below k = min(guard + 1, interior levels) that reach it."""
+    n, rows = trunc.n, trunc.interior_levels
+    k = min(trunc.guard + 1, rows)
 
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a[:, :rows, :, :k].reshape(n * rows, n * k) @ b[:, :k, :, 0].reshape(n * k, n)
 
-def _banded_commutation_deviation(
-    w1: np.ndarray,
-    w2: np.ndarray,
-    bands: list[tuple[int, int]],
-    chunks: list[slice],
-    trunc: TruncationParams,
-) -> float:
-    """max|P[W1, W2]P| column chunk by column chunk: each term runs over the
-    inner levels its right factor reaches, on the interior rows both reach."""
-    (lo1, hi1), (lo2, hi2) = bands
-    dev = 0.0
-    for cols in chunks:
-        rows = _clip(cols, lo1 + lo2, hi1 + hi2, trunc.interior_levels)
-        if rows.start >= rows.stop:
-            continue
-        inner2 = _clip(cols, lo2, hi2, trunc.L)
-        inner1 = _clip(cols, lo1, hi1, trunc.L)
-        comm = _level_block(w1, rows, inner2) @ _level_block(w2, inner2, cols)
-        comm -= _level_block(w2, rows, inner1) @ _level_block(w1, inner1, cols)
-        dev = np.maximum(dev, np.abs(comm).max())
-    return dev
+    return np.abs(product(w1, w2) - product(w2, w1)).max()
 
 
 @dataclass(frozen=True)
@@ -580,12 +559,6 @@ class PurityReport:
         }
 
 
-def _level_blocks(w: np.ndarray, trunc: TruncationParams) -> np.ndarray:
-    """L×L table of max|entry| over each n×n level block of ``w``, indexed
-    (out level, in level); a NaN entry makes its block's value NaN."""
-    return np.abs(w).reshape(trunc.n, trunc.L, trunc.n, trunc.L).max(axis=0).max(axis=1)
-
-
 def level_climb(w: np.ndarray, trunc: TruncationParams, cutoff: float = 1e-12) -> int:
     """Largest shift-level raise among the nonzero blocks of ``w``.
 
@@ -593,29 +566,12 @@ def level_climb(w: np.ndarray, trunc: TruncationParams, cutoff: float = 1e-12) -
     climbs c levels per application keeps the interior compression of its
     powers faithful only up to depth (L - guard) / c.
     """
-    out_lv, in_lv = np.nonzero(_level_blocks(w, trunc) > cutoff)
+    # max|entry| of each n×n level block, indexed (out level, in level)
+    table = np.abs(w).reshape(trunc.n, trunc.L, trunc.n, trunc.L).max(axis=0).max(axis=1)
+    out_lv, in_lv = np.nonzero(table > cutoff)
     if out_lv.size == 0:
         return 0
     return int(np.max(out_lv - in_lv))
-
-
-def level_band(w: np.ndarray, trunc: TruncationParams) -> tuple[int, int]:
-    """Lowest and highest level offset (out − in) over the level blocks of
-    ``w`` with an entry != 0 (NaN counts); (0, 0) when there are none.
-
-    W1 = 1 ⊗ S has band (1, 1) and a projection-family W2 has (0, d − 1);
-    every level block outside the band is exactly zero.
-    """
-    return _band(_level_blocks(w, trunc))
-
-
-def _band(table: np.ndarray) -> tuple[int, int]:
-    """``level_band`` read off a ``_level_blocks`` table."""
-    out_lv, in_lv = table.nonzero()
-    if out_lv.size == 0:
-        return 0, 0
-    offsets = out_lv - in_lv
-    return int(offsets.min()), int(offsets.max())
 
 
 def strong_purity_check(

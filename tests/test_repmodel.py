@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from isorep.commutant import star_commutant_basis, truncated_commutant_oracle
 from isorep.linalg import DEFAULT_TOL, kron, matrix_to_json, numerical_rank
+from isorep import repmodel
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -16,11 +18,11 @@ from isorep.repmodel import (
     build_projection_family_rep,
     build_reflection_rep,
     default_truncation,
-    level_band,
     reflection_family,
     rep_from_config,
     reparametrize,
     strong_purity_check,
+    truncated_infinite_reflection_family,
     truncated_shift,
     validate,
 )
@@ -528,23 +530,12 @@ def test_mask_route_matches_dense_projector(seed):
     assert truncated_commutant_oracle(rep) == survivors
 
 
-# --- level band of the generators -------------------------------------------------------
-
-
-def test_level_band_of_example2():
-    rep = example2_rep()
-    assert level_band(rep.W1, rep.trunc) == (1, 1)
-    assert level_band(rep.W2, rep.trunc) == (0, 3)
-    assert level_band(np.zeros_like(rep.W1), rep.trunc) == (0, 0)
-    # a NaN counts as nonzero: at row level 0, column level 7 it opens offset −7
-    w2 = rep.W2.copy()
-    w2[0, 7] = np.nan
-    assert level_band(w2, rep.trunc) == (-7, 3)
+# --- symbol and dense routes of validate -------------------------------------------
 
 
 def _level_banded(rng, trunc, offsets):
     """A random matrix whose nonzero level blocks sit at the level offsets
-    (out − in) given."""
+    (out − in) given, each block drawn on its own, so not shift invariant."""
     n, L = trunc.n, trunc.L
     g = np.zeros((n, L, n, L), dtype=complex)
     for off in offsets:
@@ -553,43 +544,117 @@ def _level_banded(rng, trunc, offsets):
     return g.reshape(trunc.dim, trunc.dim)
 
 
-def _band_route_pair(kind, seed):
-    """A family pair (reparametrized for that kind) and the same pair
-    perturbed: within each generator's band, by blocks above the diagonal
-    (negative offsets), or densely."""
+def _invariant_term(rng, trunc, offset):
+    """B ⊗ S^offset for a random n×n B, S* in place of S at a negative offset:
+    level-shift invariant."""
+    s = truncated_shift(trunc.L)
+    s = np.linalg.matrix_power(s if offset >= 0 else s.T, abs(offset))
+    return kron(rng.normal(size=(trunc.n, trunc.n)) + 1j * rng.normal(size=(trunc.n, trunc.n)), s)
+
+
+def _route_pairs(kind, seed):
+    """A family pair and the same pair altered, each with the route validate
+    must take. The family pair is level-shift invariant, so "symbol", unless
+    its guard is below W2's band of level offsets 0 … n − 1. A reparametrized
+    pair is invariant only when the products W1^a W2^b round alike at every
+    level, which depends on the BLAS, so its route is left open (None).
+    Every alteration but an invariant term at offsets 0 … guard breaks the
+    invariance, so "dense"."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 6))
-    # a one-chunk interior spans at most two chunk widths; L ≥ 24 spans more
-    L = int(rng.integers(2 * n, 16)) if kind == "one_chunk" else int(rng.integers(24, 41))
+    # a guard of n − 2 ≥ 1 sits below the band
+    n = int(rng.integers(3 if kind == "guard_below_band" else 2, 6))
+    L = int(rng.integers(2 * n, 16)) if kind == "short_truncation" else int(rng.integers(24, 41))
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     fam = ProjectionFamily(projections=coord_projections(n), unitary=np.linalg.qr(z)[0])
-    rep = build_projection_family_rep(fam, TruncationParams(n, L, n))
+    guard = n - 2 if kind == "guard_below_band" else n
+    rep = build_projection_family_rep(fam, TruncationParams(n, L, guard))
+    route = "dense" if kind == "guard_below_band" else "symbol"
     if kind == "reparametrized":
         rep = reparametrize(rep, (1, 1), ((2, 1), (1, 2))[seed % 2])
-    gens = [rep.W1, rep.W2]
-    if kind == "above_diagonal":
+        route = None
+    gens, altered = [rep.W1, rep.W2], "dense"
+    # each level block drawn on its own, at every offset the symbol route
+    # admits (0 … guard)
+    in_band = 0.1 * _level_banded(rng, rep.trunc, range(rep.trunc.guard + 1))
+    if kind == "invariant_terms":
+        offsets = range(rep.trunc.guard + 1)
+        gens = [w + 0.1 * sum(_invariant_term(rng, rep.trunc, k) for k in offsets) for w in gens]
+        altered = "symbol"
+    elif kind == "above_diagonal":
         gens[1] = gens[1] + 0.1 * _level_banded(rng, rep.trunc, [-2, -1])
     elif kind == "dense":
         gens[0] = gens[0] + 0.1 * _level_banded(rng, rep.trunc, range(1 - L, L))
+    elif kind == "guard_entry":
+        which = int(rng.integers(2))
+        row = int(rng.integers(n)) * L + int(rng.integers(rep.trunc.interior_levels, L))
+        gens[which] = gens[which].copy()
+        gens[which][row, int(rng.integers(rep.dim))] += 1e-3
+    elif kind == "negative_offset":
+        gens[1] = gens[1] + 0.1 * _invariant_term(rng, rep.trunc, -int(rng.integers(1, 3)))
+    elif kind == "w2_only":
+        gens[1] = gens[1] + in_band
     else:
-        for i, w in enumerate(gens):
-            lo, hi = level_band(w, rep.trunc)
-            gens[i] = w + 0.1 * _level_banded(rng, rep.trunc, range(lo, hi + 1))
-    return rep, IsoRep2(W1=gens[0], W2=gens[1], trunc=rep.trunc)
+        gens = [w + in_band for w in gens]
+    return [(rep, route), (IsoRep2(W1=gens[0], W2=gens[1], trunc=rep.trunc), altered)]
+
+
+def _validate_with_route(pair):
+    """``validate`` of the pair and the route it took: the dense route is the
+    one that calls ``interior_isometry_deviation``."""
+    calls = []
+    real = repmodel.interior_isometry_deviation
+
+    def spy(w, mask):
+        calls.append(w)
+        return real(w, mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repmodel, "interior_isometry_deviation", spy)
+        report = validate(pair)
+    return report, "dense" if calls else "symbol"
 
 
 @pytest.mark.parametrize(
-    "kind", ["one_chunk", "chunks", "reparametrized", "above_diagonal", "dense"]
+    "kind",
+    [
+        "short_truncation",
+        "long_truncation",
+        "reparametrized",
+        "invariant_terms",
+        "above_diagonal",
+        "dense",
+        "guard_below_band",
+        "guard_entry",
+        "negative_offset",
+        "w2_only",
+    ],
 )
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_band_route_matches_dense_projector(kind, seed):
-    for pair in _band_route_pair(kind, seed):
-        report = validate(pair)
+    for pair, route in _route_pairs(kind, seed):
+        report, taken = _validate_with_route(pair)
+        assert route is None or taken == route
         got = [report.isometry_dev_w1, report.isometry_dev_w2, report.commutation_dev]
         dense = _dense_deviations(pair)
         np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-15)
         assert report.ok == (max(dense) <= report.tol)
+
+
+def test_validate_of_growth_probe_stays_below_half_a_square_array():
+    # the n = 16 growth-probe pair (N = 640) takes the symbol route, which
+    # forms no N×N product, copy or |W|
+    rep = build_projection_family_rep(
+        truncated_infinite_reflection_family(16), TruncationParams(16, 40, 17)
+    )
+    tracemalloc.start()
+    try:
+        report = validate(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < rep.W1.nbytes / 2
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
