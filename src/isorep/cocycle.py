@@ -9,14 +9,12 @@ restricted to the interior so truncation artifacts in the guard band cannot
 inflate the dimension. The index of the representation is that dimension,
 certified by agreement at two truncation levels.
 
-The kernels come from ``pair_adjoint_kernels``. A family-built pair's are its
-wandering subspaces in closed form, C^n ⊗ δ_0 and (U ⊗ 1)·⊕_i range P_i ⊗
-span{δ_0 … δ_{i-2}}, kept only after ``adjoint_kernel``'s gate against the
-dense W (column count, W*K, and a Gaussian probe of WW* + KK* = 1); any other
-pair, or a rejected candidate, takes the sketch of 1 − WW*, and an input the
-sketch fails takes the SVD of W*. The closed-form kernels live on the levels
-below d − 1, so W1·K2, W2·K1 and the compatibility solve run on the rows that
-are not exactly zero.
+The kernels come from ``pair_adjoint_kernels``: the low-level block for a
+shift-invariant generator with an inner symbol, the SVD of W* otherwise. If
+W = Σ_{k≤g} A_k ⊗ S^k has an inner symbol Θ, then z^g = Θ(z)·Σ_k A_k* z^{g−k}
+puts levels ≥ g in range W, so ker W* lives on levels below g and is the
+kernel of W*'s top-left g-level block. W1·K2, W2·K1 and the compatibility
+solve therefore run on the rows that are not exactly zero.
 """
 from __future__ import annotations
 
@@ -127,10 +125,10 @@ def cocycle_pair_basis(
 ) -> np.ndarray:
     """Orthonormal basis (2N×dim) of the stacked cocycle pairs of (w1, w2).
 
-    Kernel first: K1, K2 span ker w1*, ker w2* (``adjoint_kernel``: a sketch
-    of 1 − ww* sized by N − ‖w‖_F², kept when its rank is exactly that size
-    and w* annihilates it, an SVD of w* otherwise), and the compatibility
-    relation is solved over their k1+k2 coordinates,
+    Kernel first: K1, K2 span ker w1*, ker w2* (``adjoint_kernel``, the SVD
+    of w*: bare matrices carry no truncation, so the low-level block of a
+    shift-invariant generator is ``cocycle_space``'s route, not this one),
+    and the compatibility relation is solved over their k1+k2 coordinates,
     [(1 - w2)K1 | (w1 - 1)K2]. That cutoff is anchored at the
     isometries' scale 1: when w2 is the identity up to rounding, the matrix is
     noise that a purely relative cutoff counts as rank.

@@ -44,7 +44,7 @@ as kernels at nonzero displacements.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from operator import add
 from typing import Callable
@@ -54,7 +54,8 @@ import numpy as np
 from .commutant import star_commutant_basis, structured_commutant_basis
 from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, numerical_rank
 from .repmodel import (
-    IsoRep2, TruncationParams, interior_isometry_deviation, sigma_power, truncated_shift
+    IsoRep2, TruncationParams, generator_kernel, interior_isometry_deviation, sigma_power,
+    truncated_shift,
 )
 from .cocycle import Cocycle2, evaluate, pair_basis_from_kernels
 
@@ -356,11 +357,18 @@ def grid_adjoint_kernel(
 
     V* sends cell c to its source cell through B_c*, and the cell map is a
     permutation, so V*ξ = 0 iff B_c* ξ_c = 0 on every cell: ker V* is
-    ⊕_c e_c ⊗ ker B_c*. ``adjoint_kernel`` runs once per distinct fiber block;
-    the identity block (table row 0) has no kernel and takes no solve.
+    ⊕_c e_c ⊗ ker B_c*. Each distinct fiber block is solved once: a
+    ``GridRep2``'s blocks are products of the pair's generators and take
+    ``generator_kernel`` at the pair's truncation, a ``GridRep1``'s take
+    ``adjoint_kernel``. The identity block (table row 0) has no kernel and
+    takes no solve.
     """
     _, rows, table = grid._layout(ts, 1)
-    kernels = {r: table[r][:, :0] if r == 0 else adjoint_kernel(table[r], tol) for r in set(rows)}
+    if isinstance(grid, GridRep2):
+        solve = partial(generator_kernel, trunc=grid.rep.trunc, tol=tol)
+    else:
+        solve = partial(adjoint_kernel, tol=tol)
+    kernels = {r: table[r][:, :0] if r == 0 else solve(table[r]) for r in set(rows)}
     blocks = [kernels[r] for r in rows]
     widths = [block.shape[1] for block in blocks]
     out = np.zeros((rows.size, grid.fiber_dim, sum(widths)), dtype=complex)

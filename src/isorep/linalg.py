@@ -4,30 +4,9 @@ Everything downstream (representation builders, cocycle solves, commutant
 computations) reduces to Kronecker products and rank-revealing nullspaces
 over dense complex matrices; ``intertwiner_space`` is the tests' dense
 reference. Problem sizes stay in the low thousands, so dense storage and
-SVDs are the right tool for a general kernel.
-
-The kernel of an adjoint W* is the one exception. Every generator the library
-builds is a partial isometry on the truncation, so ker W* is the range of the
-projection 1 − WW*, of rank k = N − ‖W‖_F². ``adjoint_kernel`` takes that
-range from the first source that passes its checks:
-
-1. a candidate basis the caller already knows in closed form, such as the
-   wandering subspace of a family-built generator. A gate against the dense W
-   keeps it only when it has exactly k columns, when W* annihilates it at the
-   sketch's bound, and when (1 − KK*)Ω = WW*Ω on a fixed-seed N×8 Gaussian
-   probe Ω. The first two tests only see the candidate's own rows, so they
-   miss a W that differs from the family's pair where K has no support: a
-   guard column of W scaled by √2 and another one zeroed keep both k and
-   W*K, yet ker W* grows. The probe sees all of WW*; with it, WW* + KK* = 1
-   and ker W* = range K. These kernels sit on a few low levels, so the W*K
-   test runs on K's nonzero rows only;
-2. an N×(k+8) Gaussian sketch of 1 − WW* (Halko, Martinsson & Tropp, SIAM
-   Review 53, 2011), which forms no N×N product. It is kept when its singular
-   values show exactly rank k at the usual cutoff and W* annihilates the
-   result at the same bound as the gate's. Together the two tests imply that
-   WW* is a projection;
-3. ``nullspace(w*)``, the SVD route, for any input that fails the tests
-   above, a custom pair's generator say.
+SVDs are the right tool for a general kernel. ``adjoint_kernel`` is the SVD
+of W*; a level-shift-invariant generator with an inner symbol takes the
+smaller low-level block of ``repmodel.generator_kernel`` instead.
 """
 from __future__ import annotations
 
@@ -127,110 +106,14 @@ def numerical_rank(
     return _rank_from_singular_values(s, tol, scale)
 
 
-# columns of the sketch beyond k, the candidate gate's probe columns, and their
-# fixed seed: reports stay deterministic
-_SKETCH_OVERSAMPLE = 8
-_SKETCH_SEED = 0
-
-
-def adjoint_kernel(
-    w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, candidate: np.ndarray | None = None
-) -> np.ndarray:
-    """Orthonormal basis of ker w*, the same space as ``nullspace(w.conj().T)``.
-
-    A ``candidate`` with orthonormal columns is returned as it is when it
-    passes the gate (``_gate_failure``). Otherwise, and without a candidate,
-    the kernel comes from a sketch of 1 − ww* (``_sketch_adjoint_kernel``),
-    or from the SVD of w* when the sketch fails its own tests. A w with
-    ‖w‖_F² > N + 0.5 has no kernel size k = N − ‖w‖_F² ≥ 0 and takes the SVD
-    at once. w* is applied as (x*w)*, so no N×N product or copy is formed.
-    """
+def adjoint_kernel(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of ker w*: ``nullspace(w.conj().T)``, the dense route
+    for a matrix without known structure (``repmodel.generator_kernel`` reads
+    a shift-invariant generator's kernel off its low levels instead)."""
     w = _as_complex_matrix(w)
     if not np.isfinite(w).all():
         raise ValueError("adjoint_kernel needs finite entries")
-    deficit = _kernel_deficit(w)
-    # ‖w‖_F² ≥ 0 keeps k ≤ N; an overfull w, or one whose norm overflows,
-    # has k < 0 and no sketch
-    if not deficit >= -0.5:
-        return nullspace(w.conj().T, tol)
-    if candidate is not None and _gate_failure(w, candidate, deficit, tol) is None:
-        return candidate
-    return _sketch_adjoint_kernel(w, deficit, tol)
-
-
-def _kernel_deficit(w: np.ndarray) -> float:
-    """N − ‖w‖_F²: the rank of 1 − ww*, and so the size of ker w*, when w
-    is a partial isometry."""
-    return w.shape[0] - float(np.vdot(w, w).real)
-
-
-def _gate_failure(
-    w: np.ndarray, candidate: np.ndarray, deficit: float, tol: ToleranceConfig
-) -> str | None:
-    """The first gate test an orthonormal ``candidate`` for ker w* fails,
-    or None when it passes all three:
-
-    - "columns": it is not N×k with k = round(N − ‖w‖_F²);
-    - "annihilation": ‖w*K‖_F exceeds the sketch's bound (``_annihilates``);
-    - "probe": (1 − KK*)Ω ≠ ww*Ω on the fixed-seed N×8 Gaussian Ω, at the
-      sketch's rank cutoff anchored at Ω's largest column norm.
-
-    Passing all three makes ww* + KK* = 1 up to that cutoff, so ww* is the
-    projection onto (range K)^⊥ and range K is all of ker w*.
-    """
-    n = w.shape[0]
-    if candidate.shape != (n, round(deficit)):
-        return "columns"
-    if not _annihilates(candidate, w, deficit, tol):
-        return "annihilation"
-    omega = _gaussian((n, _SKETCH_OVERSAMPLE))
-    rows = _nonzero_rows(candidate)
-    residual = omega - w @ (omega.conj().T @ w).conj().T
-    residual[rows] -= candidate[rows] @ (candidate[rows].conj().T @ omega[rows])
-    scale = np.max(np.linalg.norm(omega, axis=0))
-    if not np.max(np.linalg.norm(residual, axis=0)) <= tol.rank_tol * scale:
-        return "probe"
-    return None
-
-
-def _sketch_adjoint_kernel(w: np.ndarray, deficit: float, tol: ToleranceConfig) -> np.ndarray:
-    """ker w* from a sketch of the range of 1 − ww*, or from the SVD of w*.
-
-    The columns of Y = Ω − w(w*Ω), for an N×min(N, k+8) complex Gaussian Ω
-    from a fixed seed, lie in range(1 − ww*) ⊇ ker w*. Y's first k left
-    singular vectors Q are returned when two tests pass. Y's singular values
-    give exactly rank k at the usual cutoff, anchored at Ω's largest column
-    norm, so Q spans all of range(1 − ww*). And w* annihilates Q
-    (``_annihilates``), which puts that range inside ker w* at ``nullspace``'s
-    cutoff. Together they say that ww* is a projection. A failed test takes
-    the full SVD route.
-    """
-    n = w.shape[0]
-    k = int(round(deficit))
-    omega = _gaussian((n, min(n, k + _SKETCH_OVERSAMPLE)))
-    u, s, _ = np.linalg.svd(omega - w @ (omega.conj().T @ w).conj().T, full_matrices=False)
-    kernel = u[:, :k]
-    scale = float(np.max(np.linalg.norm(omega, axis=0)))
-    if _rank_from_singular_values(s, tol, scale) != k or not _annihilates(kernel, w, deficit, tol):
-        return nullspace(w.conj().T, tol)
-    return kernel
-
-
-def _gaussian(shape: tuple[int, int]) -> np.ndarray:
-    """Standard complex Gaussian matrix from the fixed sketch seed."""
-    rng = np.random.default_rng(_SKETCH_SEED)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def _annihilates(q: np.ndarray, w: np.ndarray, deficit: float, tol: ToleranceConfig) -> bool:
-    """‖w*q‖_F ≤ rank_tol·‖w‖_F/√N ≤ rank_tol·‖w‖₂: w* annihilates range q
-    at ``nullspace``'s cutoff. Formed as (q*w)* on q's nonzero rows only; a
-    NaN norm fails."""
-    n = w.shape[0]
-    rows = _nonzero_rows(q)
-    return bool(
-        np.linalg.norm(q[rows].conj().T @ w[rows]) <= tol.rank_tol * np.sqrt((n - deficit) / n)
-    )
+    return nullspace(w.conj().T, tol)
 
 
 def _nonzero_rows(a: np.ndarray) -> np.ndarray | slice:

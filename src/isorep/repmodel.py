@@ -19,11 +19,12 @@ invariance off the matrices, and any other pair takes the masked dense
 products. A pair with a non-finite entry fails before anything is
 multiplied.
 
-The kernels of W1* and W2* are the pair's wandering subspaces, known in closed
-form from the family (``family_kernel_candidates``). ``pair_adjoint_kernels``
-is the one place a pair's adjoint kernels are taken: it offers those bases to
-``adjoint_kernel``'s gate against the dense generators, and a pair without a
-family, or one the gate rejects, takes the sketch of 1 − WW*.
+``pair_adjoint_kernels`` is the one place a pair's adjoint kernels are taken,
+by ``generator_kernel``: the low-level block for a shift-invariant generator
+with an inner symbol, the SVD of W* otherwise. The lemma: if W = Σ_{k≤g} A_k ⊗
+S^k has an inner symbol Θ, then z^g = Θ(z)·Σ_k A_k* z^{g−k} puts levels ≥ g in
+range W, so ker W* is the kernel of W*'s top-left g-level block. Both routes
+are chosen from the matrix alone, never from ``rep.family``.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .linalg import (
     adjoint_kernel,
     kron,
     matrix_from_json,
+    nullspace,
     numerical_rank,
 )
 
@@ -56,7 +58,7 @@ __all__ = [
     "direct_sum_family",
     "build_projection_family_rep",
     "build_reflection_rep",
-    "family_kernel_candidates",
+    "generator_kernel",
     "pair_adjoint_kernels",
     "validate",
     "interior_isometry_deviation",
@@ -190,9 +192,10 @@ class IsoRep2:
     """A pair of commuting isometries (W1, W2) on C^n ⊗ C^L.
 
     ``family`` is set when the pair came from a projection-family build and
-    enables the structured commutant/index formulas. ``rebuild`` reconstructs
-    the same representation at a different truncation, which is what the
-    two-level stability protocol needs.
+    enables the structured commutant/index formulas; the adjoint kernels do
+    not read it (``generator_kernel`` reads the matrices). ``rebuild``
+    reconstructs the same representation at a different truncation, which is
+    what the two-level stability protocol needs.
     """
 
     W1: np.ndarray
@@ -249,7 +252,12 @@ def build_projection_family_rep(
     makes the isometry/commutation identities exact on the interior.
     """
     fam.check(tol)
-    trunc = _fit_truncation(fam, trunc)
+    return _assemble_family_rep(fam, _fit_truncation(fam, trunc))
+
+
+def _assemble_family_rep(fam: ProjectionFamily, trunc: TruncationParams) -> IsoRep2:
+    """The pair of a checked family at a fitted truncation; its rebuild fits
+    the new truncation and assembles again, with no second family check."""
     w1 = kron(np.eye(fam.n), truncated_shift(trunc.L))
     # (U P_i) ⊗ S^{i-1} is U P_i on level offset i - 1: scatter it there.
     # `+=` keeps the bytes of the summed Kronecker products, whose +0.0
@@ -261,59 +269,16 @@ def build_projection_family_rep(
     w2 = w2.reshape(trunc.dim, trunc.dim)
 
     def rebuild(tr: TruncationParams) -> IsoRep2:
-        return build_projection_family_rep(fam, tr, tol)
+        return _assemble_family_rep(fam, _fit_truncation(fam, tr))
 
     return IsoRep2(W1=w1, W2=w2, trunc=trunc, family=fam, rebuild=rebuild)
-
-
-def family_kernel_candidates(
-    fam: ProjectionFamily, trunc: TruncationParams
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Closed-form orthonormal bases of ker W1* and ker W2* for the pair that
-    ``build_projection_family_rep`` assembles from ``fam`` at ``trunc``.
-
-    W1* = 1 ⊗ S* kills C^n ⊗ δ_0. W2* = (Σ_i P_i ⊗ S*^{i-1})(U* ⊗ 1), and on
-    range P_i ⊗ C^L its first factor is 1 ⊗ S*^{i-1}, which kills
-    span{δ_0 … δ_{i-2}}. So ker W2* = (U ⊗ 1)·⊕_i range P_i ⊗ span{δ_0 …
-    δ_{i-2}}, of dimension Σ_i (i−1)·rank P_i. The ranges are read off one
-    ``eigh`` of H = Σ_i (i/d) P_i, whose eigenvalue i/d has eigenspace
-    range P_i. These are candidates: ``adjoint_kernel`` keeps them only when
-    they pass its gate against the dense generators. (None, None) when the
-    family does not fit the truncation.
-    """
-    n, L, d = trunc.n, trunc.L, fam.d
-    if fam.n != n or d > L:
-        return None, None
-    k1 = np.zeros((n, L, n), dtype=complex)
-    k1[np.arange(n), 0, np.arange(n)] = 1.0
-    h = sum((i + 1) / d * np.asarray(p, dtype=complex) for i, p in enumerate(fam.projections))
-    eigvals, eigvecs = np.linalg.eigh(h)
-    # the eigenvector of eigenvalue i/d spans levels δ_0 … δ_{i-2}
-    depths = np.clip(np.rint(eigvals * d).astype(int), 1, d) - 1
-    vectors = np.repeat(np.arange(n), depths)
-    levels = np.concatenate([np.arange(depth) for depth in depths])
-    k2 = np.zeros((n, L, vectors.size), dtype=complex)
-    k2[:, levels, np.arange(vectors.size)] = (fam.unitary @ eigvecs)[:, vectors]
-    return k1.reshape(n * L, n), k2.reshape(n * L, vectors.size)
 
 
 def pair_adjoint_kernels(
     rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of ker W1* and ker W2* (``adjoint_kernel``).
-
-    A family-carrying pair offers its ``family_kernel_candidates`` to the
-    gate against the dense generators, so a pair altered after its build
-    (scaled, rotated, a guard column changed) is still answered for the pair
-    it is; a pair without a family takes the sketch.
-    """
-    candidates = (None, None)
-    if rep.family is not None:
-        candidates = family_kernel_candidates(rep.family, rep.trunc)
-    return (
-        adjoint_kernel(rep.W1, tol, candidates[0]),
-        adjoint_kernel(rep.W2, tol, candidates[1]),
-    )
+    """Orthonormal bases of ker W1* and ker W2* (``generator_kernel``)."""
+    return generator_kernel(rep.W1, rep.trunc, tol), generator_kernel(rep.W2, rep.trunc, tol)
 
 
 def _fit_truncation(
@@ -510,6 +475,38 @@ def _shift_invariant(f: np.ndarray, guard: int) -> bool:
         and not f[:, 0, :, 1:].any()
         and not f[:, guard + 1 :, :, 0].any()
     )
+
+
+def generator_kernel(
+    w: np.ndarray, trunc: TruncationParams, tol: ToleranceConfig = DEFAULT_TOL
+) -> np.ndarray:
+    """Orthonormal basis of ker W*, the same space as ``adjoint_kernel(w)``.
+
+    Let W = Σ_{k≤g} A_k ⊗ S^k (``_shift_invariant``) have an inner symbol,
+    Σ_k A_k* A_{k+δ} = δ_{δ0}·1, checked on block row 0 of the interior
+    (``_symbol_isometry_deviation``), which holds every δ ≤ g < interior
+    levels. Then z^g = Θ(z)·Σ_k A_k* z^{g−k} puts every level ≥ g in range W,
+    and W* never raises a level, so ker W* is the kernel of W*'s top-left
+    g-level block: an (n·g)-square solve. Any other w takes the SVD of w*.
+    """
+    w = np.ascontiguousarray(w, dtype=complex)
+    n, L = trunc.n, trunc.L
+    w4 = w.reshape(n, L, n, L)
+    offsets = np.flatnonzero(w4[:, :, :, 0].any(axis=(0, 2)))
+    g = int(offsets[-1]) if offsets.size else 0
+    if not (
+        _shift_invariant(w.view(float).reshape(n, L, n, L, 2), trunc.guard)
+        and g < trunc.interior_levels
+        and _symbol_isometry_deviation(w4, trunc) <= tol.identity_tol
+    ):
+        return adjoint_kernel(w, tol)
+    basis = np.zeros((0, 0), dtype=complex)
+    if g:
+        # anchored at W's norm 1, the dense route's cutoff
+        basis = nullspace(w4[:, :g, :, :g].reshape(n * g, n * g).conj().T, tol, scale=1.0)
+    kernel = np.zeros((n, L, basis.shape[1]), dtype=complex)
+    kernel[:, :g] = basis.reshape(n, g, basis.shape[1])
+    return kernel.reshape(n * L, -1)
 
 
 def _symbol_isometry_deviation(w4: np.ndarray, trunc: TruncationParams) -> float:

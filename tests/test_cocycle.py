@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isorep.linalg
+import isorep.repmodel
 from isorep.cocycle import (
     Cocycle2,
     InconsistentCocycleError,
@@ -30,13 +30,14 @@ from isorep.repmodel import (
     TruncationParams,
     build_projection_family_rep,
     build_reflection_rep,
-    pair_adjoint_kernels,
     reflection_family,
     reparametrize,
     strong_purity_check,
     truncated_infinite_reflection_family,
     truncated_shift,
 )
+
+from kernel_checks import check_generator_kernel
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -492,43 +493,38 @@ def family_built_reps(draw):
     return build_projection_family_rep(fam, trunc)
 
 
-def _no_sketch():
-    """Patch that fails on any sketch of 1 - WW*."""
-    return mock.patch.object(
-        isorep.linalg, "_sketch_adjoint_kernel", side_effect=AssertionError("sketch")
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(family_built_reps())
 def test_family_kernels_match_the_dense_kernels(rep):
-    with _no_sketch():
-        kernels = pair_adjoint_kernels(rep)
-        space = cocycle_space(rep)
-    for w, kernel in zip((rep.W1, rep.W2), kernels):
-        reference = nullspace(w.conj().T)
-        assert kernel.shape == reference.shape
-        gap = np.max(np.abs(projector(kernel) - projector(reference)), initial=0.0)
-        assert gap <= 1e-10
-    sketched = cocycle_space(replace(rep, family=None))
-    assert (space.dim, space.stable, space.discarded) == (
-        sketched.dim,
-        sketched.stable,
-        sketched.discarded,
-    )
+    # every offset of a family generator lies below d ≤ interior levels, so
+    # both take the low-level block, except W1 = 1 ⊗ S (offset 1) on a
+    # single interior level
+    for w in (rep.W1, rep.W2):
+        width = check_generator_kernel(w, rep.trunc)
+        assert (width is None) == (w is rep.W1 and rep.trunc.interior_levels == 1)
+    space = cocycle_space(rep)
+    # the kernels are read off the matrices, so dropping the family changes nothing
+    bare = cocycle_space(replace(rep, family=None))
+    assert (space.dim, space.stable, space.discarded) == (bare.dim, bare.stable, bare.discarded)
 
 
-def test_index_of_a_family_pair_makes_no_sketch_call():
+def test_index_of_a_family_pair_makes_no_dense_kernel_call():
     rep = example2_rep()
     probe = build_projection_family_rep(truncated_infinite_reflection_family(3))
-    with _no_sketch():
+    dense = AssertionError("dense kernel")
+    with mock.patch.object(isorep.repmodel, "adjoint_kernel", side_effect=dense):
         assert index(rep).to_json() == {"finite": 3}
+        assert index(replace(rep, family=None)).to_json() == {"finite": 3}
         assert index(probe).to_json() == {"unbounded_with_truncation": {"dims": [2, 5]}}
         assert strong_purity_check(rep, depth=3).multiplicities == (4, 6)
-    sketch = isorep.linalg._sketch_adjoint_kernel
-    with mock.patch.object(isorep.linalg, "_sketch_adjoint_kernel", wraps=sketch) as spy:
-        assert index(replace(rep, family=None)).to_json() == {"finite": 3}
-    assert spy.called
+
+
+def test_index_of_a_finite_family_checks_the_family_once():
+    fam = reflection_family(EX2_VECTOR)
+    check = ProjectionFamily.check
+    with mock.patch.object(ProjectionFamily, "check", autospec=True, wraps=check) as spy:
+        assert index(build_projection_family_rep(fam)).to_json() == {"finite": 3}
+    assert spy.call_count == 1
 
 
 @st.composite

@@ -1,12 +1,10 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isorep.linalg
 from isorep.cocycle import cocycle_space
 from isorep.induced import induce_2d
 from isorep.linalg import (
@@ -25,7 +23,7 @@ from isorep.repmodel import (
     TruncationParams,
     build_projection_family_rep,
     build_reflection_rep,
-    family_kernel_candidates,
+    generator_kernel,
     pair_adjoint_kernels,
     reflection_family,
     reparametrize,
@@ -34,6 +32,8 @@ from isorep.repmodel import (
     truncated_shift,
     validate,
 )
+
+from kernel_checks import check_generator_kernel, low_level_width
 
 
 def span_equal(a, b, tol=1e-12):
@@ -172,31 +172,18 @@ def _family_rep(rng, n, reflection):
     return build_projection_family_rep(fam, TruncationParams(n, 2 * guard + 2, guard))
 
 
+_KINDS_WITH_TRUNCATION = ["planted", "reflection", "reparametrized", "half", "overfull", "tiny"]
+
+
 @st.composite
-def adjoint_kernel_inputs(draw):
-    """(w, partial isometry?): every kind of generator the library builds,
-    matrices that are not partial isometries, and (w, None) for a partial
-    isometry with one singular value just below 1, which may take either
-    route."""
+def adjoint_kernel_inputs(draw, kinds=None):
+    """(w, trunc, kind): every kind of generator the library builds, and
+    matrices that are not partial isometries. trunc is the truncation of the
+    pair w came from, None for a kind without one."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 4))
-    kind = draw(
-        st.sampled_from(
-            [
-                "planted",
-                "reflection",
-                "reparametrized",
-                "grid",
-                "half",
-                "contraction",
-                "faint",
-                "rounded",
-                "overfull",
-                "near",
-                "tiny",
-            ]
-        )
-    )
+    kinds = kinds or [*_KINDS_WITH_TRUNCATION, "grid", "contraction", "faint", "rounded", "near"]
+    kind = draw(st.sampled_from(kinds))
     rep = _family_rep(rng, n, reflection=kind == "reflection")
     pick = draw(st.integers(0, 1))
     if kind == "reparametrized":
@@ -204,17 +191,16 @@ def adjoint_kernel_inputs(draw):
         rep = reparametrize(rep, *points)
     if kind == "grid":
         m = draw(st.integers(2, 3))
-        return induce_2d(rep, m).V(*[(1 / m, 0), (0, 1 / m)][pick]), True
+        return induce_2d(rep, m).V(*[(1 / m, 0), (0, 1 / m)][pick]), None, kind
     w = (rep.W1, rep.W2)[pick]
     if kind == "half":
-        return 0.5 * w, False
+        return 0.5 * w, rep.trunc, kind
     if kind == "tiny":
-        # every singular value below rank_tol: k = N − ‖w‖_F² rounds to N, and
-        # only the annihilation test anchored at ‖w‖_F/√N sends it to the SVD
-        return 10.0 ** -rng.uniform(10.0, 14.0) * w, False
+        # every singular value below rank_tol: the relative cutoff still
+        # finds ker w*, not the whole space
+        return 10.0 ** -rng.uniform(10.0, 14.0) * w, rep.trunc, kind
     if kind == "overfull":
-        # ‖w‖_F² > N: no sketch size k = N − ‖w‖_F² ≥ 0 exists
-        return 2.0 * w, False
+        return 2.0 * w, rep.trunc, kind
     if kind == "contraction":
         # random singular vectors, fewer than all singular values 0, the rest in (0, 1)
         size = int(rng.integers(2, 24))
@@ -222,64 +208,44 @@ def adjoint_kernel_inputs(draw):
         v, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
         s = rng.uniform(0.1, 0.9, size=size)
         s[rng.permutation(size)[: rng.integers(0, size)]] = 0.0
-        return u @ np.diag(s) @ v.conj().T, False
+        return u @ np.diag(s) @ v.conj().T, None, kind
     if kind not in ("faint", "rounded", "near"):
-        return w, True
+        return w, rep.trunc, kind
     u, s, vh = np.linalg.svd(w)
     if kind == "faint":
-        # one singular value of w in [1e-8, 3e-6]: the sketch shows rank
-        # k = N − ‖w‖_F², but w* does not annihilate that direction at the
-        # rank cutoff
+        # one singular value of w in [1e-8, 3e-6], above the rank cutoff
         s[np.flatnonzero(s > 0.5)[-1]] = 10.0 ** rng.uniform(-8.0, -5.5)
     elif kind == "rounded":
-        # one σ² in (0, 0.5): round(N − ‖w‖_F²) = N is the sketch's rank, and
-        # only ‖w*Q‖_F = σ rejects it
+        # one σ² in (0, 0.5) and every other singular value 0
         s[:] = 0.0
         s[0] = np.sqrt(rng.uniform(0.0, 0.5))
     else:
-        # one singular value 1 − ε: the sketch is kept only while that
-        # direction stays below the rank cutoff, and falls back otherwise
+        # one singular value 1 − ε
         s[np.flatnonzero(s > 0.5)[-1]] = 1.0 - 10.0 ** rng.uniform(-14.0, -3.0)
-    return u @ np.diag(s) @ vh, None if kind == "near" else False
-
-
-def _kernel_with_route(w):
-    """adjoint_kernel's basis, and whether it fell back to the full SVD."""
-    with mock.patch.object(isorep.linalg, "nullspace", wraps=nullspace) as svd_route:
-        basis = adjoint_kernel(w)
-    return basis, svd_route.called
+    return u @ np.diag(s) @ vh, None, kind
 
 
 @settings(max_examples=132, deadline=None)
 @given(adjoint_kernel_inputs())
 def test_adjoint_kernel_matches_svd_route(case):
-    w, partial_isometry = case
-    basis, fell_back = _kernel_with_route(w)
+    w, _, _ = case
+    basis = adjoint_kernel(w)
     reference = nullspace(w.conj().T)
     assert basis.shape == reference.shape
     k = basis.shape[1]
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(k)), initial=0.0) <= 1e-12
     gap = np.max(np.abs(basis @ basis.conj().T - reference @ reference.conj().T), initial=0.0)
-    if partial_isometry is None:
-        # a sketch kept near a partial isometry is held to the rank cutoff
-        assert np.linalg.norm(w.conj().T @ basis) <= DEFAULT_TOL.rank_tol
-        assert gap <= DEFAULT_TOL.rank_tol
-    else:
-        assert fell_back != partial_isometry
-        assert gap <= 1e-12
+    assert gap <= 1e-12
 
 
 def test_adjoint_kernel_of_a_unitary_is_empty():
     q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(40, 40)) + 0j)
-    basis, fell_back = _kernel_with_route(q)
-    assert basis.shape == (40, 0)
-    assert not fell_back
+    assert adjoint_kernel(q).shape == (40, 0)
 
 
 def test_adjoint_kernel_of_zero_is_everything():
-    basis, fell_back = _kernel_with_route(np.zeros((12, 12)))
+    basis = adjoint_kernel(np.zeros((12, 12)))
     assert basis.shape == (12, 12)
-    assert not fell_back
     assert np.allclose(basis.conj().T @ basis, np.eye(12), rtol=0.0, atol=1e-12)
 
 
@@ -294,7 +260,7 @@ def _one_tiny_entry():
     [(_one_tiny_entry(), 11), (1e-11 * np.kron(np.eye(2), truncated_shift(6)), 2)],
 )
 def test_adjoint_kernel_of_a_tiny_matrix_is_not_everything(w, dim):
-    # ‖w*Q‖_F ≤ rank_tol alone kept all twelve sketch columns here
+    # the rank cutoff is relative: a matrix of tiny norm still has rank
     assert adjoint_kernel(w).shape == nullspace(w.conj().T).shape == (12, dim)
 
 
@@ -304,11 +270,71 @@ def test_adjoint_kernel_rejects_non_finite(bad):
     w[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         adjoint_kernel(w)
+    with pytest.raises(ValueError, match="finite"):
+        generator_kernel(w, TruncationParams(2, 5, 2))
+
+
+# --- generator_kernel ---------------------------------------------------------------
+
+
+def _inner_generator(rng, n, factors, guard, interior):
+    """Σ_k A_k ⊗ S^k for the inner symbol Θ = Π_j U_j(P_j + zQ_j), U_j a random
+    unitary, P_j a random projection of random rank and Q_j = 1 − P_j."""
+    coeffs = [np.eye(n, dtype=complex)]
+    for _ in range(factors):
+        u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        v = v[:, : rng.integers(0, n + 1)]
+        p = v @ v.conj().T
+        factor = (u @ p, u @ (np.eye(n) - p))
+        coeffs = [
+            sum(coeffs[i] @ factor[k - i] for i in range(len(coeffs)) if 0 <= k - i <= 1)
+            for k in range(len(coeffs) + 1)
+        ]
+    trunc = TruncationParams(n, guard + interior, guard)
+    w = np.zeros((n, trunc.L, n, trunc.L), dtype=complex)
+    for offset, a in enumerate(coeffs):
+        levels = np.arange(trunc.L - offset)
+        w[:, levels + offset, :, levels] = a
+    return w.reshape(trunc.dim, trunc.dim), trunc
+
+
+@st.composite
+def inner_generators(draw):
+    """(w, trunc, "inner"): a random inner symbol of degree ≤ guard, on an
+    interior that may be too short for the low-level route."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = draw(st.integers(1, 3))
+    guard = factors + draw(st.integers(0, 1))
+    interior = draw(st.integers(1, 2 * factors + 2))
+    return (*_inner_generator(rng, draw(st.integers(1, 4)), factors, guard, interior), "inner")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(adjoint_kernel_inputs(_KINDS_WITH_TRUNCATION), inner_generators()))
+def test_generator_kernel_matches_svd_route(case):
+    w, trunc, kind = case
+    width = check_generator_kernel(w, trunc)
+    if kind in ("planted", "reflection"):
+        assert width is not None
+    elif kind in ("half", "overfull", "tiny"):
+        assert width is None
+
+
+def test_generator_kernel_of_a_guard_column_swap():
+    # ‖W2‖_F² is unchanged and ker W2* of the built pair lives on levels 0
+    # and 1, far from the altered columns; the kernel has grown by one
+    rep = _guard_column_swap()
+    assert validate(rep).ok
+    assert check_generator_kernel(rep.W2, rep.trunc) is None
+    assert pair_adjoint_kernels(rep)[1].shape[1] == 4
+    built = build_projection_family_rep(rep.family, rep.trunc)
+    assert check_generator_kernel(built.W2, built.trunc) == 3 * 2
 
 
 def test_family_kernels_take_no_square_svd(monkeypatch):
-    # at the default truncation (N = 128) the adjoint kernels are the family's
-    # closed-form candidates; only the compatibility solve keeps a small SVD
+    # at the default truncation (N = 128) the adjoint kernels are low-level
+    # blocks of at most n·(d − 1) = 12 columns; no square SVD of N or more
     svd = np.linalg.svd
 
     def guarded(a, *args, **kwargs):
@@ -324,25 +350,24 @@ def test_family_kernels_take_no_square_svd(monkeypatch):
 
 
 def test_growth_probe_kernels_stay_below_one_square_array():
-    # the n = 16 growth-probe generators (N = 640): neither sketch test may
-    # form an N×N product or copy, such as a Gram matrix or a conjugate of w
+    # the n = 16 growth-probe generators (N = 640): W1's block is 16-square
+    # and W2's 240-square, and neither route test may form an N×N product or
+    # copy, such as a Gram matrix or a conjugate of w
     rep = build_projection_family_rep(
         truncated_infinite_reflection_family(16), TruncationParams(16, 40, 17)
     )
     square = rep.W1.nbytes
     assert rep.dim == 640
-    candidates = family_kernel_candidates(rep.family, rep.trunc)
-    for w, candidate in [*zip((rep.W1, rep.W2), candidates), (rep.W1, None), (rep.W2, None)]:
+    for w, width, dim in ((rep.W1, 16, 16), (rep.W2, 240, 120)):
+        assert low_level_width(w, rep.trunc) == width
         tracemalloc.start()
         try:
-            adjoint_kernel(w, candidate=candidate)
+            kernel = generator_kernel(w, rep.trunc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert kernel.shape == (640, dim)
         assert peak < square
-
-
-# --- the candidate gate ---------------------------------------------------------------
 
 
 def _guard_column_swap():
@@ -354,33 +379,6 @@ def _guard_column_swap():
     w2[:, 9] *= np.sqrt(2.0)
     w2[:, 10] = 0.0
     return IsoRep2(W1=rep.W1, W2=w2, trunc=rep.trunc, family=rep.family)
-
-
-def test_gate_probe_rejects_a_candidate_the_other_tests_pass():
-    # ‖W2‖_F² is unchanged and the candidate lives on levels 0 and 1, far from
-    # the altered columns: only the probe sees that W2W2* is no projection
-    bad = _guard_column_swap()
-    assert validate(bad).ok
-    candidate = family_kernel_candidates(bad.family, bad.trunc)[1]
-    deficit = isorep.linalg._kernel_deficit(bad.W2)
-    assert candidate.shape[1] == round(deficit) == 3
-    assert isorep.linalg._annihilates(candidate, bad.W2, deficit, DEFAULT_TOL)
-    assert isorep.linalg._gate_failure(bad.W2, candidate, deficit, DEFAULT_TOL) == "probe"
-    reference = nullspace(bad.W2.conj().T)
-    assert reference.shape[1] == 4
-    kernel = pair_adjoint_kernels(bad)[1]
-    assert span_equal(kernel, reference)
-
-
-def test_gate_keeps_the_family_candidates_of_the_unaltered_pair():
-    bad = _guard_column_swap()
-    rep = build_projection_family_rep(bad.family, bad.trunc)
-    candidates = family_kernel_candidates(rep.family, rep.trunc)
-    for w, candidate in zip((rep.W1, rep.W2), candidates):
-        deficit = isorep.linalg._kernel_deficit(w)
-        assert isorep.linalg._gate_failure(w, candidate, deficit, DEFAULT_TOL) is None
-        assert adjoint_kernel(w, candidate=candidate) is candidate
-        assert span_equal(candidate, nullspace(w.conj().T))
 
 
 # --- intertwiner_space --------------------------------------------------------
