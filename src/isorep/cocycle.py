@@ -3,23 +3,21 @@
 A cocycle of the pair (W1, W2) is determined by two vectors
 eta10 ∈ ker(W1*), eta01 ∈ ker(W2*) satisfying the compatibility relation
 eta10 + W1·eta01 = eta01 + W2·eta10; all other lattice values follow by
-additivity. The space of such pairs is solved kernel first: the compatibility
-relation is imposed only in the k1+k2 coordinates of ker W1* ⊕ ker W2*. It is
-restricted to the interior so truncation artifacts in the guard band cannot
-inflate the dimension. The index of the representation is that dimension,
-certified by agreement at two truncation levels.
+additivity. Solutions are restricted to the interior so truncation
+artifacts in the guard band cannot inflate the dimension. The index of the
+representation is that dimension, certified by agreement at two truncation
+levels.
 
-The kernels come from ``pair_adjoint_kernels``: the low-level block for a
-shift-invariant generator with an inner symbol, the SVD of W* otherwise. If
-W = Σ_{k≤g} A_k ⊗ S^k has an inner symbol Θ, then z^g = Θ(z)·Σ_k A_k* z^{g−k}
-puts levels ≥ g in range W, so ker W* lives on levels below g and is the
-kernel of W*'s top-left g-level block. W1·K2, W2·K1 and the compatibility
-solve therefore run on the rows that are not exactly zero.
+A pair whose W1 is exactly the level shift 1 ⊗ S (``is_level_shift``, read
+off the matrix) takes ``shift_pair_basis``: ker W1* is C^n ⊗ δ_0, so
+eta10 = a ⊗ δ_0, and 1 − W1 is invertible on the truncation, so the
+relation fixes eta01 from a. Only W2*·eta01 = 0 is left, an n-column solve.
+Every other pair takes ``cocycle_pair_basis``, the dense reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -29,7 +27,6 @@ from .linalg import (
     adjoint_kernel,
     matrix_to_json,
     nullspace,
-    product_on_support,
 )
 from .repmodel import (
     IsoRep2,
@@ -37,7 +34,7 @@ from .repmodel import (
     TruncationParams,
     build_projection_family_rep,
     certify_two_truncations,
-    pair_adjoint_kernels,
+    is_level_shift,
     reparametrize,
     validate,
 )
@@ -49,6 +46,7 @@ __all__ = [
     "InconsistentCocycleError",
     "cocycle_space",
     "cocycle_pair_basis",
+    "shift_pair_basis",
     "index",
     "index_formula_projection_family",
     "evaluate",
@@ -123,15 +121,12 @@ class CocycleSpace:
 def cocycle_pair_basis(
     w1: np.ndarray, w2: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
-    """Orthonormal basis (2N×dim) of the stacked cocycle pairs of (w1, w2).
+    """Orthonormal basis (2N×dim) of the stacked cocycle pairs of (w1, w2),
+    the dense reference for a pair of any structure.
 
     Kernel first: K1, K2 span ker w1*, ker w2* (``adjoint_kernel``, the SVD
-    of w*: bare matrices carry no truncation, so the low-level block of a
-    shift-invariant generator is ``cocycle_space``'s route, not this one),
-    and the compatibility relation is solved over their k1+k2 coordinates,
-    [(1 - w2)K1 | (w1 - 1)K2]. That cutoff is anchored at the
-    isometries' scale 1: when w2 is the identity up to rounding, the matrix is
-    noise that a purely relative cutoff counts as rank.
+    of w*), and the compatibility relation is solved over their k1+k2
+    coordinates, [(1 - w2)K1 | (w1 - 1)K2].
     """
     k1, k2 = adjoint_kernel(w1, tol), adjoint_kernel(w2, tol)
     return pair_basis_from_kernels(k1, k2, w1 @ k2, w2 @ k1, tol)
@@ -141,43 +136,57 @@ def pair_basis_from_kernels(
     k1: np.ndarray, k2: np.ndarray, w1k2: np.ndarray, w2k1: np.ndarray, tol: ToleranceConfig
 ) -> np.ndarray:
     """The compatibility solve of ``cocycle_pair_basis``, given orthonormal
-    kernels K1, K2 of w1*, w2* and the products w1·K2, w2·K1."""
+    kernels K1, K2 of w1*, w2* and the products w1·K2, w2·K1. The cutoff is
+    anchored at the isometries' scale 1: when w2 is the identity up to
+    rounding, the matrix is noise that a purely relative cutoff counts as
+    rank, and an all-zero matrix keeps its whole coefficient space."""
     if k1.shape[1] + k2.shape[1] == 0:
         return np.zeros((2 * k1.shape[0], 0), dtype=complex)
-    coeffs = _nonzero_row_kernel(np.hstack([k1 - w2k1, w1k2 - k2]), tol)
+    coeffs = nullspace(np.hstack([k1 - w2k1, w1k2 - k2]), tol, scale=1.0)
     return np.vstack([k1 @ coeffs[: k1.shape[1]], k2 @ coeffs[k1.shape[1] :]])
 
 
-def _nonzero_row_kernel(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """``nullspace(a, tol, scale=1.0)`` solved on the rows of ``a`` that are
-    not exactly zero: the others constrain nothing, and with none left the
-    kernel is everything."""
-    rows = a.any(axis=1)
-    if not rows.any():
-        return np.eye(a.shape[1], dtype=complex)
-    return nullspace(a if rows.all() else a[rows], tol, scale=1.0)
+def shift_pair_basis(
+    n: int, L: int, apply_w2: Callable, tol: ToleranceConfig = DEFAULT_TOL
+) -> np.ndarray:
+    """``cocycle_pair_basis`` of (1 ⊗ S, W2) on C^n ⊗ C^L, where
+    apply_w2(x, sign) is W2·x (sign −1: W2*·x).
+
+    eta10 = a ⊗ δ_0 spans ker (1 ⊗ S)*, and (1 − 1 ⊗ S)^{-1} is the running
+    sum over the levels, so eta01 = (1 − W1)^{-1}(1 − W2)·eta10 is linear in
+    a. The pairs are the kernel of the N×n matrix W2*·eta01, cut at scale 1
+    as the dense solve is, and one QR makes them orthonormal.
+    """
+    eta10 = np.kron(np.eye(n), np.eye(L, 1))  # column h is e_h ⊗ δ_0
+    eta01 = np.cumsum((eta10 - apply_w2(eta10, 1)).reshape(n, L, n), axis=1).reshape(n * L, n)
+    coeffs = nullspace(apply_w2(eta01, -1), tol, scale=1.0)
+    return np.linalg.qr(np.vstack([eta10, eta01]) @ coeffs)[0]
 
 
 def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSpace:
     """Interior-supported solutions of the three cocycle constraints.
 
-    The kernel-first pair solve, on ``pair_adjoint_kernels``, gives an
-    orthonormal basis of all solutions; the interior ones are the kernel of
-    its guard-band rows (cutoff at scale 1, the basis's norm), so the basis
-    stays orthonormal. Solutions touching the guard band are truncation
-    suspects; they are dropped and the space is flagged unstable when any
-    were present. A family pair's solutions never reach the guard band, whose
-    rows are then exactly zero and need no solve.
+    The pair solve, ``shift_pair_basis`` when W1 is exactly 1 ⊗ S and
+    ``cocycle_pair_basis`` otherwise, gives an orthonormal basis of all
+    solutions; the interior ones are the kernel of its guard-band rows
+    (cutoff at scale 1, the basis's norm), so the basis stays orthonormal.
+    Solutions touching the guard band are truncation suspects; they are
+    dropped and the space is flagged unstable when any were present. A
+    family pair's solutions never reach the guard band, whose rows are then
+    rounding noise of about 1e-16 and keep every solution.
     """
     report = validate(rep, tol)
     if not report.ok:
         raise ValueError(f"representation fails validation: {report.as_dict()}")
-    k1, k2 = pair_adjoint_kernels(rep, tol)
-    full = pair_basis_from_kernels(
-        k1, k2, product_on_support(rep.W1, k2), product_on_support(rep.W2, k1), tol
-    )
-    guard_rows = full[~np.tile(rep.trunc.level_mask(), 2)]
-    inner = full if guard_rows.size == 0 else full @ _nonzero_row_kernel(guard_rows, tol)
+    tr, w2 = rep.trunc, rep.W2
+    if is_level_shift(rep.W1, tr):
+        # W2*·x as (x*·W2)*, which copies no N×N array
+        apply_w2 = lambda x, sign: w2 @ x if sign > 0 else (x.conj().T @ w2).conj().T
+        full = shift_pair_basis(tr.n, tr.L, apply_w2, tol)
+    else:
+        full = cocycle_pair_basis(rep.W1, w2, tol)
+    guard_rows = full[~np.tile(tr.level_mask(), 2)]
+    inner = full if guard_rows.size == 0 else full @ nullspace(guard_rows, tol, scale=1.0)
     n = rep.dim
     basis = tuple(Cocycle2(eta10=v[:n], eta01=v[n:]) for v in inner.T.copy())
     discarded = full.shape[1] - len(basis)
@@ -304,7 +313,7 @@ def evaluate(
     rows_first = evaluate_along_path(c, rep, [1] * m + [2] * n)
     cols_first = evaluate_along_path(c, rep, [2] * n + [1] * m)
     dev = float(np.max(np.abs(rows_first - cols_first))) if rows_first.size else 0.0
-    if dev > tol.identity_tol:
+    if not dev <= tol.identity_tol:  # a NaN deviation fails
         raise InconsistentCocycleError(
             f"path-dependent evaluation at {point}: deviation {dev:.3e}"
         )
@@ -426,4 +435,5 @@ def family_witness_residual(
     dev_eta10 = float(np.max(np.abs(c.eta10 - rebuilt.eta10)))
     dev_eta01 = float(np.max(np.abs(c.eta01 - rebuilt.eta01)))
     dev_fixed = float(np.max(np.abs(fam.unitary @ x - x))) if n else 0.0
-    return max(dev_eta10, dev_eta01, dev_fixed)
+    # np.max propagates a NaN, where max() drops one that is not first
+    return float(np.max([dev_eta10, dev_eta01, dev_fixed]))

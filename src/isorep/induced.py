@@ -26,9 +26,11 @@ of that table, a fiber power. The adjoint, semigroup and axis-flip checks
 compose and compare the layouts in integers and evaluate each distinct block
 identity once; the adjoint kernels and isometry residuals take one solve or
 one residual per distinct block. Step-cocycle additivity, the 1-d cocycle
-solve and the grid commutant read cell maps and blocks too, and none of them
-forms a dense grid product; ``V`` and the adjoints are the scatters of
-``cells``, kept as the dense references.
+solve and the grid commutant read cell maps and blocks too. The 2-d pair
+cocycle solve of a fiber whose W1 is 1 ⊗ S permutes the grid coordinates so
+that V(1/M, 0) is again 1 ⊗ S, and takes ``shift_pair_basis`` with V(0, 1/M)
+applied cell by cell. None of them forms a dense grid product; ``V`` and the
+adjoints are the scatters of ``cells``, kept as the dense references.
 
 The 2-d grid commutant is solved on the fiber. Every cell wraps exactly once
 in M steps, so V(1/M, 0)^M = 1 ⊗ W1 and V(0, 1/M)^M = 1 ⊗ W2 as matrices, and
@@ -44,7 +46,7 @@ as kernels at nonzero displacements.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import product
 from operator import add
 from typing import Callable
@@ -54,10 +56,10 @@ import numpy as np
 from .commutant import star_commutant_basis, structured_commutant_basis
 from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, numerical_rank
 from .repmodel import (
-    IsoRep2, TruncationParams, generator_kernel, interior_isometry_deviation, sigma_power,
+    IsoRep2, TruncationParams, interior_isometry_deviation, is_level_shift, sigma_power,
     truncated_shift,
 )
-from .cocycle import Cocycle2, evaluate, pair_basis_from_kernels
+from .cocycle import Cocycle2, evaluate, pair_basis_from_kernels, shift_pair_basis
 
 __all__ = [
     "GridRep1",
@@ -161,10 +163,13 @@ class _GridTranslations:
 
     def apply(self, ts, x: np.ndarray, sign: int = 1) -> np.ndarray:
         """V(ts) @ x (sign −1: V(ts)* @ x) cell by cell, for x of shape
-        (dim,) or (dim, k)."""
-        source, blocks = self.cells(*ts, sign=sign)
-        cols = x.reshape(source.size, blocks.shape[-1], -1)
-        return (blocks @ cols[source]).reshape(x.shape)
+        (dim,) or (dim, k). A cell whose block is the identity (table row 0)
+        only reads its source cell."""
+        source, rows, table = self._layout(ts, sign)
+        out = np.asarray(x, dtype=complex).reshape(source.size, table.shape[-1], -1)[source]
+        powered = rows != 0
+        out[powered] = table[rows[powered]] @ out[powered]
+        return out.reshape(x.shape)
 
     def isometry_deviation(self, ts, fiber_mask: np.ndarray) -> float:
         """``interior_isometry_deviation`` of V(ts) on ``fiber_mask`` tiled
@@ -357,18 +362,11 @@ def grid_adjoint_kernel(
 
     V* sends cell c to its source cell through B_c*, and the cell map is a
     permutation, so V*ξ = 0 iff B_c* ξ_c = 0 on every cell: ker V* is
-    ⊕_c e_c ⊗ ker B_c*. Each distinct fiber block is solved once: a
-    ``GridRep2``'s blocks are products of the pair's generators and take
-    ``generator_kernel`` at the pair's truncation, a ``GridRep1``'s take
-    ``adjoint_kernel``. The identity block (table row 0) has no kernel and
-    takes no solve.
+    ⊕_c e_c ⊗ ker B_c*. Each distinct fiber block takes ``adjoint_kernel``
+    once; the identity block (table row 0) has no kernel and takes no solve.
     """
     _, rows, table = grid._layout(ts, 1)
-    if isinstance(grid, GridRep2):
-        solve = partial(generator_kernel, trunc=grid.rep.trunc, tol=tol)
-    else:
-        solve = partial(adjoint_kernel, tol=tol)
-    kernels = {r: table[r][:, :0] if r == 0 else solve(table[r]) for r in set(rows)}
+    kernels = {r: table[r][:, :0] if r == 0 else adjoint_kernel(table[r], tol) for r in set(rows)}
     blocks = [kernels[r] for r in rows]
     widths = [block.shape[1] for block in blocks]
     out = np.zeros((rows.size, grid.fiber_dim, sum(widths)), dtype=complex)
@@ -378,14 +376,31 @@ def grid_adjoint_kernel(
 
 
 def grid_cocycle_pair_basis(grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """``cocycle_pair_basis`` of the generators V(1/M, 0) and V(0, 1/M): the
-    same compatibility solve, on their per-cell adjoint kernels, with V
-    applied cell by cell."""
-    step = 1 / grid.M
-    k1, k2 = (grid_adjoint_kernel(grid, ts, tol) for ts in ((step, 0), (0, step)))
-    return pair_basis_from_kernels(
-        k1, k2, grid.apply((step, 0), k2), grid.apply((0, step), k1), tol
-    )
+    """``cocycle_pair_basis`` of the generators V(1/M, 0) and V(0, 1/M), with
+    V applied cell by cell.
+
+    When the fiber's W1 is exactly 1 ⊗ S, read the grid coordinates in the
+    order (y cell, h, level·M + M − 1 − x cell). There V(1/M, 0) is exactly
+    1 ⊗ S on C^{Mn} ⊗ C^{ML}: x cell c < M − 1 reads cell c + 1, one place
+    down, and x cell M − 1 reads W1 of x cell 0, one level up. So
+    ``shift_pair_basis`` solves the pair. Any other fiber takes the
+    compatibility solve on the per-cell adjoint kernels.
+    """
+    m, step, tr = grid.M, 1 / grid.M, grid.rep.trunc
+    if not is_level_shift(grid.rep.W1, tr):
+        k1, k2 = (grid_adjoint_kernel(grid, ts, tol) for ts in ((step, 0), (0, step)))
+        return pair_basis_from_kernels(
+            k1, k2, grid.apply((step, 0), k2), grid.apply((0, step), k1), tol
+        )
+    # position k of the shift order holds grid coordinate order[k]
+    order = np.arange(grid.dim).reshape(m, m, tr.n, tr.L).transpose(1, 2, 3, 0)[..., ::-1].ravel()
+    back = np.argsort(order)
+
+    def apply_w2(x: np.ndarray, sign: int) -> np.ndarray:
+        return grid.apply((0, step), x[back], sign)[order]
+
+    basis = shift_pair_basis(m * tr.n, m * tr.L, apply_w2, tol)
+    return basis.reshape(2, grid.dim, -1)[:, back].reshape(2 * grid.dim, -1)
 
 
 # the fiber families of a generator W against a fiber commutant basis C_j, in

@@ -5,8 +5,8 @@ computations) reduces to Kronecker products and rank-revealing nullspaces
 over dense complex matrices; ``intertwiner_space`` is the tests' dense
 reference. Problem sizes stay in the low thousands, so dense storage and
 SVDs are the right tool for a general kernel. ``adjoint_kernel`` is the SVD
-of W*; a level-shift-invariant generator with an inner symbol takes the
-smaller low-level block of ``repmodel.generator_kernel`` instead.
+of W*, for a matrix without known structure; the cocycle solve of a pair
+whose W1 is the level shift 1 ⊗ S needs no adjoint kernel at all.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ __all__ = [
     "nullspace",
     "numerical_rank",
     "adjoint_kernel",
-    "product_on_support",
     "intertwiner_space",
     "matrix_to_json",
     "matrix_from_json",
@@ -108,26 +107,11 @@ def numerical_rank(
 
 def adjoint_kernel(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ker w*: ``nullspace(w.conj().T)``, the dense route
-    for a matrix without known structure (``repmodel.generator_kernel`` reads
-    a shift-invariant generator's kernel off its low levels instead)."""
+    for a matrix without known structure."""
     w = _as_complex_matrix(w)
     if not np.isfinite(w).all():
         raise ValueError("adjoint_kernel needs finite entries")
     return nullspace(w.conj().T, tol)
-
-
-def _nonzero_rows(a: np.ndarray) -> np.ndarray | slice:
-    """Indices of the rows of ``a`` with an entry != 0 (NaN counts), or a
-    full slice, which copies nothing, when that is every row."""
-    rows = np.flatnonzero(a.any(axis=1))
-    return slice(None) if rows.size == a.shape[0] else rows
-
-
-def product_on_support(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """w @ k, formed on the rows of k that are not exactly zero: the
-    columns of w they skip meet only zeros."""
-    rows = _nonzero_rows(k)
-    return w[:, rows] @ k[rows]
 
 
 def _rank_from_singular_values(

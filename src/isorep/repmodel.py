@@ -19,17 +19,15 @@ invariance off the matrices, and any other pair takes the masked dense
 products. A pair with a non-finite entry fails before anything is
 multiplied.
 
-``pair_adjoint_kernels`` is the one place a pair's adjoint kernels are taken,
-by ``generator_kernel``: the low-level block for a shift-invariant generator
-with an inner symbol, the SVD of W* otherwise. The lemma: if W = Σ_{k≤g} A_k ⊗
-S^k has an inner symbol Θ, then z^g = Θ(z)·Σ_k A_k* z^{g−k} puts levels ≥ g in
-range W, so ker W* is the kernel of W*'s top-left g-level block. Both routes
-are chosen from the matrix alone, never from ``rep.family``.
+``is_level_shift`` tells, exactly, whether a generator is the bare level
+shift 1 ⊗ S. Every pair built here has that W1, and the cocycle solve reads
+its wandering subspace C^n ⊗ δ_0 off the matrix, never from ``rep.family``.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -37,10 +35,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    adjoint_kernel,
     kron,
     matrix_from_json,
-    nullspace,
     numerical_rank,
 )
 
@@ -58,8 +54,7 @@ __all__ = [
     "direct_sum_family",
     "build_projection_family_rep",
     "build_reflection_rep",
-    "generator_kernel",
-    "pair_adjoint_kernels",
+    "is_level_shift",
     "validate",
     "interior_isometry_deviation",
     "strong_purity_check",
@@ -117,6 +112,18 @@ def truncated_shift(L: int) -> np.ndarray:
     for j in range(L - 1):
         s[j + 1, j] = 1.0
     return s
+
+
+def is_level_shift(w: np.ndarray, trunc: TruncationParams) -> bool:
+    """Whether w is exactly 1 ⊗ S on C^n ⊗ C^L: a one from each level to the
+    next and no other nonzero entry (a NaN counts as nonzero)."""
+    # w[i + 1, i] moves (h, level) one level up unless level is the top one
+    step = np.arange(trunc.dim - 1) % trunc.L != trunc.L - 1
+    return bool(
+        np.shape(w) == (trunc.dim, trunc.dim)
+        and np.count_nonzero(w) == np.count_nonzero(step)
+        and (np.diagonal(w, -1)[step] == 1).all()
+    )
 
 
 @dataclass(frozen=True)
@@ -192,8 +199,8 @@ class IsoRep2:
     """A pair of commuting isometries (W1, W2) on C^n ⊗ C^L.
 
     ``family`` is set when the pair came from a projection-family build and
-    enables the structured commutant/index formulas; the adjoint kernels do
-    not read it (``generator_kernel`` reads the matrices). ``rebuild``
+    enables the structured commutant/index formulas; the cocycle solve does
+    not read it (``is_level_shift`` reads the matrix). ``rebuild``
     reconstructs the same representation at a different truncation, which is
     what the two-level stability protocol needs.
     """
@@ -272,13 +279,6 @@ def _assemble_family_rep(fam: ProjectionFamily, trunc: TruncationParams) -> IsoR
         return _assemble_family_rep(fam, _fit_truncation(fam, tr))
 
     return IsoRep2(W1=w1, W2=w2, trunc=trunc, family=fam, rebuild=rebuild)
-
-
-def pair_adjoint_kernels(
-    rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of ker W1* and ker W2* (``generator_kernel``)."""
-    return generator_kernel(rep.W1, rep.trunc, tol), generator_kernel(rep.W2, rep.trunc, tol)
 
 
 def _fit_truncation(
@@ -477,38 +477,6 @@ def _shift_invariant(f: np.ndarray, guard: int) -> bool:
     )
 
 
-def generator_kernel(
-    w: np.ndarray, trunc: TruncationParams, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Orthonormal basis of ker W*, the same space as ``adjoint_kernel(w)``.
-
-    Let W = Σ_{k≤g} A_k ⊗ S^k (``_shift_invariant``) have an inner symbol,
-    Σ_k A_k* A_{k+δ} = δ_{δ0}·1, checked on block row 0 of the interior
-    (``_symbol_isometry_deviation``), which holds every δ ≤ g < interior
-    levels. Then z^g = Θ(z)·Σ_k A_k* z^{g−k} puts every level ≥ g in range W,
-    and W* never raises a level, so ker W* is the kernel of W*'s top-left
-    g-level block: an (n·g)-square solve. Any other w takes the SVD of w*.
-    """
-    w = np.ascontiguousarray(w, dtype=complex)
-    n, L = trunc.n, trunc.L
-    w4 = w.reshape(n, L, n, L)
-    offsets = np.flatnonzero(w4[:, :, :, 0].any(axis=(0, 2)))
-    g = int(offsets[-1]) if offsets.size else 0
-    if not (
-        _shift_invariant(w.view(float).reshape(n, L, n, L, 2), trunc.guard)
-        and g < trunc.interior_levels
-        and _symbol_isometry_deviation(w4, trunc) <= tol.identity_tol
-    ):
-        return adjoint_kernel(w, tol)
-    basis = np.zeros((0, 0), dtype=complex)
-    if g:
-        # anchored at W's norm 1, the dense route's cutoff
-        basis = nullspace(w4[:, :g, :, :g].reshape(n * g, n * g).conj().T, tol, scale=1.0)
-    kernel = np.zeros((n, L, basis.shape[1]), dtype=complex)
-    kernel[:, :g] = basis.reshape(n, g, basis.shape[1])
-    return kernel.reshape(n * L, -1)
-
-
 def _symbol_isometry_deviation(w4: np.ndarray, trunc: TruncationParams) -> float:
     """max|W*W − 1| over block row 0 of the interior: W[lv 0…guard, lv 0]*
     times W[lv 0…guard, lv < k], k = min(guard + 1, interior levels); the
@@ -596,16 +564,15 @@ def strong_purity_check(
     mask = rep.trunc.level_mask()
     interior_dim = rep.trunc.interior_dim
 
-    mults = [kernel.shape[1] for kernel in pair_adjoint_kernels(rep, tol)]
+    # dim ker W* at adjoint_kernel's cutoff, without its singular vectors
+    mults = [rep.dim - numerical_rank(w, tol) for w in (rep.W1, rep.W2)]
     verdicts: list[str] = []
     rank_seqs: list[tuple[int, ...]] = []
     faithful: list[int] = []
     for w, m in zip((rep.W1, rep.W2), mults):
-        ranks = []
-        power = np.eye(rep.dim, dtype=complex)
-        for _ in range(depth):
-            power = w @ power
-            ranks.append(numerical_rank(power[mask], tol))
+        # the interior rows of W^k, formed as (P W^(k-1)) W
+        powers = accumulate([w[mask]] + [w] * (depth - 1), np.matmul)
+        ranks = [numerical_rank(power, tol) for power in powers]
         climb = level_climb(w, rep.trunc)
         k_max = min(depth, rep.trunc.interior_levels // max(climb, 1))
         expected = [max(0, interior_dim - k * m) for k in range(1, k_max + 1)]

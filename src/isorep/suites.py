@@ -12,9 +12,10 @@ law, index and commutant preservation) is written once below and called by
 semigroup and axis-flip checks key each cell by integers read off the grid's
 cached layouts (block-table rows, and whether the sources agree) and compare
 each distinct key's blocks once, never dense products; kernel dimensions,
-isometry residuals and the adjoint pairing read cells too, and the cocycle
-and commutant solves run on per-cell kernels and on the fiber, so no battery
-assembles a dense grid translation.
+isometry residuals and the adjoint pairing read cells too, the 2-d cocycle
+solve runs in shift coordinates, the 1-d one on per-cell kernels, and the
+commutant solve on the fiber, so no battery assembles a dense grid
+translation.
 """
 from __future__ import annotations
 

@@ -1,13 +1,14 @@
 import itertools
 from dataclasses import replace
+from functools import reduce
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import isorep.repmodel
+import isorep.cocycle
 from isorep.cocycle import (
     Cocycle2,
     InconsistentCocycleError,
@@ -22,22 +23,23 @@ from isorep.cocycle import (
     index_formula_projection_family,
     pair_basis_from_kernels,
     restrict_to_subsemigroup,
+    shift_pair_basis,
 )
-from isorep.linalg import DEFAULT_TOL, nullspace
+from isorep.linalg import DEFAULT_TOL, kron, nullspace
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
     TruncationParams,
     build_projection_family_rep,
     build_reflection_rep,
+    direct_sum_family,
+    is_level_shift,
     reflection_family,
     reparametrize,
     strong_purity_check,
     truncated_infinite_reflection_family,
     truncated_shift,
 )
-
-from kernel_checks import check_generator_kernel
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -373,6 +375,24 @@ def test_evaluate_detects_inconsistent_pair():
         evaluate(junk, rep, (1, 1))
 
 
+def _with_nan(c, part):
+    """The cocycle with entry 0 of eta10 or eta01 replaced by NaN."""
+    eta = getattr(c, part).copy()
+    eta[0] = np.nan
+    return replace(c, **{part: eta})
+
+
+@pytest.mark.parametrize("part", ["eta10", "eta01"])
+def test_evaluate_and_restrict_reject_a_nan_entry(part):
+    # a NaN deviation must fail the path-independence test, not pass it
+    rep = example2_rep(L=16, guard=3)
+    bad = _with_nan(cocycle_space(rep).basis[0], part)
+    with pytest.raises(InconsistentCocycleError, match="nan"):
+        evaluate(bad, rep, (1, 1))
+    with pytest.raises(InconsistentCocycleError, match="nan"):
+        restrict_to_subsemigroup(bad, rep, (1, 1), (2, 1))
+
+
 # --- canonical witness structure ---------------------------------------------------
 
 
@@ -381,6 +401,13 @@ def test_witness_structure_of_basis():
     fam = rep.family
     for c in cocycle_space(rep).basis:
         assert family_witness_residual(c, fam, rep) <= 1e-12
+
+
+def test_witness_residual_keeps_a_nan_in_eta01():
+    # the eta10 deviation comes first and is 0, so max() would drop the NaN
+    rep = example2_rep()
+    bad = _with_nan(cocycle_space(rep).basis[0], "eta01")
+    assert np.isnan(family_witness_residual(bad, rep.family, rep))
 
 
 def test_family_cocycle_from_vector_solves_constraints():
@@ -446,7 +473,7 @@ def test_extend_rejects_invalid_values():
         extend_cocycle(rep, (1, 1), (2, 1), junk)
 
 
-# --- family kernels and the compatibility solve on nonzero rows --------------------
+# --- the shift route against the dense pair basis ---------------------------------
 
 
 def _unitary(rng, n, fixed=0):
@@ -472,47 +499,152 @@ def _random_rank_projections(rng, n):
     )
 
 
+def _inner_shift_pair(rng, n, factors, guard, interior):
+    """W1 = 1 ⊗ S and W2 = Σ_k A_k ⊗ S^k for the inner symbol
+    Θ = Π_j U_j(P_j + zQ_j), P_j a random projection of random rank,
+    Q_j = 1 − P_j, and random unitaries U_j whose product Θ(1) has a planted
+    fixed space of random dimension: the cocycles are a ⊗ δ_0 with Θ(1)a = a."""
+    units = [_unitary(rng, n) for _ in range(factors - 1)]
+    head = reduce(np.matmul, units, np.eye(n))
+    units.append(head.conj().T @ _unitary(rng, n, int(rng.integers(0, n + 1))))
+    coeffs = [np.eye(n, dtype=complex)]
+    for u in units:
+        v = _unitary(rng, n)[:, : rng.integers(0, n + 1)]
+        p = v @ v.conj().T
+        factor = (u @ p, u @ (np.eye(n) - p))
+        coeffs = [
+            sum(coeffs[i] @ factor[k - i] for i in range(len(coeffs)) if 0 <= k - i <= 1)
+            for k in range(len(coeffs) + 1)
+        ]
+    trunc = TruncationParams(n, guard + interior, guard)
+    w2 = np.zeros((n, trunc.L, n, trunc.L), dtype=complex)
+    for offset, a in enumerate(coeffs):
+        levels = np.arange(trunc.L - offset)
+        w2[:, levels + offset, :, levels] = a
+    w1 = kron(np.eye(n), truncated_shift(trunc.L))
+    return IsoRep2(W1=w1, W2=w2.reshape(trunc.dim, trunc.dim), trunc=trunc)
+
+
 @st.composite
-def family_built_reps(draw):
+def shift_pairs(draw):
+    """Pairs whose W1 is exactly 1 ⊗ S: planted, reflection and direct-sum
+    families at the default or the tightest truncation, the U = 1 non-pure
+    pair, and W2 of a random inner symbol on an interior that may be too
+    short for its solutions, so some reach the guard band."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 6))
-    kind = draw(st.sampled_from(["haar", "planted", "reflection"]))
-    if kind == "reflection":
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["planted", "reflection", "direct_sum", "nonpure", "inner"]))
+    if kind == "inner":
+        factors = draw(st.integers(1, 3))
+        guard = factors + draw(st.integers(0, 1))
+        return _inner_shift_pair(rng, n, factors, guard, draw(st.integers(1, factors + 1)))
+    if kind == "nonpure":
+        fam = ProjectionFamily(projections=coord_projections(2), unitary=np.eye(2, dtype=complex))
+    else:
         a = rng.uniform(0.2, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
         fam = reflection_family(a / np.linalg.norm(a))
-    else:
-        u = _unitary(rng, n, int(rng.integers(1, n + 1)) if kind == "planted" else 0)
-        random_ranks = draw(st.booleans())
-        projections = _random_rank_projections(rng, n) if random_ranks else coord_projections(n)
-        fam = ProjectionFamily(projections=projections, unitary=u)
+        if kind != "reflection":
+            projections = _random_rank_projections(rng, n) if kind == "planted" else fam.projections
+            planted = ProjectionFamily(
+                projections=projections, unitary=_unitary(rng, n, int(rng.integers(0, n + 1)))
+            )
+            fam = planted if kind == "planted" else direct_sum_family(fam, planted)
     trunc = None
     if draw(st.booleans()):
-        # the tight truncation: guard = d - 1, and just enough interior for d levels
         guard = max(fam.d - 1, 1)
-        trunc = TruncationParams(n, fam.d + guard + draw(st.integers(0, 2)), guard)
+        trunc = TruncationParams(fam.n, fam.d + guard + draw(st.integers(0, 2)), guard)
     return build_projection_family_rep(fam, trunc)
 
 
-@settings(max_examples=60, deadline=None)
-@given(family_built_reps())
-def test_family_kernels_match_the_dense_kernels(rep):
-    # every offset of a family generator lies below d ≤ interior levels, so
-    # both take the low-level block, except W1 = 1 ⊗ S (offset 1) on a
-    # single interior level
-    for w in (rep.W1, rep.W2):
-        width = check_generator_kernel(w, rep.trunc)
-        assert (width is None) == (w is rep.W1 and rep.trunc.interior_levels == 1)
-    space = cocycle_space(rep)
-    # the kernels are read off the matrices, so dropping the family changes nothing
-    bare = cocycle_space(replace(rep, family=None))
-    assert (space.dim, space.stable, space.discarded) == (bare.dim, bare.stable, bare.discarded)
+def _dense_apply(w):
+    return lambda x, sign: (w if sign > 0 else w.conj().T) @ x
+
+
+@settings(max_examples=80, deadline=None)
+@given(shift_pairs())
+# a degree-3 symbol on one interior level: 2 solutions kept, 1 discarded
+@example(_inner_shift_pair(np.random.default_rng(6), 3, 3, 3, 1))
+def test_shift_route_matches_the_dense_pair_basis(rep):
+    tr = rep.trunc
+    assert is_level_shift(rep.W1, tr)
+    dense_route = AssertionError("dense route")
+    with mock.patch.object(isorep.cocycle, "cocycle_pair_basis", side_effect=dense_route):
+        space = cocycle_space(rep)
+    full = cocycle_pair_basis(rep.W1, rep.W2)
+    guard_rows = full[~np.tile(tr.level_mask(), 2)]
+    inner = full @ nullspace(guard_rows, scale=1.0) if full.shape[1] else full
+    assert (space.dim, space.discarded) == (inner.shape[1], full.shape[1] - inner.shape[1])
+    shift = shift_pair_basis(tr.n, tr.L, _dense_apply(rep.W2))
+    basis = np.array([c.stacked() for c in space.basis], dtype=complex).reshape(-1, 2 * rep.dim).T
+    for got, want in ((shift, full), (basis, inner)):
+        assert got.shape == want.shape
+        assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(projector(got) - projector(want)), initial=0.0) <= 1e-10
+
+
+def _altered_w1(rep, kind):
+    if kind == "ulp":
+        w1 = rep.W1.copy()
+        w1[1, 0] = np.nextafter(1.0, 2.0)
+        return replace(rep, W1=w1)
+    if kind == "nan":
+        w1 = rep.W1.copy()
+        w1[5, 5] = np.nan
+        return replace(rep, W1=w1)
+    if kind == "half":
+        return replace(rep, W1=0.5 * rep.W1)
+    return reparametrize(rep, (1, 1), (2, 1))
+
+
+@pytest.mark.parametrize("kind", ["ulp", "nan", "half", "reparametrized"])
+def test_a_w1_that_is_not_exactly_the_shift_takes_the_dense_route(kind):
+    rep = example2_rep(L=16, guard=3)
+    assert is_level_shift(rep.W1, rep.trunc)
+    assert not is_level_shift(rep.W2, rep.trunc)
+    altered = _altered_w1(rep, kind)
+    assert not is_level_shift(altered.W1, altered.trunc)
+    if kind in ("nan", "half"):
+        # neither validates, so no cocycle solve runs on them
+        with pytest.raises(ValueError, match="validation"):
+            cocycle_space(altered)
+        return
+    shift_route = AssertionError("shift route")
+    with mock.patch.object(
+        isorep.cocycle, "shift_pair_basis", side_effect=shift_route
+    ), mock.patch.object(isorep.cocycle, "cocycle_pair_basis", wraps=cocycle_pair_basis) as dense:
+        assert cocycle_space(altered).dim == 3
+    assert dense.call_count == 1
+
+
+def test_index_of_a_family_pair_takes_no_svd_wider_than_n(monkeypatch):
+    # every SVD index() runs is the n-column solve or the guard filter of at
+    # most n solutions; the growth probe solves at n and at 2n
+    svd = np.linalg.svd
+    widths = []
+
+    def spy(a, *args, **kwargs):
+        widths.append(np.shape(a)[1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = np.random.default_rng(5)
+    planted = ProjectionFamily(projections=coord_projections(5), unitary=_unitary(rng, 5, 2))
+    probe = truncated_infinite_reflection_family(8)
+    for fam, width, want in (
+        (reflection_family(EX2_VECTOR), 4, {"finite": 3}),
+        (planted, 5, {"finite": 2}),
+        (probe, 16, {"unbounded_with_truncation": {"dims": [7, 15]}}),
+    ):
+        widths.clear()
+        assert index(build_projection_family_rep(fam)).to_json() == want
+        assert widths and max(widths) <= width
 
 
 def test_index_of_a_family_pair_makes_no_dense_kernel_call():
     rep = example2_rep()
     probe = build_projection_family_rep(truncated_infinite_reflection_family(3))
     dense = AssertionError("dense kernel")
-    with mock.patch.object(isorep.repmodel, "adjoint_kernel", side_effect=dense):
+    with mock.patch.object(isorep.cocycle, "adjoint_kernel", side_effect=dense):
         assert index(rep).to_json() == {"finite": 3}
         assert index(replace(rep, family=None)).to_json() == {"finite": 3}
         assert index(probe).to_json() == {"unbounded_with_truncation": {"dims": [2, 5]}}
@@ -562,3 +694,6 @@ def test_compatibility_solve_on_nonzero_rows_matches_full_nullspace(system):
     want = np.vstack([k1 @ coeffs[:split], k2 @ coeffs[split:]])
     assert got.shape == want.shape
     assert np.max(np.abs(projector(got) - projector(want)), initial=0.0) <= 1e-10
+    if w2k1 is k1:
+        # an all-zero compatibility matrix keeps its whole coefficient space
+        assert got.shape[1] == split + k2.shape[1]

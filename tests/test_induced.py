@@ -1,10 +1,11 @@
 import tracemalloc
 from functools import lru_cache
 from operator import add
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from isorep import induced, suites
@@ -35,13 +36,12 @@ from isorep.repmodel import (
     build_reflection_rep,
     direct_sum_family,
     interior_isometry_deviation,
+    is_level_shift,
     reflection_family,
 )
 from isorep.suites import (
     _adjoint_check, _axis_flip_check, _grid_times, _semigroup_check, induce_report, verify_suite
 )
-
-from kernel_checks import check_generator_kernel
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -969,29 +969,36 @@ FIBER_PAIRS = ["reflection", "planted", "nonpure", "blind_spot", "doubled", "rot
 
 
 def _altered_pair(kind, n, seed):
-    """A pair that keeps the family of its build after one generator changed,
-    and which generator (0: W1, 1: W2)."""
+    """A pair that keeps the family of its build after one generator changed."""
     if kind == "half_w1":
-        return _fiber_pair(kind, n, seed), 0
+        return _fiber_pair(kind, n, seed)
     if kind == "doubled_w1":
         rep = small_rep()
-        return IsoRep2(W1=2.0 * rep.W1, W2=rep.W2, trunc=rep.trunc, family=rep.family), 0
-    return _check_pair(kind, n, seed), 1
+        return IsoRep2(W1=2.0 * rep.W1, W2=rep.W2, trunc=rep.trunc, family=rep.family)
+    return _check_pair(kind, n, seed)
 
 
 @pytest.mark.parametrize("kind", ["half_w1", "doubled_w1", "level_scaled", "foreign_w2", "rotated"])
 @pytest.mark.parametrize("n, seed", [(2, 3), (3, 11)])
 def test_altered_family_pairs_take_the_fallback_kernel(kind, n, seed):
-    # the family describes the pair as built, not this one: the kernel comes
-    # from the altered matrix, by the low-level block when it is still a
-    # shift-invariant generator with an inner symbol and by the SVD otherwise
-    rep, altered = _altered_pair(kind, n, seed)
-    w = (rep.W1, rep.W2)[altered]
-    width = check_generator_kernel(w, rep.trunc)
-    if kind == "foreign_w2":
-        assert width is not None
-    elif kind != "rotated":
-        assert width is None
+    # the family describes the pair as built, not this one: the grid pair
+    # solve reads its route off the altered W1. Only level_scaled and
+    # foreign_w2 keep W1 = 1 ⊗ S and take the shift coordinates; the others
+    # take the per-cell kernels, and both match the dense generators
+    rep = _altered_pair(kind, n, seed)
+    shift = kind in ("level_scaled", "foreign_w2")
+    assert is_level_shift(rep.W1, rep.trunc) == shift
+    grid = induce_2d(rep, 2)
+    with mock.patch.object(
+        induced, "shift_pair_basis", wraps=induced.shift_pair_basis
+    ) as shift_route, mock.patch.object(
+        induced, "grid_adjoint_kernel", wraps=grid_adjoint_kernel
+    ) as kernel_route:
+        got = grid_cocycle_pair_basis(grid)
+    assert (shift_route.call_count, kernel_route.call_count) == ((1, 0) if shift else (0, 2))
+    want = cocycle_pair_basis(grid.V(0.5, 0), grid.V(0, 0.5))
+    assert got.shape == want.shape
+    assert np.max(np.abs(_projector(got) - _projector(want)), initial=0.0) <= 1e-12
 
 
 def _small_grid(kind, n, m, seed):
@@ -1027,6 +1034,9 @@ def test_grid_commutant_dim_matches_dense_star_commutant(kind, n, m, seed):
     m=st.sampled_from([2, 3, 4]),
     seed=st.integers(0, 2**16),
 )
+# M = 4 with a W1 that is not the shift: the per-cell kernel route
+@example(kind="rotated", n=2, m=4, seed=0)
+@example(kind="half_w1", n=2, m=4, seed=0)
 def test_per_cell_grid_kernels_match_dense_generators(kind, n, m, seed):
     grid = _small_grid(kind, n, m, seed)
     dense = [grid.V(1 / grid.M, 0), grid.V(0, 1 / grid.M)]

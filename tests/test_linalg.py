@@ -1,11 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isorep.cocycle import cocycle_space
 from isorep.induced import induce_2d
 from isorep.linalg import (
     DEFAULT_TOL,
@@ -18,22 +15,13 @@ from isorep.linalg import (
     nullspace,
 )
 from isorep.repmodel import (
-    IsoRep2,
     ProjectionFamily,
     TruncationParams,
     build_projection_family_rep,
-    build_reflection_rep,
-    generator_kernel,
-    pair_adjoint_kernels,
     reflection_family,
     reparametrize,
-    strong_purity_check,
-    truncated_infinite_reflection_family,
     truncated_shift,
-    validate,
 )
-
-from kernel_checks import check_generator_kernel, low_level_width
 
 
 def span_equal(a, b, tol=1e-12):
@@ -172,18 +160,18 @@ def _family_rep(rng, n, reflection):
     return build_projection_family_rep(fam, TruncationParams(n, 2 * guard + 2, guard))
 
 
-_KINDS_WITH_TRUNCATION = ["planted", "reflection", "reparametrized", "half", "overfull", "tiny"]
-
-
 @st.composite
-def adjoint_kernel_inputs(draw, kinds=None):
-    """(w, trunc, kind): every kind of generator the library builds, and
-    matrices that are not partial isometries. trunc is the truncation of the
-    pair w came from, None for a kind without one."""
+def adjoint_kernel_inputs(draw):
+    """Every kind of generator the library builds, and matrices that are not
+    partial isometries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 4))
-    kinds = kinds or [*_KINDS_WITH_TRUNCATION, "grid", "contraction", "faint", "rounded", "near"]
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(
+        st.sampled_from(
+            ["planted", "reflection", "reparametrized", "half", "overfull", "tiny", "grid",
+             "contraction", "faint", "rounded", "near"]
+        )
+    )
     rep = _family_rep(rng, n, reflection=kind == "reflection")
     pick = draw(st.integers(0, 1))
     if kind == "reparametrized":
@@ -191,16 +179,16 @@ def adjoint_kernel_inputs(draw, kinds=None):
         rep = reparametrize(rep, *points)
     if kind == "grid":
         m = draw(st.integers(2, 3))
-        return induce_2d(rep, m).V(*[(1 / m, 0), (0, 1 / m)][pick]), None, kind
+        return induce_2d(rep, m).V(*[(1 / m, 0), (0, 1 / m)][pick])
     w = (rep.W1, rep.W2)[pick]
     if kind == "half":
-        return 0.5 * w, rep.trunc, kind
+        return 0.5 * w
     if kind == "tiny":
         # every singular value below rank_tol: the relative cutoff still
         # finds ker w*, not the whole space
-        return 10.0 ** -rng.uniform(10.0, 14.0) * w, rep.trunc, kind
+        return 10.0 ** -rng.uniform(10.0, 14.0) * w
     if kind == "overfull":
-        return 2.0 * w, rep.trunc, kind
+        return 2.0 * w
     if kind == "contraction":
         # random singular vectors, fewer than all singular values 0, the rest in (0, 1)
         size = int(rng.integers(2, 24))
@@ -208,9 +196,9 @@ def adjoint_kernel_inputs(draw, kinds=None):
         v, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
         s = rng.uniform(0.1, 0.9, size=size)
         s[rng.permutation(size)[: rng.integers(0, size)]] = 0.0
-        return u @ np.diag(s) @ v.conj().T, None, kind
+        return u @ np.diag(s) @ v.conj().T
     if kind not in ("faint", "rounded", "near"):
-        return w, rep.trunc, kind
+        return w
     u, s, vh = np.linalg.svd(w)
     if kind == "faint":
         # one singular value of w in [1e-8, 3e-6], above the rank cutoff
@@ -222,13 +210,12 @@ def adjoint_kernel_inputs(draw, kinds=None):
     else:
         # one singular value 1 − ε
         s[np.flatnonzero(s > 0.5)[-1]] = 1.0 - 10.0 ** rng.uniform(-14.0, -3.0)
-    return u @ np.diag(s) @ vh, None, kind
+    return u @ np.diag(s) @ vh
 
 
 @settings(max_examples=132, deadline=None)
 @given(adjoint_kernel_inputs())
-def test_adjoint_kernel_matches_svd_route(case):
-    w, _, _ = case
+def test_adjoint_kernel_matches_svd_route(w):
     basis = adjoint_kernel(w)
     reference = nullspace(w.conj().T)
     assert basis.shape == reference.shape
@@ -270,115 +257,6 @@ def test_adjoint_kernel_rejects_non_finite(bad):
     w[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         adjoint_kernel(w)
-    with pytest.raises(ValueError, match="finite"):
-        generator_kernel(w, TruncationParams(2, 5, 2))
-
-
-# --- generator_kernel ---------------------------------------------------------------
-
-
-def _inner_generator(rng, n, factors, guard, interior):
-    """Σ_k A_k ⊗ S^k for the inner symbol Θ = Π_j U_j(P_j + zQ_j), U_j a random
-    unitary, P_j a random projection of random rank and Q_j = 1 − P_j."""
-    coeffs = [np.eye(n, dtype=complex)]
-    for _ in range(factors):
-        u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-        v = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-        v = v[:, : rng.integers(0, n + 1)]
-        p = v @ v.conj().T
-        factor = (u @ p, u @ (np.eye(n) - p))
-        coeffs = [
-            sum(coeffs[i] @ factor[k - i] for i in range(len(coeffs)) if 0 <= k - i <= 1)
-            for k in range(len(coeffs) + 1)
-        ]
-    trunc = TruncationParams(n, guard + interior, guard)
-    w = np.zeros((n, trunc.L, n, trunc.L), dtype=complex)
-    for offset, a in enumerate(coeffs):
-        levels = np.arange(trunc.L - offset)
-        w[:, levels + offset, :, levels] = a
-    return w.reshape(trunc.dim, trunc.dim), trunc
-
-
-@st.composite
-def inner_generators(draw):
-    """(w, trunc, "inner"): a random inner symbol of degree ≤ guard, on an
-    interior that may be too short for the low-level route."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    factors = draw(st.integers(1, 3))
-    guard = factors + draw(st.integers(0, 1))
-    interior = draw(st.integers(1, 2 * factors + 2))
-    return (*_inner_generator(rng, draw(st.integers(1, 4)), factors, guard, interior), "inner")
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.one_of(adjoint_kernel_inputs(_KINDS_WITH_TRUNCATION), inner_generators()))
-def test_generator_kernel_matches_svd_route(case):
-    w, trunc, kind = case
-    width = check_generator_kernel(w, trunc)
-    if kind in ("planted", "reflection"):
-        assert width is not None
-    elif kind in ("half", "overfull", "tiny"):
-        assert width is None
-
-
-def test_generator_kernel_of_a_guard_column_swap():
-    # ‖W2‖_F² is unchanged and ker W2* of the built pair lives on levels 0
-    # and 1, far from the altered columns; the kernel has grown by one
-    rep = _guard_column_swap()
-    assert validate(rep).ok
-    assert check_generator_kernel(rep.W2, rep.trunc) is None
-    assert pair_adjoint_kernels(rep)[1].shape[1] == 4
-    built = build_projection_family_rep(rep.family, rep.trunc)
-    assert check_generator_kernel(built.W2, built.trunc) == 3 * 2
-
-
-def test_family_kernels_take_no_square_svd(monkeypatch):
-    # at the default truncation (N = 128) the adjoint kernels are low-level
-    # blocks of at most n·(d − 1) = 12 columns; no square SVD of N or more
-    svd = np.linalg.svd
-
-    def guarded(a, *args, **kwargs):
-        if np.ndim(a) == 2 and np.shape(a)[0] == np.shape(a)[1] >= 64:
-            raise AssertionError(f"square SVD of shape {np.shape(a)}")
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", guarded)
-    rep = build_projection_family_rep(reflection_family(np.full(4, 0.5)))
-    assert rep.dim == 128
-    assert cocycle_space(rep).dim == 3
-    assert strong_purity_check(rep, depth=3).verdict == "strongly_pure"
-
-
-def test_growth_probe_kernels_stay_below_one_square_array():
-    # the n = 16 growth-probe generators (N = 640): W1's block is 16-square
-    # and W2's 240-square, and neither route test may form an N×N product or
-    # copy, such as a Gram matrix or a conjugate of w
-    rep = build_projection_family_rep(
-        truncated_infinite_reflection_family(16), TruncationParams(16, 40, 17)
-    )
-    square = rep.W1.nbytes
-    assert rep.dim == 640
-    for w, width, dim in ((rep.W1, 16, 16), (rep.W2, 240, 120)):
-        assert low_level_width(w, rep.trunc) == width
-        tracemalloc.start()
-        try:
-            kernel = generator_kernel(w, rep.trunc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert kernel.shape == (640, dim)
-        assert peak < square
-
-
-def _guard_column_swap():
-    """A reflection pair (n = 3, L = 12, guard = 3) that keeps its family, with
-    W2's guard column (h, level) = (0, 9) scaled by √2 and (0, 10) zeroed."""
-    a = np.array([0.5, 0.6, 0.7])
-    rep = build_reflection_rep(a / np.linalg.norm(a), TruncationParams(3, 12, 3))
-    w2 = rep.W2.copy()
-    w2[:, 9] *= np.sqrt(2.0)
-    w2[:, 10] = 0.0
-    return IsoRep2(W1=rep.W1, W2=w2, trunc=rep.trunc, family=rep.family)
 
 
 # --- intertwiner_space --------------------------------------------------------
