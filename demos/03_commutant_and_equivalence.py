@@ -3,8 +3,10 @@
 Two commutants, one solver: the structured one is the star commutant on C^n
 of U and the level operator H = Σ (i/d)·P_i, whose spectral projections are
 the P_i; the truncated oracle counts the star commutant of the pair on the
-full model space, with no interior filter. Their dimensions must agree, and
-dimension one means irreducible.
+full model space, with no interior filter. This pair's W1 is 1 ⊗ S and its W2
+is Σ_k A_k ⊗ S^k, so that space is T0 ⊗ 1 with T0 commuting with every A_k
+and A_k*, solved on C^n. Their dimensions must agree, and dimension one means
+irreducible.
 
 Equivalence of two reflection families reduces to the *-intertwiners on C^n
 of their unitaries and H; an empty space settles inequivalence, and a space

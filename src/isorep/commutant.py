@@ -1,10 +1,14 @@
 """Commutants, irreducibility, and unitary equivalence.
 
-Two spaces, one solver. The structured space is the commutant on C^n of U and
-every P_i; the truncated oracle's is the star commutant of the pair on the
-full C^n ⊗ C^L, an upper-bound heuristic at fixed truncation, certified only
-by agreement with the structured answer. That cross-check compares different
-matrices; the solver itself is tested against ``linalg.intertwiner_space``.
+One solver, three spaces. The structured space is the commutant on C^n of U
+and every P_i. The pair's star commutant on the full C^n ⊗ C^L
+(``pair_star_commutant_basis``) is exact algebra on the truncation when W1
+is the bare level shift 1 ⊗ S and W2 is Σ_k A_k ⊗ S^k: S and S* generate
+M_L, so every element is T0 ⊗ 1 with T0 in the star commutant of the A_k
+on C^n. Any other pair takes the dense solve of (W1, W2) on C^{nL}. The
+truncated oracle counts that space; the preset cross-checks compare it with
+the structured answer, and the solver itself is tested against
+``linalg.intertwiner_space``.
 
 The solver gives the *-intertwiners {T : A T = T B, A* T = T B*} of two lists
 of generators, and the star commutant is its case B = A. It works by
@@ -21,8 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_to_json, nullspace
-from .repmodel import IsoRep2, ProjectionFamily, certify_two_truncations
+from .linalg import DEFAULT_TOL, ToleranceConfig, kron, matrix_to_json, nullspace
+from .repmodel import (
+    IsoRep2, ProjectionFamily, certify_two_truncations, is_level_shift, level_shift_symbol,
+)
 
 __all__ = [
     "EquivalenceVerdict",
@@ -54,19 +60,35 @@ def structured_commutant_dim(fam: ProjectionFamily, tol: ToleranceConfig = DEFAU
     return len(structured_commutant_basis(fam, tol))
 
 
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Σ_k terms[k], added one at a time from zero in k order."""
+    total = np.zeros(terms.shape[1:], dtype=complex)
+    for term in terms:
+        total += term
+    return total
+
+
 def _random_algebra_element(
     mats: list[np.ndarray], rng: np.random.Generator
 ) -> np.ndarray:
     """A generically-spectrumed self-adjoint element of the *-algebra
-    generated by ``mats`` (first- and second-order words with random
-    coefficients)."""
-    n = mats[0].shape[0]
-    words = list(mats) + [a @ b for a in mats for b in mats]
-    h = np.zeros((n, n), dtype=complex)
-    for w in words:
-        c1, c2 = rng.normal(), rng.normal()
-        h += c1 * (w + w.conj().T) + c2 * 1j * (w - w.conj().T)
-    return h
+    generated by ``mats``: Σ_w c1·(w + w*) + c2·i(w − w*) over the words w,
+    the generators and then every product a·b, a the outer index. The
+    words draw their (c1, c2) in that order and are summed in it."""
+    gens = np.asarray(mats, dtype=complex)
+    words = np.concatenate([gens, (gens[:, None] @ gens).reshape(-1, *gens.shape[1:])])
+    c1, c2 = rng.normal(size=(len(words), 2, 1, 1)).transpose(1, 0, 2, 3)
+    adj = _adjoints(words)
+    terms = words + adj
+    terms *= c1
+    odd = words - adj
+    odd *= c2 * 1j
+    terms += odd
+    return _ordered_sum(terms)
 
 
 def _matched_entries(
@@ -87,11 +109,11 @@ def _matched_entries(
     return alpha, beta
 
 
-def _eigenbasis(mats: list[np.ndarray], seed: int):
-    """Spectrum w and eigenbasis q of the seeded random algebra element, and
-    the generators Â = q* A q in it."""
+def _eigenbasis(mats: np.ndarray, seed: int):
+    """Spectrum w and eigenbasis q of the seeded random algebra element of a
+    stack of generators, and the stack of Â = q* A q in it."""
     w, q = np.linalg.eigh(_random_algebra_element(mats, np.random.default_rng(seed)))
-    return w, q, [q.conj().T @ a @ q for a in mats]
+    return w, q, q.conj().T @ mats @ q
 
 
 def star_intertwiner_basis(
@@ -116,29 +138,30 @@ def star_intertwiner_basis(
     one has non-finite entries.
     """
     commutant = all(a is b for a, b in pairs)
-    lhs = [np.asarray(a, dtype=complex) for a, _ in pairs]
-    rhs = lhs if commutant else [np.asarray(b, dtype=complex) for _, b in pairs]
-    if lhs[0].shape[0] != rhs[0].shape[0]:
+    lhs = np.array([a for a, _ in pairs], dtype=complex)
+    rhs = lhs if commutant else np.array([b for _, b in pairs], dtype=complex)
+    if lhs.shape[1] != rhs.shape[1]:
         raise ValueError("star_intertwiner_basis needs equal dimensions")
-    for i, (a, b) in enumerate(zip(lhs, rhs), start=1):
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError(f"W{i} has non-finite entries")
+    finite = np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"W{np.argmin(finite) + 1} has non-finite entries")
     side_a = w_a, q_a, hats_a = _eigenbasis(lhs, seed)
     w_b, q_b, hats_b = side_a if commutant else _eigenbasis(rhs, seed)
     scale = max(1.0, float(np.max(np.abs(w_a))), float(np.max(np.abs(w_b))))
     alpha, beta = _matched_entries(w_a, w_b, gap=1e-8 * scale)
     if not alpha.size:
         return []
-    aa, bb = np.ix_(alpha, alpha), np.ix_(beta, beta)
+    # S and X of every generator at once; their Gram terms add in generator order
+    adj_a = _adjoints(hats_a)
+    adj_b = adj_a if commutant else _adjoints(hats_b)
+    sa = hats_a @ adj_a + adj_a @ hats_a
+    sb = sa if commutant else hats_b @ adj_b + adj_b @ hats_b
+    aa, bb = (slice(None), alpha[:, None], alpha), (slice(None), beta[:, None], beta)
     same_alpha, same_beta = alpha[:, None] == alpha, beta[:, None] == beta
-    gram = np.zeros((alpha.size, alpha.size), dtype=complex)
-    for a_hat, b_hat in zip(hats_a, hats_b):
-        sa = a_hat @ a_hat.conj().T + a_hat.conj().T @ a_hat
-        sb = sa if commutant else b_hat @ b_hat.conj().T + b_hat.conj().T @ b_hat
-        x = a_hat[aa] * b_hat[bb].conj()
-        gram += same_alpha * sb[bb].conj() + same_beta * sa[aa] - 2 * (x + x.conj().T)
-    lam, vecs = np.linalg.eigh(gram)
-    op_scale = max([np.sqrt(max(lam[-1], 0.0))] + [np.max(np.abs(a)) for a in lhs + rhs])
+    x = hats_a[aa] * hats_b[bb].conj()
+    terms = same_alpha * sb[bb].conj() + same_beta * sa[aa] - 2 * (x + _adjoints(x))
+    lam, vecs = np.linalg.eigh(_ordered_sum(terms))
+    op_scale = max(np.sqrt(max(lam[-1], 0.0)), np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     candidates = vecs[:, lam <= tol.rank_tol * op_scale**2]
     if not candidates.shape[1]:
         return []
@@ -151,7 +174,8 @@ def star_intertwiner_basis(
     ]
     flat = np.vstack([r.reshape(len(t), -1).T for r in residuals])
     kernel = nullspace(flat, tol, scale=float(op_scale))
-    return list(q_a @ np.tensordot(kernel.T, t, axes=1) @ q_b.conj().T)
+    basis = (kernel.T @ t.reshape(len(t), -1)).reshape(-1, *t.shape[1:])
+    return list(q_a @ basis @ q_b.conj().T)
 
 
 def star_commutant_basis(
@@ -164,18 +188,47 @@ def star_commutant_basis(
     return star_intertwiner_basis([(a, a) for a in mats], tol, seed)
 
 
+def pair_star_commutant_basis(
+    rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
+) -> list[np.ndarray]:
+    """Orthonormal basis of the pair's star commutant on C^n ⊗ C^L: every T
+    with T W = W T and T W* = W* T for W = W1, W2.
+
+    The route is read off the matrices. When W1 is exactly 1 ⊗ S
+    (``is_level_shift``) and W2 is exactly Σ_{k ≤ guard} A_k ⊗ S^k
+    (``level_shift_symbol``), the basis is T0 ⊗ 1_L/√L, T0 over
+    ``star_commutant_basis`` of the nonzero A_k. This is exact algebra on
+    the truncation: S and S* generate M_L, so T = T0 ⊗ 1, and since the S^k,
+    k < L, are independent, T0 ⊗ 1 commutes with W2 and W2* iff T0 commutes
+    with every A_k and A_k*. Every other pair takes the dense solve of
+    (W1, W2).
+    """
+    tr = rep.trunc
+    blocks = level_shift_symbol(rep.W2, tr) if is_level_shift(rep.W1, tr) else None
+    if blocks is None:
+        return star_commutant_basis([rep.W1, rep.W2], tol, seed)
+    # W2 = 0 leaves T0 free: the star commutant of the zero block is M_n
+    nonzero = [a for a in blocks if a.any()] or [blocks[0]]
+    levels = np.eye(tr.L) / np.sqrt(tr.L)
+    return [kron(t0, levels) for t0 in star_commutant_basis(nonzero, tol, seed)]
+
+
 def truncated_commutant_oracle(
     rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
 ) -> int:
     """Commutant dimension of the pair on the full truncated space: the
-    number of independent T commuting with W1, W2 and their adjoints.
+    number of independent T commuting with W1, W2 and their adjoints
+    (``pair_star_commutant_basis``).
 
-    No interior filter is applied: an element T0 ⊗ 1 of the structured
-    commutant preserves shift levels, so its interior compression commutes
-    with the compressed generators anyway. Heuristic at fixed L; trust it
-    only when it agrees with the structured formula or is stable in L.
+    For a level-shift pair (W1 = 1 ⊗ S, W2 = Σ_k A_k ⊗ S^k) the count is
+    exact on the truncation and solved on C^n; any other pair takes the
+    dense solve on C^{nL}. No interior filter is applied: an element T0 ⊗ 1
+    of the structured commutant preserves shift levels, so its interior
+    compression commutes with the compressed generators anyway. Either way
+    it is a count at fixed L; trust it only when it agrees with the
+    structured formula or is stable in L.
     """
-    return len(star_commutant_basis([rep.W1, rep.W2], tol, seed))
+    return len(pair_star_commutant_basis(rep, tol, seed))
 
 
 def is_irreducible(

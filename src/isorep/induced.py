@@ -35,7 +35,8 @@ adjoints are the scatters of ``cells``, kept as the dense references.
 The 2-d grid commutant is solved on the fiber. Every cell wraps exactly once
 in M steps, so V(1/M, 0)^M = 1 ⊗ W1 and V(0, 1/M)^M = 1 ⊗ W2 as matrices, and
 whatever commutes with the generators and their adjoints lies in
-M_{M²} ⊗ σ′, σ′ the star commutant of the fiber pair (dimension r). A
+M_{M²} ⊗ σ′, σ′ the star commutant of the fiber pair (dimension r; for a
+level-shift fiber pair it is T0 ⊗ 1, solved on C^n). A
 generator maps the cell pair (c, d) to (s(c), s(d)), a translation that keeps
 the displacement d − c, so the commutation relations split into M² systems
 of r·M² unknowns, one per displacement (``_grid_commutant_dim``). This is
@@ -53,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .commutant import star_commutant_basis, structured_commutant_basis
+from .commutant import pair_star_commutant_basis, structured_commutant_basis
 from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, numerical_rank
 from .repmodel import (
     IsoRep2, TruncationParams, interior_isometry_deviation, is_level_shift, sigma_power,
@@ -502,9 +503,12 @@ def induced_commutant_check_2d(
     compression always commutes), and on the fiber: V(1/M, 0)^M = 1 ⊗ W1 and
     V(0, 1/M)^M = 1 ⊗ W2, so the grid commutant lies in M_{M²} ⊗ σ′, σ′ the
     fiber pair's star commutant, and its relations split by cell
-    displacement into M² small systems. That containment is exact algebra,
-    not the theorem: the solve still finds every dimension of the grid
-    commutant beyond 1 ⊗ σ′.
+    displacement into M² small systems. σ′ comes from
+    ``pair_star_commutant_basis``: for a level-shift fiber pair it is
+    T0 ⊗ 1_L/√L with T0 solved on C^n from W2's blocks, exact on the
+    truncation; any other fiber pair takes the dense solve. That
+    containment is exact algebra, not the theorem: the solve still finds
+    every dimension of the grid commutant beyond 1 ⊗ σ′.
 
     The second direction only holds for strongly pure pairs. When a
     generator has a unitary direct summand, the periodic fiber it fixes makes
@@ -523,7 +527,7 @@ def induced_commutant_check_2d(
     fiber_ops = [kron(t0, np.eye(rep.trunc.L)) for t0 in base]
     worst = float(np.max([np.abs(t @ blocks - blocks @ t).max() for t in fiber_ops], initial=0.0))
 
-    fiber = star_commutant_basis([rep.W1, rep.W2], tol, seed)
+    fiber = pair_star_commutant_basis(rep, tol, seed)
     grid_dim = _grid_commutant_dim(grid, fiber, tol)
 
     return InducedCommutantReport(

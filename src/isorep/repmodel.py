@@ -20,8 +20,10 @@ products. A pair with a non-finite entry fails before anything is
 multiplied.
 
 ``is_level_shift`` tells, exactly, whether a generator is the bare level
-shift 1 ⊗ S. Every pair built here has that W1, and the cocycle solve reads
-its wandering subspace C^n ⊗ δ_0 off the matrix, never from ``rep.family``.
+shift 1 ⊗ S, and ``level_shift_symbol`` whether it is Σ_k A_k ⊗ S^k, and
+returns the A_k. Every pair built here has that W1, and the cocycle solve
+and the pair star commutant read what they need off the matrices, never
+from ``rep.family``.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ __all__ = [
     "build_projection_family_rep",
     "build_reflection_rep",
     "is_level_shift",
+    "level_shift_symbol",
     "validate",
     "interior_isometry_deviation",
     "strong_purity_check",
@@ -124,6 +127,33 @@ def is_level_shift(w: np.ndarray, trunc: TruncationParams) -> bool:
         and np.count_nonzero(w) == np.count_nonzero(step)
         and (np.diagonal(w, -1)[step] == 1).all()
     )
+
+
+def level_shift_symbol(w: np.ndarray, trunc: TruncationParams) -> np.ndarray | None:
+    """The blocks A_0 … A_guard, stacked, when w is exactly Σ_k A_k ⊗ S^k on
+    C^n ⊗ C^L over 0 ≤ k ≤ guard with finite entries; else None.
+
+    The test is exact: each level block equals the one a level down and to
+    the left, level 0's row is zero right of the diagonal (no offset below
+    0), and level 0's column is zero above level ``guard`` (no offset above
+    it). Every entry of such a w is 0 or an entry of some A_k = w[level k,
+    level 0], so a NaN anywhere fails the test and an infinity shows in the
+    A_k.
+    """
+    if np.shape(w) != (trunc.dim, trunc.dim):
+        return None
+    n, L = trunc.n, trunc.L
+    w = np.ascontiguousarray(w, dtype=complex)
+    # tested as (re, im) float pairs, which numpy runs through SIMD loops
+    f = w.view(float).reshape(n, L, n, L, 2)
+    if not (
+        (f[:, 1:, :, 1:] == f[:, :-1, :, :-1]).all()
+        and not f[:, 0, :, 1:].any()
+        and not f[:, trunc.guard + 1 :, :, 0].any()
+    ):
+        return None
+    blocks = w.reshape(n, L, n, L)[:, : trunc.guard + 1, :, 0].transpose(1, 0, 2)
+    return blocks if np.isfinite(blocks).all() else None
 
 
 @dataclass(frozen=True)
@@ -424,7 +454,7 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
 
     The deviations are max|P(W*W − 1)P| per generator and max|P[W1, W2]P|,
     P the interior projector. A pair whose generators are both level-shift
-    invariant (``_shift_invariant``: W = Σ_k A_k ⊗ S^k with 0 ≤ k ≤ guard)
+    invariant (``level_shift_symbol``: W = Σ_k A_k ⊗ S^k with 0 ≤ k ≤ guard)
     takes them from its symbols:
 
     - the Gram block of interior levels (ℓ, ℓ + δ) is Σ_k A_k* A_{k−δ} for
@@ -442,18 +472,16 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
     """
     tr = rep.trunc
     w1, w2 = (np.ascontiguousarray(w, dtype=complex) for w in (rep.W1, rep.W2))
-    # tested as (re, im) float pairs, which numpy runs through SIMD loops
-    floats = [w.view(float).reshape(tr.n, tr.L, tr.n, tr.L, 2) for w in (w1, w2)]
-    if not all(np.isfinite(f).all() for f in floats):
-        nan = float("nan")
-        return ValidationReport(nan, nan, nan, tol=tol.identity_tol)
-    if all(_shift_invariant(f, tr.guard) for f in floats):
+    if all(level_shift_symbol(w, tr) is not None for w in (w1, w2)):
         w1, w2 = (w.reshape(tr.n, tr.L, tr.n, tr.L) for w in (w1, w2))
         devs = (
             _symbol_isometry_deviation(w1, tr),
             _symbol_isometry_deviation(w2, tr),
             _symbol_commutation_deviation(w1, w2, tr),
         )
+    elif not all(np.isfinite(w.view(float)).all() for w in (w1, w2)):
+        nan = float("nan")
+        return ValidationReport(nan, nan, nan, tol=tol.identity_tol)
     else:
         mask = tr.level_mask()
         comm = rep.W1[mask] @ rep.W2[:, mask] - rep.W2[mask] @ rep.W1[:, mask]
@@ -463,18 +491,6 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
             np.abs(comm).max(),
         )
     return ValidationReport(*map(float, devs), tol=tol.identity_tol)
-
-
-def _shift_invariant(f: np.ndarray, guard: int) -> bool:
-    """Whether w, its floats viewed as (n, L, n, L, 2), is Σ_k A_k ⊗ S^k over
-    0 ≤ k ≤ guard: each level block equals the one a level down and to the
-    left, level 0's row is zero right of the diagonal (no offset below 0),
-    and level 0's column is zero above level ``guard`` (no offset above it)."""
-    return bool(
-        (f[:, 1:, :, 1:] == f[:, :-1, :, :-1]).all()
-        and not f[:, 0, :, 1:].any()
-        and not f[:, guard + 1 :, :, 0].any()
-    )
 
 
 def _symbol_isometry_deviation(w4: np.ndarray, trunc: TruncationParams) -> float:

@@ -1,6 +1,5 @@
 import itertools
 from dataclasses import replace
-from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -25,7 +24,7 @@ from isorep.cocycle import (
     restrict_to_subsemigroup,
     shift_pair_basis,
 )
-from isorep.linalg import DEFAULT_TOL, kron, nullspace
+from isorep.linalg import DEFAULT_TOL, nullspace
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -40,6 +39,7 @@ from isorep.repmodel import (
     truncated_infinite_reflection_family,
     truncated_shift,
 )
+from symbol_pairs import inner_shift_pair, random_rank_projections, unitary
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -476,55 +476,6 @@ def test_extend_rejects_invalid_values():
 # --- the shift route against the dense pair basis ---------------------------------
 
 
-def _unitary(rng, n, fixed=0):
-    """Haar unitary, or one with ker(U - 1) of dimension ``fixed`` planted and
-    the other eigenvalues kept away from 1."""
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    if not fixed:
-        return q
-    phases = np.exp(1j * rng.uniform(0.3, 2 * np.pi - 0.3, size=n - fixed))
-    return q @ np.diag(np.concatenate([np.ones(fixed), phases])) @ q.conj().T
-
-
-def _random_rank_projections(rng, n):
-    """d ∈ [1, n + 1] projections of random ranks (zero allowed) onto the
-    coordinate blocks of a random basis."""
-    basis = _unitary(rng, n)
-    d = int(rng.integers(1, n + 2))
-    cuts = np.sort(rng.integers(0, n + 1, size=d - 1))
-    bounds = [0, *cuts, n]
-    return tuple(
-        basis[:, lo:hi] @ basis[:, lo:hi].conj().T for lo, hi in zip(bounds, bounds[1:])
-    )
-
-
-def _inner_shift_pair(rng, n, factors, guard, interior):
-    """W1 = 1 ⊗ S and W2 = Σ_k A_k ⊗ S^k for the inner symbol
-    Θ = Π_j U_j(P_j + zQ_j), P_j a random projection of random rank,
-    Q_j = 1 − P_j, and random unitaries U_j whose product Θ(1) has a planted
-    fixed space of random dimension: the cocycles are a ⊗ δ_0 with Θ(1)a = a."""
-    units = [_unitary(rng, n) for _ in range(factors - 1)]
-    head = reduce(np.matmul, units, np.eye(n))
-    units.append(head.conj().T @ _unitary(rng, n, int(rng.integers(0, n + 1))))
-    coeffs = [np.eye(n, dtype=complex)]
-    for u in units:
-        v = _unitary(rng, n)[:, : rng.integers(0, n + 1)]
-        p = v @ v.conj().T
-        factor = (u @ p, u @ (np.eye(n) - p))
-        coeffs = [
-            sum(coeffs[i] @ factor[k - i] for i in range(len(coeffs)) if 0 <= k - i <= 1)
-            for k in range(len(coeffs) + 1)
-        ]
-    trunc = TruncationParams(n, guard + interior, guard)
-    w2 = np.zeros((n, trunc.L, n, trunc.L), dtype=complex)
-    for offset, a in enumerate(coeffs):
-        levels = np.arange(trunc.L - offset)
-        w2[:, levels + offset, :, levels] = a
-    w1 = kron(np.eye(n), truncated_shift(trunc.L))
-    return IsoRep2(W1=w1, W2=w2.reshape(trunc.dim, trunc.dim), trunc=trunc)
-
-
 @st.composite
 def shift_pairs(draw):
     """Pairs whose W1 is exactly 1 ⊗ S: planted, reflection and direct-sum
@@ -537,16 +488,16 @@ def shift_pairs(draw):
     if kind == "inner":
         factors = draw(st.integers(1, 3))
         guard = factors + draw(st.integers(0, 1))
-        return _inner_shift_pair(rng, n, factors, guard, draw(st.integers(1, factors + 1)))
+        return inner_shift_pair(rng, n, factors, guard, draw(st.integers(1, factors + 1)))
     if kind == "nonpure":
         fam = ProjectionFamily(projections=coord_projections(2), unitary=np.eye(2, dtype=complex))
     else:
         a = rng.uniform(0.2, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
         fam = reflection_family(a / np.linalg.norm(a))
         if kind != "reflection":
-            projections = _random_rank_projections(rng, n) if kind == "planted" else fam.projections
+            projections = random_rank_projections(rng, n) if kind == "planted" else fam.projections
             planted = ProjectionFamily(
-                projections=projections, unitary=_unitary(rng, n, int(rng.integers(0, n + 1)))
+                projections=projections, unitary=unitary(rng, n, int(rng.integers(0, n + 1)))
             )
             fam = planted if kind == "planted" else direct_sum_family(fam, planted)
     trunc = None
@@ -563,7 +514,7 @@ def _dense_apply(w):
 @settings(max_examples=80, deadline=None)
 @given(shift_pairs())
 # a degree-3 symbol on one interior level: 2 solutions kept, 1 discarded
-@example(_inner_shift_pair(np.random.default_rng(6), 3, 3, 3, 1))
+@example(inner_shift_pair(np.random.default_rng(6), 3, 3, 3, 1))
 def test_shift_route_matches_the_dense_pair_basis(rep):
     tr = rep.trunc
     assert is_level_shift(rep.W1, tr)
@@ -628,7 +579,7 @@ def test_index_of_a_family_pair_takes_no_svd_wider_than_n(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     rng = np.random.default_rng(5)
-    planted = ProjectionFamily(projections=coord_projections(5), unitary=_unitary(rng, 5, 2))
+    planted = ProjectionFamily(projections=coord_projections(5), unitary=unitary(rng, 5, 2))
     probe = truncated_infinite_reflection_family(8)
     for fam, width, want in (
         (reflection_family(EX2_VECTOR), 4, {"finite": 3}),

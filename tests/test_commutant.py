@@ -1,4 +1,6 @@
 import sys
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isorep.commutant
-import isorep.induced
 import isorep.linalg
 from isorep.commutant import (
     _equivalence_from_basis,
@@ -14,6 +15,7 @@ from isorep.commutant import (
     _random_algebra_element,
     are_unitarily_equivalent,
     is_irreducible,
+    pair_star_commutant_basis,
     star_commutant_basis,
     star_intertwiner_basis,
     structured_commutant_basis,
@@ -30,10 +32,13 @@ from isorep.repmodel import (
     build_projection_family_rep,
     build_reflection_rep,
     direct_sum_family,
+    is_level_shift,
+    level_shift_symbol,
     reflection_family,
     reparametrize,
 )
 from isorep.suites import seeded_random_family, verify_suite
+from symbol_pairs import inner_shift_pair, random_rank_projections, unitary
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -234,6 +239,90 @@ GUARDED_ROUTES = {
 def test_library_never_reaches_the_dense_intertwiner_solve(monkeypatch, capsys, route):
     _forbid_dense_intertwiner_solve(monkeypatch)
     assert GUARDED_ROUTES[route]()
+
+
+# --- batched solver against the word-by-word loop ------------------------------------
+
+
+def loop_random_element(mats, rng):
+    """The random algebra element word by word: two scalar draws per word,
+    each term added to the running sum as it is formed."""
+    words = list(mats) + [a @ b for a in mats for b in mats]
+    h = np.zeros(mats[0].shape, dtype=complex)
+    for w in words:
+        c1, c2 = rng.normal(), rng.normal()
+        h += c1 * (w + w.conj().T) + c2 * 1j * (w - w.conj().T)
+    return h
+
+
+def loop_intertwiner_basis(pairs, tol=DEFAULT_TOL, seed=0):
+    """star_intertwiner_basis with its words, generators and Gram terms
+    handled one at a time, in the order the batched solver sums them."""
+    lhs = [np.asarray(a, dtype=complex) for a, _ in pairs]
+    rhs = [np.asarray(b, dtype=complex) for _, b in pairs]
+    sides = []
+    for mats in (lhs, rhs):
+        w, q = np.linalg.eigh(loop_random_element(mats, np.random.default_rng(seed)))
+        sides.append((w, q, [q.conj().T @ a @ q for a in mats]))
+    (w_a, q_a, hats_a), (w_b, q_b, hats_b) = sides
+    scale = max(1.0, float(np.max(np.abs(w_a))), float(np.max(np.abs(w_b))))
+    alpha, beta = _matched_entries(w_a, w_b, gap=1e-8 * scale)
+    if not alpha.size:
+        return []
+    aa, bb = np.ix_(alpha, alpha), np.ix_(beta, beta)
+    same_alpha, same_beta = alpha[:, None] == alpha, beta[:, None] == beta
+    gram = np.zeros((alpha.size, alpha.size), dtype=complex)
+    for a_hat, b_hat in zip(hats_a, hats_b):
+        sa = a_hat @ a_hat.conj().T + a_hat.conj().T @ a_hat
+        sb = b_hat @ b_hat.conj().T + b_hat.conj().T @ b_hat
+        x = a_hat[aa] * b_hat[bb].conj()
+        gram += same_alpha * sb[bb].conj() + same_beta * sa[aa] - 2 * (x + x.conj().T)
+    lam, vecs = np.linalg.eigh(gram)
+    op_scale = max([np.sqrt(max(lam[-1], 0.0))] + [np.max(np.abs(a)) for a in lhs + rhs])
+    candidates = vecs[:, lam <= tol.rank_tol * op_scale**2]
+    if not candidates.shape[1]:
+        return []
+    t = np.zeros((candidates.shape[1], w_a.size, w_b.size), dtype=complex)
+    t[:, alpha, beta] = candidates.T
+    residuals = [
+        t @ g - f @ t
+        for a, b in zip(hats_a, hats_b)
+        for f, g in ((a, b), (a.conj().T, b.conj().T))
+    ]
+    flat = np.vstack([r.reshape(len(t), -1).T for r in residuals])
+    kernel = nullspace(flat, tol, scale=float(op_scale))
+    return list(q_a @ np.tensordot(kernel.T, t, axes=1) @ q_b.conj().T)
+
+
+def _same_bytes(a, b):
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from(["random", "family", "degenerate"]),
+)
+def test_batched_solver_matches_the_word_loop_bytewise(seed, n, count, kind):
+    # same draws, same products, same summation order: equal bytes, so the
+    # reports and equivalence witnesses do not move
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        mats = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(count)]
+    else:
+        a = rng.normal(size=n)
+        fam = reflection_family(a / np.linalg.norm(a))
+        mats = [fam.unitary @ p for p in fam.projections][:count]
+        if kind == "degenerate":
+            mats = mats[:1] * 2 + [np.zeros((n, n), dtype=complex)]
+    element = _random_algebra_element(mats, np.random.default_rng(seed))
+    assert element.tobytes() == loop_random_element(mats, np.random.default_rng(seed)).tobytes()
+    others = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in mats]
+    for pairs in ([(a, a) for a in mats], list(zip(mats, mats[::-1])), list(zip(mats, others))):
+        batched = star_intertwiner_basis(pairs, seed=seed)
+        assert _same_bytes(batched, loop_intertwiner_basis(pairs, seed=seed))
 
 
 # --- truncated oracle -------------------------------------------------------------
@@ -608,7 +697,8 @@ def test_oracle_count_on_perturbed_pair_ignores_basis_choice(monkeypatch):
 
 def _rotate_returned_bases(monkeypatch):
     """Make star_commutant_basis return its basis rotated by a fresh random
-    unitary on every call: another orthonormal basis of the same space."""
+    unitary on every call: another orthonormal basis of the same space.
+    The oracle and the grid check reach it through pair_star_commutant_basis."""
     solve = star_commutant_basis
     rng = np.random.default_rng(11)
 
@@ -618,7 +708,134 @@ def _rotate_returned_bases(monkeypatch):
         return list(np.einsum("ij,ikl->jkl", u, np.array(basis)))
 
     monkeypatch.setattr(isorep.commutant, "star_commutant_basis", rotated)
-    monkeypatch.setattr(isorep.induced, "star_commutant_basis", rotated)
+
+
+# --- the level-shift route of the pair star commutant -----------------------------
+
+
+def _span_distance(a, b):
+    """‖P_a − P_b‖₂ for the spans of two orthonormal lists of matrices of
+    equal length: the largest part of b outside span(a)."""
+    if not b:
+        return 0.0
+    va, vb = (np.array(x).reshape(len(x), -1).T for x in (a, b))
+    return float(np.linalg.norm(vb - va @ (va.conj().T @ vb), 2))
+
+
+@st.composite
+def level_shift_pairs(draw):
+    """W1 = 1 ⊗ S and W2 = Σ_k A_k ⊗ S^k, small enough for the dense solve:
+    planted, reflection and direct-sum families of dimension 1, 2 or 4 at
+    the tightest truncations, W2 of a random inner symbol, and the U = 1
+    non-pure pair."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["planted", "reflection", "direct_sum", "nonpure", "inner"]))
+    n = draw(st.sampled_from([2, 4] if kind == "direct_sum" else [1, 2, 4]))
+    if kind == "inner":
+        factors = draw(st.integers(1, 3))
+        guard = factors + draw(st.integers(0, 1))
+        return inner_shift_pair(rng, n, factors, guard, draw(st.integers(1, factors + 1)))
+    if kind == "nonpure":
+        fam = identity_family(2)
+    else:
+        half = n // 2 if kind == "direct_sum" else n
+        a = rng.uniform(0.2, 1.0, size=half) * rng.choice([-1.0, 1.0], size=half)
+        fam = reflection_family(a / np.linalg.norm(a))
+        if kind != "reflection":
+            projections = random_rank_projections(rng, n) if kind == "planted" else fam.projections
+            planted = ProjectionFamily(
+                projections=projections, unitary=unitary(rng, half, int(rng.integers(0, half + 1)))
+            )
+            fam = planted if kind == "planted" else direct_sum_family(fam, planted)
+    guard = max(fam.d - 1, 1)
+    trunc = TruncationParams(fam.n, fam.d + guard + draw(st.integers(0, 2)), guard)
+    return build_projection_family_rep(fam, trunc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_shift_pairs())
+def test_level_shift_route_matches_the_dense_pair_basis(rep):
+    dense = star_commutant_basis([rep.W1, rep.W2])
+    with mock.patch.object(
+        isorep.commutant, "star_commutant_basis", wraps=star_commutant_basis
+    ) as solve:
+        basis = pair_star_commutant_basis(rep)
+    # one solve, on the n×n blocks of W2
+    assert solve.call_count == 1
+    assert all(np.shape(a) == (rep.trunc.n,) * 2 for a in solve.call_args.args[0])
+    assert len(basis) == len(dense) >= 1
+    flat = np.array(basis).reshape(len(basis), -1)
+    assert np.allclose(flat.conj() @ flat.T, np.eye(len(basis)), rtol=0.0, atol=1e-12)
+    assert _span_distance(basis, dense) <= 1e-10
+
+
+def _dense_route_pair(kind):
+    rep = build_reflection_rep(EX2_VECTOR, TruncationParams(4, 16, 3))
+    top, w1, w2 = rep.trunc.L - 1, rep.W1.copy(), rep.W2.copy()
+    if kind == "ulp":
+        w1[1, 0] = np.nextafter(1.0, 2.0)
+    elif kind == "half":
+        w1 *= 0.5
+    elif kind == "reparametrized":
+        return reparametrize(rep, (1, 1), (2, 1))
+    elif kind == "offset_above_guard":
+        # the same matrices, but W2's offset 3 lies above guard 2
+        return replace(rep, trunc=TruncationParams(4, 16, 2))
+    elif kind == "guard_entry":
+        # A_0's (0, 1) entry on the top level only: (h, level) ↦ h·L + level
+        w2[top, rep.trunc.L + top] += 1e-3
+    elif kind == "nan":
+        w2[top, top] = np.nan
+    else:
+        # an infinity in A_0 and in every copy of it keeps W2 level-invariant
+        levels = np.arange(rep.trunc.L)
+        w2.reshape(4, rep.trunc.L, 4, rep.trunc.L)[0, levels, 1, levels] = np.inf
+    return replace(rep, W1=w1, W2=w2)
+
+
+@pytest.mark.parametrize(
+    "kind, dim",
+    [("ulp", 1), ("half", 1), ("reparametrized", 1), ("guard_entry", 1), ("offset_above_guard", 1)],
+)
+def test_pairs_off_the_level_shift_take_the_dense_route(kind, dim):
+    rep = _dense_route_pair(kind)
+    with mock.patch.object(
+        isorep.commutant, "star_commutant_basis", wraps=star_commutant_basis
+    ) as solve:
+        assert truncated_commutant_oracle(rep) == dim
+    assert solve.call_count == 1
+    assert [np.shape(a) for a in solve.call_args.args[0]] == [(rep.dim, rep.dim)] * 2
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf"])
+def test_non_finite_w2_fails_on_the_dense_route(kind):
+    rep = _dense_route_pair(kind)
+    assert is_level_shift(rep.W1, rep.trunc)
+    assert level_shift_symbol(rep.W2, rep.trunc) is None
+    with pytest.raises(ValueError, match="W2 has non-finite entries"):
+        truncated_commutant_oracle(rep)
+
+
+def test_family_commutant_counts_take_no_eigh_wider_than_n(monkeypatch):
+    # the oracle at N = 64 and the grid check's fiber solve at M = 3 solve
+    # on C^4: the random element's eigenbasis and the n-entry Gram matrix
+    eigh = np.linalg.eigh
+    widths = []
+
+    def spy(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rep = build_reflection_rep(EX2_VECTOR, TruncationParams(4, 16, 8))
+    assert rep.dim == 64
+    assert truncated_commutant_oracle(rep) == 1
+    assert widths and max(widths) <= 4
+    widths.clear()
+    grid = induce_2d(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 3)
+    report = induced_commutant_check_2d(grid)
+    assert report.grid_commutant_dim == report.structured_dim == 1
+    assert widths and max(widths) <= 4
 
 
 # --- irreducibility ---------------------------------------------------------------
