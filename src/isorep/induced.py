@@ -25,24 +25,21 @@ row of a small block table per cell (``_layout``), and every block is a row
 of that table, a fiber power. The adjoint, semigroup and axis-flip checks
 compose and compare the layouts in integers and evaluate each distinct block
 identity once; the adjoint kernels and isometry residuals take one solve or
-one residual per distinct block. Step-cocycle additivity, the 1-d cocycle
-solve and the grid commutant read cell maps and blocks too. The 2-d pair
-cocycle solve of a fiber whose W1 is 1 ⊗ S permutes the grid coordinates so
-that V(1/M, 0) is again 1 ⊗ S, and takes ``shift_pair_basis`` with V(0, 1/M)
-applied cell by cell. None of them forms a dense grid product; ``V`` and the
-adjoints are the scatters of ``cells``, kept as the dense references.
+one residual per distinct block. Step-cocycle additivity and the 1-d cocycle
+solve read cell maps and blocks too. ``V`` and the adjoints are the scatters
+of ``cells``, kept as the dense references.
 
-The 2-d grid commutant is solved on the fiber. Every cell wraps exactly once
-in M steps, so V(1/M, 0)^M = 1 ⊗ W1 and V(0, 1/M)^M = 1 ⊗ W2 as matrices, and
-whatever commutes with the generators and their adjoints lies in
-M_{M²} ⊗ σ′, σ′ the star commutant of the fiber pair (dimension r; for a
-level-shift fiber pair it is T0 ⊗ 1, solved on C^n). A
-generator maps the cell pair (c, d) to (s(c), s(d)), a translation that keeps
-the displacement d − c, so the commutation relations split into M² systems
-of r·M² unknowns, one per displacement (``_grid_commutant_dim``). This is
-algebra valid for any pair, pure or not, isometric or not; it does not assume
-the theorem's answer 1 ⊗ σ′, and a non-pure pair's extra dimensions appear
-as kernels at nonzero displacements.
+Both 2-d solves on a fiber whose W1 is exactly 1 ⊗ S read the grid in the
+shift coordinates (y cell, h, level·M + M − 1 − x cell). There V(1/M, 0) is
+again 1 ⊗ S′ on C^{Mn} ⊗ C^{ML}: x cell c < M − 1 reads cell c + 1, one
+place down, and x cell M − 1 reads W1 of x cell 0, one level up. The pair
+cocycle solve takes ``shift_pair_basis`` there, with V(0, 1/M) applied cell
+by cell. When W2 is also Σ_k A_k ⊗ S^k, the grid pair is itself a
+level-shift pair, V(0, 1/M) = Σ_k B_k ⊗ S′^{kM} (``_grid_symbol``), and the
+grid star commutant is T0 ⊗ 1 with T0 in the star commutant of the B_k on
+C^{Mn}. That is exact algebra on the truncation for any such pair, pure or
+not: it does not assume the theorem's answer 1 ⊗ σ′, and a non-pure pair's
+extra dimensions appear in T0. Any other fiber takes the dense generators.
 """
 from __future__ import annotations
 
@@ -54,11 +51,11 @@ from typing import Callable
 
 import numpy as np
 
-from .commutant import pair_star_commutant_basis, structured_commutant_basis
+from .commutant import star_commutant_basis, structured_commutant_basis
 from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, numerical_rank
 from .repmodel import (
-    IsoRep2, TruncationParams, interior_isometry_deviation, is_level_shift, sigma_power,
-    truncated_shift,
+    IsoRep2, TruncationParams, interior_isometry_deviation, is_level_shift, level_shift_symbol,
+    sigma_power, truncated_shift,
 )
 from .cocycle import Cocycle2, evaluate, pair_basis_from_kernels, shift_pair_basis
 
@@ -376,16 +373,34 @@ def grid_adjoint_kernel(
     return out.reshape(grid.dim, -1)
 
 
+def _grid_symbol(grid: GridRep2) -> np.ndarray | None:
+    """The blocks B_0 … B_guard, stacked, of V(0, 1/M) = Σ_k B_k ⊗ S′^{kM} in
+    the shift coordinates, when W1 is exactly 1 ⊗ S and W2 is exactly
+    Σ_k A_k ⊗ S^k (``level_shift_symbol``); else None.
+
+    V(0, 1/M) keeps the x cell, so S^k on levels is S′^{kM} on positions. On
+    C^{Mn}, y cell c < M − 1 reads cell c + 1 (Z = Σ_{y<M−1} E_{y,y+1}) and
+    y cell M − 1 reads W2 of cell 0 (the wrap E_{M−1,0}), so
+    B_0 = Z ⊗ 1_n + E_{M−1,0} ⊗ A_0 and B_k = E_{M−1,0} ⊗ A_k.
+    """
+    tr = grid.rep.trunc
+    blocks = level_shift_symbol(grid.rep.W2, tr) if is_level_shift(grid.rep.W1, tr) else None
+    if blocks is None:
+        return None
+    m, n = grid.M, tr.n
+    out = np.zeros((len(blocks), m, n, m, n), dtype=complex)
+    out[:, m - 1, :, 0] = blocks
+    out[0] += kron(np.eye(m, k=1), np.eye(n)).reshape(m, n, m, n)
+    return out.reshape(len(blocks), m * n, m * n)
+
+
 def grid_cocycle_pair_basis(grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """``cocycle_pair_basis`` of the generators V(1/M, 0) and V(0, 1/M), with
     V applied cell by cell.
 
-    When the fiber's W1 is exactly 1 ⊗ S, read the grid coordinates in the
-    order (y cell, h, level·M + M − 1 − x cell). There V(1/M, 0) is exactly
-    1 ⊗ S on C^{Mn} ⊗ C^{ML}: x cell c < M − 1 reads cell c + 1, one place
-    down, and x cell M − 1 reads W1 of x cell 0, one level up. So
-    ``shift_pair_basis`` solves the pair. Any other fiber takes the
-    compatibility solve on the per-cell adjoint kernels.
+    When the fiber's W1 is exactly 1 ⊗ S, V(1/M, 0) is 1 ⊗ S′ in the shift
+    coordinates, so ``shift_pair_basis`` solves the pair. Any other fiber
+    takes the compatibility solve on the per-cell adjoint kernels.
     """
     m, step, tr = grid.M, 1 / grid.M, grid.rep.trunc
     if not is_level_shift(grid.rep.W1, tr):
@@ -402,58 +417,6 @@ def grid_cocycle_pair_basis(grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) 
 
     basis = shift_pair_basis(m * tr.n, m * tr.L, apply_w2, tol)
     return basis.reshape(2, grid.dim, -1)[:, back].reshape(2 * grid.dim, -1)
-
-
-# the fiber families of a generator W against a fiber commutant basis C_j, in
-# the order of their blocks of columns: C, CW, WC, CW*, W*C
-_C, _CW, _WC, _CWS, _WSC = range(5)
-
-
-def _grid_commutant_dim(grid: GridRep2, basis: list[np.ndarray], tol: ToleranceConfig) -> int:
-    """Dimension of the grid commutant, solved inside M_{M²} ⊗ span(basis),
-    where ``basis`` is an orthonormal basis of the fiber pair's star commutant.
-
-    Write T = Σ E_cd ⊗ T_cd with T_cd = Σ_j x_cd,j C_j. A generator with cell
-    map s and blocks B makes TV = VT and TV* = V*T read, on each cell pair,
-    B_c T_s(c)s(d) = T_cd B_d and T_s(c)s(d) B_d* = B_c* T_cd. Each side is a
-    combination of the five fiber families, and its norm is that of the
-    coefficients under the families' R factor. The cell map is a translation,
-    so (s(c), s(d)) keeps the displacement d − c: one system in r·M² unknowns
-    per displacement, its rank anchored at scale 1 (orthonormal C_j, blocks
-    of unit scale).
-    """
-    if not basis:
-        return 0
-    m, r = grid.M, len(basis)
-    cells = np.arange(m * m)
-    c = np.array(basis)
-    relations = []
-    for ts, w in zip(((1 / m, 0), (0, 1 / m)), (grid.rep.W1, grid.rep.W2)):
-        ws = w.conj().T
-        families = np.concatenate([c, c @ w, w @ c, c @ ws, ws @ c]).reshape(5 * r, -1)
-        r5 = np.linalg.qr(families.T, mode="r").reshape(-1, 5, r)
-        # a generator's blocks are 1 (table row 0) or W, on the wrapped cells
-        source, rows, _ = grid._layout(ts, 1)
-        relations.append((r5, source, rows != 0))
-    dim = 0
-    for shift in product(range(m), repeat=2):
-        # d = c + shift, cell by cell
-        partner = np.roll(cells.reshape(m, m), np.negative(shift), axis=(0, 1)).ravel()
-        rows = []
-        for r5, source, wrapped in relations:
-            wc, wd = wrapped, wrapped[partner]
-            # B_c T' − T B_d, then T' B_d* − B_c* T, with T' at the source cell
-            for ahead, here in (
-                (np.where(wc, _WC, _C), np.where(wd, _CW, _C)),
-                (np.where(wd, _CWS, _C), np.where(wc, _WSC, _C)),
-            ):
-                block = np.zeros((m * m, r5.shape[0], m * m, r), dtype=complex)
-                block[cells, :, source] = r5[:, ahead].transpose(1, 0, 2)
-                block[cells, :, cells] = -r5[:, here].transpose(1, 0, 2)
-                rows.append(block.reshape(-1, m * m * r))
-        system = np.vstack(rows)
-        dim += system.shape[1] - numerical_rank(system, tol, scale=1.0)
-    return dim
 
 
 def lift_cocycle_2d(c: Cocycle2, grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) -> StepCocycle:
@@ -500,15 +463,14 @@ def induced_commutant_check_2d(
     Direction two: the star commutant of the grid generators must have
     exactly the structured dimension. It is counted without an interior
     filter (an ampliated T0 ⊗ 1 preserves shift levels, so its interior
-    compression always commutes), and on the fiber: V(1/M, 0)^M = 1 ⊗ W1 and
-    V(0, 1/M)^M = 1 ⊗ W2, so the grid commutant lies in M_{M²} ⊗ σ′, σ′ the
-    fiber pair's star commutant, and its relations split by cell
-    displacement into M² small systems. σ′ comes from
-    ``pair_star_commutant_basis``: for a level-shift fiber pair it is
-    T0 ⊗ 1_L/√L with T0 solved on C^n from W2's blocks, exact on the
-    truncation; any other fiber pair takes the dense solve. That
-    containment is exact algebra, not the theorem: the solve still finds
-    every dimension of the grid commutant beyond 1 ⊗ σ′.
+    compression always commutes). For a level-shift fiber the grid pair is
+    1 ⊗ S′ and Σ_k B_k ⊗ S′^{kM} in shift coordinates (``_grid_symbol``).
+    S′ and S′* generate M_{ML} and the S′^{kM}, kM < ML, are independent, so
+    the grid star commutant is T0 ⊗ 1 with T0 in the star commutant of the
+    nonzero B_k: one ``star_commutant_basis`` call on C^{Mn}, exact on the
+    truncation. Any other fiber takes the dense generators V(1/M, 0) and
+    V(0, 1/M). Neither route assumes the theorem's answer: every dimension
+    of the grid commutant beyond 1 ⊗ σ′ is counted.
 
     The second direction only holds for strongly pure pairs. When a
     generator has a unitary direct summand, the periodic fiber it fixes makes
@@ -527,8 +489,10 @@ def induced_commutant_check_2d(
     fiber_ops = [kron(t0, np.eye(rep.trunc.L)) for t0 in base]
     worst = float(np.max([np.abs(t @ blocks - blocks @ t).max() for t in fiber_ops], initial=0.0))
 
-    fiber = pair_star_commutant_basis(rep, tol, seed)
-    grid_dim = _grid_commutant_dim(grid, fiber, tol)
+    symbol = _grid_symbol(grid)
+    # B_0 holds Z ≠ 0; a zero B_k adds no relation
+    gens = [grid.V(step, 0), grid.V(0, step)] if symbol is None else [b for b in symbol if b.any()]
+    grid_dim = len(star_commutant_basis(gens, tol, seed))
 
     return InducedCommutantReport(
         structured_dim=len(base),

@@ -14,8 +14,8 @@ cached layouts (block-table rows, and whether the sources agree) and compare
 each distinct key's blocks once, never dense products; kernel dimensions,
 isometry residuals and the adjoint pairing read cells too, the 2-d cocycle
 solve runs in shift coordinates, the 1-d one on per-cell kernels, and the
-commutant solve on the fiber, so no battery assembles a dense grid
-translation.
+commutant count on the grid symbol's C^{Mn} blocks, so no battery assembles
+a dense grid translation.
 """
 from __future__ import annotations
 

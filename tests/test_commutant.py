@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isorep.commutant
+import isorep.induced
 import isorep.linalg
 from isorep.commutant import (
     _equivalence_from_basis,
@@ -24,7 +25,7 @@ from isorep.commutant import (
 )
 from isorep.cli import main
 from isorep.induced import induce_2d, induced_commutant_check_2d
-from isorep.linalg import DEFAULT_TOL, intertwiner_space, nullspace
+from isorep.linalg import DEFAULT_TOL, intertwiner_space, kron, nullspace
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -698,7 +699,8 @@ def test_oracle_count_on_perturbed_pair_ignores_basis_choice(monkeypatch):
 def _rotate_returned_bases(monkeypatch):
     """Make star_commutant_basis return its basis rotated by a fresh random
     unitary on every call: another orthonormal basis of the same space.
-    The oracle and the grid check reach it through pair_star_commutant_basis."""
+    The oracle reaches it through pair_star_commutant_basis, the grid check
+    through its own binding in isorep.induced."""
     solve = star_commutant_basis
     rng = np.random.default_rng(11)
 
@@ -708,6 +710,7 @@ def _rotate_returned_bases(monkeypatch):
         return list(np.einsum("ij,ikl->jkl", u, np.array(basis)))
 
     monkeypatch.setattr(isorep.commutant, "star_commutant_basis", rotated)
+    monkeypatch.setattr(isorep.induced, "star_commutant_basis", rotated)
 
 
 # --- the level-shift route of the pair star commutant -----------------------------
@@ -769,6 +772,51 @@ def test_level_shift_route_matches_the_dense_pair_basis(rep):
     assert _span_distance(basis, dense) <= 1e-10
 
 
+def _grid_coordinates_in_shift_order(m, trunc):
+    """Grid coordinate (x cell·M + y cell)·N + h·L + level at each position
+    (y cell, h, level·M + M − 1 − x cell) of the shift order."""
+    y, h, level, x = np.indices((m, trunc.n, trunc.L, m)).reshape(4, -1)
+    grid = (x * m + y) * trunc.dim + h * trunc.L + level
+    position = (y * trunc.n + h) * m * trunc.L + level * m + m - 1 - x
+    out = np.empty_like(grid)
+    out[position] = grid
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_shift_pairs(), st.sampled_from([2, 3]))
+def test_grid_symbol_route_matches_the_dense_grid_commutant(rep, m):
+    while m * m * rep.dim > 300:
+        m -= 1
+    # the check needs a family for its tensor direction; the grid count never
+    # reads it
+    rep = rep if rep.family is not None else replace(rep, family=identity_family(rep.trunc.n))
+    grid = induce_2d(rep, m)
+    calls = []
+
+    def recorded(mats, tol=DEFAULT_TOL, seed=0):
+        calls.append((mats, star_commutant_basis(mats, tol, seed)))
+        return calls[-1][1]
+
+    with mock.patch.object(isorep.induced, "star_commutant_basis", recorded):
+        dim = induced_commutant_check_2d(grid).grid_commutant_dim
+    # one solve, on the Mn×Mn blocks of the grid symbol
+    ((mats, t0s),) = calls
+    assert all(np.shape(b) == (m * rep.trunc.n,) * 2 for b in mats)
+    order = _grid_coordinates_in_shift_order(m, rep.trunc)
+    levels = np.eye(m * rep.trunc.L) / np.sqrt(m * rep.trunc.L)
+    basis = []
+    for t0 in t0s:
+        t = np.zeros((grid.dim, grid.dim), dtype=complex)
+        t[np.ix_(order, order)] = kron(t0, levels)
+        basis.append(t)
+    dense = star_commutant_basis([grid.V(1 / m, 0), grid.V(0, 1 / m)])
+    assert dim == len(basis) == len(dense) >= 1
+    flat = np.array(basis).reshape(len(basis), -1)
+    assert np.allclose(flat.conj() @ flat.T, np.eye(len(basis)), rtol=0.0, atol=1e-12)
+    assert _span_distance(basis, dense) <= 1e-10
+
+
 def _dense_route_pair(kind):
     rep = build_reflection_rep(EX2_VECTOR, TruncationParams(4, 16, 3))
     top, w1, w2 = rep.trunc.L - 1, rep.W1.copy(), rep.W2.copy()
@@ -817,8 +865,9 @@ def test_non_finite_w2_fails_on_the_dense_route(kind):
 
 
 def test_family_commutant_counts_take_no_eigh_wider_than_n(monkeypatch):
-    # the oracle at N = 64 and the grid check's fiber solve at M = 3 solve
-    # on C^4: the random element's eigenbasis and the n-entry Gram matrix
+    # the oracle at N = 64 solves on C^4, and the grid check at M = 3 on
+    # C^{Mn} = C^12 (the grid symbol), never on the 288-dim grid: the random
+    # element's eigenbasis and the Gram matrix of the matched entries
     eigh = np.linalg.eigh
     widths = []
 
@@ -835,7 +884,7 @@ def test_family_commutant_counts_take_no_eigh_wider_than_n(monkeypatch):
     grid = induce_2d(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 3)
     report = induced_commutant_check_2d(grid)
     assert report.grid_commutant_dim == report.structured_dim == 1
-    assert widths and max(widths) <= 4
+    assert widths and max(widths) <= grid.M * grid.rep.trunc.n
 
 
 # --- irreducibility ---------------------------------------------------------------

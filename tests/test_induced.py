@@ -925,7 +925,7 @@ def test_semigroup_check_forms_as_many_products_at_every_m(monkeypatch):
     assert counts == [14, 14, 14, 14]
 
 
-# --- fiber commutant solve and per-cell kernels against the dense generators --------
+# --- grid commutant count and per-cell kernels against the dense generators ---------
 # star_commutant_basis, adjoint_kernel, cocycle_pair_basis and the interior
 # isometry deviation on the dense generators V(1/M, 0), V(0, 1/M) are the
 # reference for the grid commutant dimension, the grid kernels and the grid
@@ -1108,6 +1108,10 @@ GRID_COMMUTANT_DIMS = {
     "reflection_0.6_0.8": (1, 1, 1),
     "nonpure": (3, 4, 5),
     "blind_spot": (6, 7, 8),
+    # strongly pure and reducible: ok at every M
+    "example2_doubled": (4, 4, 4),
+    # non-pure, U = diag(e^{0.3i}, e^{0.3i}, e^{i}, e^{2i}): the count moves with M
+    "phases_n4": (5, 6, 7),
 }
 
 
@@ -1118,6 +1122,13 @@ def _table_pair(name):
         return _reflection_pair(4, int(name[-1]))[0]
     if name == "reflection_0.6_0.8":
         return build_reflection_rep(np.array([0.6, 0.8]), TruncationParams(2, 8, 2))
+    if name == "example2_doubled":
+        fam = reflection_family(EX2_VECTOR)
+        return build_projection_family_rep(direct_sum_family(fam, fam), TruncationParams(8, 7, 3))
+    if name == "phases_n4":
+        unitary = np.diag(np.exp(1j * np.array([0.3, 0.3, 1.0, 2.0])))
+        fam = ProjectionFamily(projections=coord_projections(4), unitary=unitary)
+        return build_projection_family_rep(fam, TruncationParams(4, 8, 3))
     return _nonpure_rep() if name == "nonpure" else _blind_spot_rep()
 
 
@@ -1131,7 +1142,7 @@ def test_grid_commutant_dims_table(name, m, dim):
 
 def test_induced_commutant_check_fits_in_memory_at_m6():
     # a star commutant of the dense generators at N = 1152 needs about 650 MB;
-    # the fiber solve holds M² small block systems
+    # the symbol solve works on C^{Mn} = C^24
     grid = induce_2d(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 6)
     tracemalloc.start()
     try:
@@ -1175,7 +1186,7 @@ GUARDED_BATTERIES = {
 def test_batteries_assemble_no_dense_translation(monkeypatch, battery):
     # every check reads cells: kernels, isometry residuals, the pairing and the
     # axis flip per cell, the cocycle solves on per-cell kernels and the
-    # commutant on the fiber
+    # commutant count on the grid symbol
     calls = _count_dense_translations(monkeypatch)
     assert GUARDED_BATTERIES[battery]().passed
     assert calls == []
