@@ -8,11 +8,14 @@ artifacts in the guard band cannot inflate the dimension. The index of the
 representation is that dimension, certified by agreement at two truncation
 levels.
 
-A pair whose W1 is exactly the level shift 1 ⊗ S (``is_level_shift``, read
-off the matrix) takes ``shift_pair_basis``: ker W1* is C^n ⊗ δ_0, so
-eta10 = a ⊗ δ_0, and 1 − W1 is invertible on the truncation, so the
-relation fixes eta01 from a. Only W2*·eta01 = 0 is left, an n-column solve.
-Every other pair takes ``cocycle_pair_basis``, the dense reference.
+A pair whose W1 is exactly the level shift 1 ⊗ S (``IsoRep2.w1_is_shift``,
+read from the pair's symbol) takes ``shift_pair_basis``: ker W1* is
+C^n ⊗ δ_0, so eta10 = a ⊗ δ_0, and 1 − W1 is invertible on the truncation,
+so the relation fixes eta01 from a. Only W2*·eta01 = 0 is left, an n-column
+solve. When W2 has a symbol A_0 … A_guard, W2 and W2* are applied through
+its blocks, so a family pair's solve forms no N×N array; otherwise through
+the dense W2. Every other pair takes ``cocycle_pair_basis``, the dense
+reference.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .repmodel import (
     TruncationParams,
     build_projection_family_rep,
     certify_two_truncations,
-    is_level_shift,
     reparametrize,
     validate,
 )
@@ -157,10 +159,42 @@ def shift_pair_basis(
     a. The pairs are the kernel of the N×n matrix W2*·eta01, cut at scale 1
     as the dense solve is, and one QR makes them orthonormal.
     """
-    eta10 = np.kron(np.eye(n), np.eye(L, 1))  # column h is e_h ⊗ δ_0
+    eta10 = np.zeros((n * L, n))
+    eta10[np.arange(n) * L, np.arange(n)] = 1.0  # column h is e_h ⊗ δ_0
     eta01 = np.cumsum((eta10 - apply_w2(eta10, 1)).reshape(n, L, n), axis=1).reshape(n * L, n)
     coeffs = nullspace(apply_w2(eta01, -1), tol, scale=1.0)
     return np.linalg.qr(np.vstack([eta10, eta01]) @ coeffs)[0]
+
+
+def _dense_apply(w: np.ndarray) -> Callable:
+    # W*·x as (x*·W)*, which copies no N×N array
+    return lambda x, sign: w @ x if sign > 0 else (x.conj().T @ w).conj().T
+
+
+def _symbol_apply(blocks: np.ndarray, L: int) -> Callable:
+    """apply(x, sign) for W = Σ_k A_k ⊗ S^k on C^n ⊗ C^L through its symbol:
+    (W·x)_ℓ = Σ_k A_k x_{ℓ−k} and (W*·x)_ℓ = Σ_k A_k* x_{ℓ+k}, one matmul
+    of the nonzero A_k (A_k*) side by side with the copies of x shifted k
+    levels up (down), stacked."""
+    offsets = [k for k, a in enumerate(blocks) if a.any()]
+    n, stack = blocks.shape[1], blocks[offsets]
+    # row i of [A_k …] and of [A_k* …]: entries stack[k, i, j] and conj(stack[k, j, i])
+    rows = {
+        1: stack.transpose(1, 0, 2).reshape(n, -1),
+        -1: stack.conj().transpose(2, 0, 1).reshape(n, -1),
+    }
+
+    def apply(x: np.ndarray, sign: int) -> np.ndarray:
+        x = x.reshape(n, L, -1)
+        shifted = np.zeros((len(offsets), *x.shape), dtype=complex)
+        for copy, k in zip(shifted, offsets):
+            if sign > 0:
+                copy[:, k:] = x[:, : L - k]
+            else:
+                copy[:, : L - k] = x[:, k:]
+        return (rows[sign] @ shifted.reshape(len(offsets) * n, -1)).reshape(n * L, -1)
+
+    return apply
 
 
 def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSpace:
@@ -178,13 +212,13 @@ def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSp
     report = validate(rep, tol)
     if not report.ok:
         raise ValueError(f"representation fails validation: {report.as_dict()}")
-    tr, w2 = rep.trunc, rep.W2
-    if is_level_shift(rep.W1, tr):
-        # W2*·x as (x*·W2)*, which copies no N×N array
-        apply_w2 = lambda x, sign: w2 @ x if sign > 0 else (x.conj().T @ w2).conj().T
+    tr = rep.trunc
+    if rep.w1_is_shift:
+        blocks = rep.symbols[1]
+        apply_w2 = _dense_apply(rep.W2) if blocks is None else _symbol_apply(blocks, tr.L)
         full = shift_pair_basis(tr.n, tr.L, apply_w2, tol)
     else:
-        full = cocycle_pair_basis(rep.W1, w2, tol)
+        full = cocycle_pair_basis(rep.W1, rep.W2, tol)
     guard_rows = full[~np.tile(tr.level_mask(), 2)]
     inner = full if guard_rows.size == 0 else full @ nullspace(guard_rows, tol, scale=1.0)
     n = rep.dim

@@ -17,7 +17,9 @@ eigenspace refinement (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010), as
 its P_i are the spectral projections of H = Σ_i (i/d)·P_i, and T U = U T gives
 T U* = U* T for unitary U. Unitary equivalence takes the polar factor of one
 generic intertwiner as its witness and accepts it only when it intertwines to
-within ``identity_tol``.
+within ``identity_tol``; two level-shift pairs at one truncation solve it on
+their symbols, on C^n. The level-shift routes read the pair's symbols
+(``IsoRep2.pair_symbol``).
 """
 from __future__ import annotations
 
@@ -26,9 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, kron, matrix_to_json, nullspace
-from .repmodel import (
-    IsoRep2, ProjectionFamily, certify_two_truncations, is_level_shift, level_shift_symbol,
-)
+from .repmodel import IsoRep2, ProjectionFamily, certify_two_truncations
 
 __all__ = [
     "EquivalenceVerdict",
@@ -194,22 +194,21 @@ def pair_star_commutant_basis(
     """Orthonormal basis of the pair's star commutant on C^n ⊗ C^L: every T
     with T W = W T and T W* = W* T for W = W1, W2.
 
-    The route is read off the matrices. When W1 is exactly 1 ⊗ S
-    (``is_level_shift``) and W2 is exactly Σ_{k ≤ guard} A_k ⊗ S^k
-    (``level_shift_symbol``), the basis is T0 ⊗ 1_L/√L, T0 over
+    The route is read off the pair's symbols. When W1 is exactly 1 ⊗ S and
+    W2 is exactly Σ_{k ≤ guard} A_k ⊗ S^k (``IsoRep2.pair_symbol``), the
+    basis is T0 ⊗ 1_L/√L, T0 over
     ``star_commutant_basis`` of the nonzero A_k. This is exact algebra on
     the truncation: S and S* generate M_L, so T = T0 ⊗ 1, and since the S^k,
     k < L, are independent, T0 ⊗ 1 commutes with W2 and W2* iff T0 commutes
     with every A_k and A_k*. Every other pair takes the dense solve of
     (W1, W2).
     """
-    tr = rep.trunc
-    blocks = level_shift_symbol(rep.W2, tr) if is_level_shift(rep.W1, tr) else None
+    blocks = rep.pair_symbol
     if blocks is None:
         return star_commutant_basis([rep.W1, rep.W2], tol, seed)
     # W2 = 0 leaves T0 free: the star commutant of the zero block is M_n
     nonzero = [a for a in blocks if a.any()] or [blocks[0]]
-    levels = np.eye(tr.L) / np.sqrt(tr.L)
+    levels = np.eye(rep.trunc.L) / np.sqrt(rep.trunc.L)
     return [kron(t0, levels) for t0 in star_commutant_basis(nonzero, tol, seed)]
 
 
@@ -279,6 +278,7 @@ def _equivalence_from_basis(
     check_pairs: list[tuple[np.ndarray, np.ndarray]],
     tol: ToleranceConfig,
     seed: int,
+    levels: int = 1,
 ) -> EquivalenceVerdict:
     """Decide whether the intertwiner space contains a unitary.
 
@@ -287,7 +287,9 @@ def _equivalence_from_basis(
     one-dimensional space, else one seeded random combination) is invertible
     and its polar factor intertwines as well. That factor is the witness only
     if it intertwines every pair to within ``identity_tol``; otherwise the
-    verdict is inconclusive.
+    verdict is inconclusive. A pair of stacks (a symbol pair) is checked
+    on every block. A symbol solve gives T0 on C^n, and its witness is T0's
+    polar factor ⊗ 1 over ``levels`` shift levels.
     """
     if not basis:
         return EquivalenceVerdict(
@@ -316,6 +318,8 @@ def _equivalence_from_basis(
         np.max(np.abs(witness.conj().T @ witness - np.eye(witness.shape[1])))
     )
     resid["intertwiner_dim"] = len(basis)
+    if levels > 1:
+        witness = kron(witness, np.eye(levels))
     return EquivalenceVerdict(status="equivalent", witness=witness, diagnostics=resid, seed=seed)
 
 
@@ -330,9 +334,19 @@ def are_unitarily_equivalent(
     Checked families sharing one projection list reduce to operators T0 on
     C^n intertwining the unitaries and commuting with H; an empty space
     settles inequivalence, a space containing a unitary (checked against
-    every P_i) equivalence. Full truncated pairs of equal dimension go
-    through the generic (heuristic) route.
+    every P_i) equivalence.
+
+    Two level-shift pairs at one truncation (``IsoRep2.pair_symbol``: W1 =
+    1 ⊗ S and W2 = Σ_k A_k ⊗ S^k, and Σ_k B_k ⊗ S^k for b) are compared on
+    their symbols: every *-intertwiner of 1 ⊗ S with itself is T0 ⊗ 1, and
+    since the S^k, k < L, are independent, T0 ⊗ 1 intertwines W2 and W2*
+    iff B_k T0 = T0 A_k and B_k* T0 = T0 A_k* for every k. That is one
+    solve on C^n over the offsets where either block is nonzero, exact on
+    the truncation. The witness's residuals are read on the symbols: on W1
+    exactly 0, and on W2 the worst |B_k T0 − T0 A_k|. Other full truncated
+    pairs of equal dimension go through the generic (heuristic) route.
     """
+    levels = 1
     if isinstance(a, ProjectionFamily) and isinstance(b, ProjectionFamily):
         (u_a, h), (u_b, _) = _checked_generators(a, tol), _checked_generators(b, tol)
         if a.n != b.n:
@@ -347,7 +361,16 @@ def are_unitarily_equivalent(
     elif isinstance(a, IsoRep2) and isinstance(b, IsoRep2):
         if a.dim != b.dim:
             raise ValueError(f"representations have different dimensions: {a.dim} vs {b.dim}")
-        solve = pairs = [(b.W1, a.W1), (b.W2, a.W2)]
+        sym_a, sym_b = a.pair_symbol, b.pair_symbol
+        if a.trunc == b.trunc and sym_a is not None and sym_b is not None:
+            solve = [(y, x) for x, y in zip(sym_a, sym_b) if x.any() or y.any()]
+            solve = solve or [(sym_b[0], sym_a[0])]
+            # W1's symbol pair leaves a residual of exactly 0
+            pairs = [(b.symbols[0], a.symbols[0]), (sym_b, sym_a)]
+            levels = a.trunc.L
+        else:
+            solve = pairs = [(b.W1, a.W1), (b.W2, a.W2)]
     else:
         raise TypeError("arguments must be two families or two representations")
-    return _equivalence_from_basis(star_intertwiner_basis(solve, tol, seed), pairs, tol, seed)
+    basis = star_intertwiner_basis(solve, tol, seed)
+    return _equivalence_from_basis(basis, pairs, tol, seed, levels)

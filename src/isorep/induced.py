@@ -54,8 +54,7 @@ import numpy as np
 from .commutant import star_commutant_basis, structured_commutant_basis
 from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, numerical_rank
 from .repmodel import (
-    IsoRep2, TruncationParams, interior_isometry_deviation, is_level_shift, level_shift_symbol,
-    sigma_power, truncated_shift,
+    IsoRep2, TruncationParams, interior_isometry_deviation, sigma_power, truncated_shift,
 )
 from .cocycle import Cocycle2, evaluate, pair_basis_from_kernels, shift_pair_basis
 
@@ -125,10 +124,19 @@ class _GridTranslations:
         if exponents not in rows:
             block = self._power(*exponents)
             block = block if sign > 0 else block.conj().T
-            table = self._cache.get(("table", sign), np.empty((0, *block.shape), complex))
-            self._cache[("table", sign)] = np.concatenate([table, [block]])
+            self._cache.setdefault(("blocks", sign), []).append(block)
             rows[exponents] = len(rows)
         return rows[exponents]
+
+    def _table(self, sign: int) -> np.ndarray:
+        """The block table: the powers in row order, stacked again only when
+        rows were added since, and then kept as views of the new table."""
+        blocks = self._cache[("blocks", sign)]
+        table = self._cache.get(("table", sign))
+        if table is None or len(table) < len(blocks):
+            table = self._cache[("table", sign)] = np.array(blocks, dtype=complex)
+            self._cache[("blocks", sign)] = list(table)
+        return table
 
     def _cell_exponents(self, ts, sign: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """Flat source cell and per-axis fiber exponents q + wrapped of each
@@ -145,7 +153,7 @@ class _GridTranslations:
             self._row((0,) * len(ts), sign)
             flat, exponents = self._cell_exponents(ts, sign)
             self._cache[key] = np.array(flat), np.array([self._row(e, sign) for e in exponents])
-        return (*self._cache[key], self._cache[("table", sign)])
+        return (*self._cache[key], self._table(sign))
 
     def V(self, *ts) -> np.ndarray:
         """Dense V(ts), the scatter of ``cells``, kept as the reference."""
@@ -376,18 +384,17 @@ def grid_adjoint_kernel(
 def _grid_symbol(grid: GridRep2) -> np.ndarray | None:
     """The blocks B_0 … B_guard, stacked, of V(0, 1/M) = Σ_k B_k ⊗ S′^{kM} in
     the shift coordinates, when W1 is exactly 1 ⊗ S and W2 is exactly
-    Σ_k A_k ⊗ S^k (``level_shift_symbol``); else None.
+    Σ_k A_k ⊗ S^k (``IsoRep2.pair_symbol``); else None.
 
     V(0, 1/M) keeps the x cell, so S^k on levels is S′^{kM} on positions. On
     C^{Mn}, y cell c < M − 1 reads cell c + 1 (Z = Σ_{y<M−1} E_{y,y+1}) and
     y cell M − 1 reads W2 of cell 0 (the wrap E_{M−1,0}), so
     B_0 = Z ⊗ 1_n + E_{M−1,0} ⊗ A_0 and B_k = E_{M−1,0} ⊗ A_k.
     """
-    tr = grid.rep.trunc
-    blocks = level_shift_symbol(grid.rep.W2, tr) if is_level_shift(grid.rep.W1, tr) else None
+    blocks = grid.rep.pair_symbol
     if blocks is None:
         return None
-    m, n = grid.M, tr.n
+    m, n = grid.M, grid.rep.trunc.n
     out = np.zeros((len(blocks), m, n, m, n), dtype=complex)
     out[:, m - 1, :, 0] = blocks
     out[0] += kron(np.eye(m, k=1), np.eye(n)).reshape(m, n, m, n)
@@ -403,7 +410,7 @@ def grid_cocycle_pair_basis(grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) 
     takes the compatibility solve on the per-cell adjoint kernels.
     """
     m, step, tr = grid.M, 1 / grid.M, grid.rep.trunc
-    if not is_level_shift(grid.rep.W1, tr):
+    if not grid.rep.w1_is_shift:
         k1, k2 = (grid_adjoint_kernel(grid, ts, tol) for ts in ((step, 0), (0, step)))
         return pair_basis_from_kernels(
             k1, k2, grid.apply((step, 0), k2), grid.apply((0, step), k1), tol

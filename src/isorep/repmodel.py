@@ -12,18 +12,20 @@ satisfy their identities exactly on the interior, not merely approximately.
 The generators are level-shift invariant: W1 = 1 ⊗ S and W2 = Σ_i U P_i ⊗
 S^{i-1} are Σ_k A_k ⊗ S^k, so each n×n level block equals the one a level
 down and to the left, and with guard ≥ d-1 every offset k lies in 0 … guard.
-For such a pair every interior block of W*W − 1 repeats one of block row 0
+The stacked A_0 … A_guard are the generator's *symbol*. A family pair is
+built from its symbols, A_1 = 1 for W1 and A_k = U P_{k+1} for W2, and its
+dense W1 and W2 are formed only when read. For a pair whose generators both
+have a symbol, every interior block of W*W − 1 repeats one of block row 0
 or its adjoint, and every interior block of [W1, W2] repeats one of block
-column 0 or is 0, so ``validate`` multiplies only those; it reads the
-invariance off the matrices, and any other pair takes the masked dense
-products. A pair with a non-finite entry fails before anything is
-multiplied.
+column 0 or is 0, so ``validate`` multiplies only those, formed from the
+symbols; any other pair takes the masked dense products. A pair with a
+non-finite entry fails before anything is multiplied.
 
-``is_level_shift`` tells, exactly, whether a generator is the bare level
-shift 1 ⊗ S, and ``level_shift_symbol`` whether it is Σ_k A_k ⊗ S^k, and
-returns the A_k. Every pair built here has that W1, and the cocycle solve
-and the pair star commutant read what they need off the matrices, never
-from ``rep.family``.
+``level_shift_symbol`` tells, exactly, whether a matrix is Σ_k A_k ⊗ S^k,
+and returns the A_k; ``is_level_shift`` whether it is the bare level shift
+1 ⊗ S, the symbol (0, 1, 0, …). ``IsoRep2.symbols`` reads them at most once
+per pair. The validation, the cocycle solve, the pair star commutant and
+equivalence read the pair's symbols, never ``rep.family``.
 """
 from __future__ import annotations
 
@@ -34,13 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    kron,
-    matrix_from_json,
-    numerical_rank,
-)
+from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_from_json, numerical_rank
 
 __all__ = [
     "TruncationParams",
@@ -118,15 +114,9 @@ def truncated_shift(L: int) -> np.ndarray:
 
 
 def is_level_shift(w: np.ndarray, trunc: TruncationParams) -> bool:
-    """Whether w is exactly 1 ⊗ S on C^n ⊗ C^L: a one from each level to the
-    next and no other nonzero entry (a NaN counts as nonzero)."""
-    # w[i + 1, i] moves (h, level) one level up unless level is the top one
-    step = np.arange(trunc.dim - 1) % trunc.L != trunc.L - 1
-    return bool(
-        np.shape(w) == (trunc.dim, trunc.dim)
-        and np.count_nonzero(w) == np.count_nonzero(step)
-        and (np.diagonal(w, -1)[step] == 1).all()
-    )
+    """Whether w is exactly 1 ⊗ S on C^n ⊗ C^L: its symbol
+    (``level_shift_symbol``) is (0, 1, 0, …)."""
+    return _is_shift_symbol(level_shift_symbol(w, trunc), trunc)
 
 
 def level_shift_symbol(w: np.ndarray, trunc: TruncationParams) -> np.ndarray | None:
@@ -224,15 +214,22 @@ def _dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IsoRep2:
     """A pair of commuting isometries (W1, W2) on C^n ⊗ C^L.
 
     ``family`` is set when the pair came from a projection-family build and
     enables the structured commutant/index formulas; the cocycle solve does
-    not read it (``is_level_shift`` reads the matrix). ``rebuild``
-    reconstructs the same representation at a different truncation, which is
-    what the two-level stability protocol needs.
+    not read it. ``rebuild`` reconstructs the same representation at a
+    different truncation, which is what the two-level stability protocol
+    needs.
+
+    ``symbols`` is each generator's stacked A_0 … A_guard when it is exactly
+    Σ_k A_k ⊗ S^k (``level_shift_symbol``), else None, read off the matrix
+    at most once per pair. A pair built from its symbols
+    (``build_projection_family_rep``) forms the dense W1 and W2 only when
+    they are read, and marks them read-only. No array of a pair may be
+    changed after construction: its symbols would no longer describe it.
     """
 
     W1: np.ndarray
@@ -243,9 +240,82 @@ class IsoRep2:
         default=None, compare=False, repr=False
     )
 
+    def __init__(self, W1, W2, trunc, family=None, rebuild=None) -> None:
+        for name, value in (("trunc", trunc), ("family", family), ("rebuild", rebuild)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_dense", [W1, W2])
+        object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def _from_symbols(cls, symbols, trunc, family=None, rebuild=None) -> "IsoRep2":
+        """The pair (Σ_k A_k ⊗ S^k, Σ_k B_k ⊗ S^k) of two stacked symbols
+        A_0 … A_guard and B_0 … B_guard; no dense array is formed."""
+        rep = cls(None, None, trunc, family, rebuild)
+        rep._memo["symbols"] = tuple(map(_read_only, symbols))
+        return rep
+
+    def _generator(self, i: int) -> np.ndarray:
+        if self._dense[i] is None:
+            # only a pair built from its symbols has no dense generator
+            self._dense[i] = _read_only(_level_scatter(self._memo["symbols"][i], self.trunc.L))
+        return self._dense[i]
+
+    W1 = property(lambda self: self._generator(0))
+    W2 = property(lambda self: self._generator(1))
+
     @property
     def dim(self) -> int:
         return self.trunc.dim
+
+    @property
+    def symbols(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Each generator's stacked A_0 … A_guard, or None; read-only."""
+        if "symbols" not in self._memo:
+            self._memo["symbols"] = tuple(
+                None if s is None else _read_only(s.copy())
+                for s in (level_shift_symbol(w, self.trunc) for w in self._dense)
+            )
+        return self._memo["symbols"]
+
+    @property
+    def w1_is_shift(self) -> bool:
+        """Whether W1 is exactly 1 ⊗ S: its symbol is (0, 1, 0, …)."""
+        return _is_shift_symbol(self.symbols[0], self.trunc)
+
+    @property
+    def pair_symbol(self) -> np.ndarray | None:
+        """W2's symbol when the pair is a level-shift pair, W1 exactly 1 ⊗ S
+        and W2 exactly Σ_k A_k ⊗ S^k; else None."""
+        return self.symbols[1] if self.w1_is_shift else None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _shift_symbol(trunc: TruncationParams) -> np.ndarray:
+    """The symbol (0, 1, 0, …) of 1 ⊗ S."""
+    blocks = np.zeros((trunc.guard + 1, trunc.n, trunc.n), dtype=complex)
+    blocks[1] = np.eye(trunc.n)
+    return blocks
+
+
+def _is_shift_symbol(blocks: np.ndarray | None, trunc: TruncationParams) -> bool:
+    return blocks is not None and np.array_equal(blocks, _shift_symbol(trunc))
+
+
+def _level_scatter(blocks: np.ndarray, L: int) -> np.ndarray:
+    """Σ_k A_k ⊗ S^k on C^n ⊗ C^L: A_k on level offset k. `+=` keeps the
+    bytes of the summed Kronecker products, whose +0.0 start turns a −0.0
+    entry of A_k into +0.0."""
+    n = blocks.shape[1]
+    w = np.zeros((n, L, n, L), dtype=complex)
+    for offset, a in enumerate(blocks[:L]):
+        if a.any():
+            levels = np.arange(L - offset)
+            w[:, levels + offset, :, levels] += a
+    return w.reshape(n * L, n * L)
 
 
 def certify_two_truncations(
@@ -293,22 +363,22 @@ def build_projection_family_rep(
 
 
 def _assemble_family_rep(fam: ProjectionFamily, trunc: TruncationParams) -> IsoRep2:
-    """The pair of a checked family at a fitted truncation; its rebuild fits
-    the new truncation and assembles again, with no second family check."""
-    w1 = kron(np.eye(fam.n), truncated_shift(trunc.L))
-    # (U P_i) ⊗ S^{i-1} is U P_i on level offset i - 1: scatter it there.
-    # `+=` keeps the bytes of the summed Kronecker products, whose +0.0
-    # start turns a −0.0 entry of U P_i into +0.0
-    w2 = np.zeros((fam.n, trunc.L, fam.n, trunc.L), dtype=complex)
-    for offset, p in enumerate(fam.projections):
-        levels = np.arange(trunc.L - offset)
-        w2[:, levels + offset, :, levels] += fam.unitary @ p
-    w2 = w2.reshape(trunc.dim, trunc.dim)
+    """The pair of a checked family at a fitted truncation, built from its
+    symbols: A_1 = 1 for W1, and A_k = U P_{k+1} for W2. Offsets above the
+    guard have no symbol within it, so such a pair is assembled densely. Its
+    rebuild fits the new truncation and assembles again, with no second
+    family check."""
 
     def rebuild(tr: TruncationParams) -> IsoRep2:
         return _assemble_family_rep(fam, _fit_truncation(fam, tr))
 
-    return IsoRep2(W1=w1, W2=w2, trunc=trunc, family=fam, rebuild=rebuild)
+    w2 = np.array([fam.unitary @ p for p in fam.projections], dtype=complex)
+    if fam.d - 1 > trunc.guard:
+        w1 = _level_scatter(_shift_symbol(trunc), trunc.L)
+        return IsoRep2(w1, _level_scatter(w2, trunc.L), trunc, family=fam, rebuild=rebuild)
+    blocks = np.zeros((trunc.guard + 1, fam.n, fam.n), dtype=complex)
+    blocks[: fam.d] = w2
+    return IsoRep2._from_symbols((_shift_symbol(trunc), blocks), trunc, fam, rebuild)
 
 
 def _fit_truncation(
@@ -468,18 +538,18 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
 
     Any other pair takes the masked dense products. The two routes agree up
     to the order of their sums. A non-finite entry anywhere, guard band
-    included, makes every deviation NaN and the report fail.
+    included, makes every deviation NaN and the report fail; a symbol is
+    finite.
     """
     tr = rep.trunc
-    w1, w2 = (np.ascontiguousarray(w, dtype=complex) for w in (rep.W1, rep.W2))
-    if all(level_shift_symbol(w, tr) is not None for w in (w1, w2)):
-        w1, w2 = (w.reshape(tr.n, tr.L, tr.n, tr.L) for w in (w1, w2))
+    a1, a2 = rep.symbols
+    if a1 is not None and a2 is not None:
         devs = (
-            _symbol_isometry_deviation(w1, tr),
-            _symbol_isometry_deviation(w2, tr),
-            _symbol_commutation_deviation(w1, w2, tr),
+            _symbol_isometry_deviation(a1, tr),
+            _symbol_isometry_deviation(a2, tr),
+            _symbol_commutation_deviation(a1, a2, tr),
         )
-    elif not all(np.isfinite(w.view(float)).all() for w in (w1, w2)):
+    elif not all(np.isfinite(w).all() for w in (rep.W1, rep.W2)):
         nan = float("nan")
         return ValidationReport(nan, nan, nan, tol=tol.identity_tol)
     else:
@@ -493,31 +563,43 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
     return ValidationReport(*map(float, devs), tol=tol.identity_tol)
 
 
-def _symbol_isometry_deviation(w4: np.ndarray, trunc: TruncationParams) -> float:
-    """max|W*W − 1| over block row 0 of the interior: W[lv 0…guard, lv 0]*
-    times W[lv 0…guard, lv < k], k = min(guard + 1, interior levels); the
-    blocks right of k have no term and are exactly 0."""
+def _block_toeplitz(blocks: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The level blocks (ℓ < rows, j < cols) of Σ_k A_k ⊗ S^k, block (ℓ, j)
+    = A_{ℓ−j}, as a (n·rows)×(cols·n) matrix: rows (h, ℓ) as in W, columns
+    (j, h)."""
+    n = blocks.shape[1]
+    out = np.zeros((n, rows, cols, n), dtype=complex)
+    for j in range(min(cols, rows)):
+        width = min(len(blocks), rows - j)
+        out[:, j : j + width, j] = blocks[:width].transpose(1, 0, 2)
+    return out.reshape(n * rows, cols * n)
+
+
+def _symbol_isometry_deviation(blocks: np.ndarray, trunc: TruncationParams) -> float:
+    """max|W*W − 1| over block row 0 of the interior: column 0 of W, levels
+    0 … guard, against its columns at levels below k = min(guard + 1,
+    interior levels); the blocks right of k have no term and are exactly 0."""
     n, rows = trunc.n, trunc.guard + 1
     k = min(rows, trunc.interior_levels)
-    col0 = w4[:, :rows, :, 0].reshape(n * rows, n)
-    # columns run (h, level): level 0 is every k-th
-    gram = col0.conj().T @ w4[:, :rows, :, :k].reshape(n * rows, n * k)
-    gram[:, ::k] -= np.eye(n)
+    col0 = _block_toeplitz(blocks, rows, 1)
+    gram = col0.conj().T @ _block_toeplitz(blocks, rows, k)
+    gram[:, :n] -= np.eye(n)
     return np.abs(gram).max()
 
 
 def _symbol_commutation_deviation(
-    w1: np.ndarray, w2: np.ndarray, trunc: TruncationParams
+    a1: np.ndarray, a2: np.ndarray, trunc: TruncationParams
 ) -> float:
     """max|[W1, W2]| over block column 0 of the interior, summed over the
-    inner levels below k = min(guard + 1, interior levels) that reach it."""
-    n, rows = trunc.n, trunc.interior_levels
-    k = min(trunc.guard + 1, rows)
+    inner levels below k = min(guard + 1, interior levels) that reach it;
+    the interior levels from guard + k on have no term and are exactly 0."""
+    n, k = trunc.n, min(trunc.guard + 1, trunc.interior_levels)
+    rows = min(trunc.interior_levels, trunc.guard + k)
 
     def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a[:, :rows, :, :k].reshape(n * rows, n * k) @ b[:, :k, :, 0].reshape(n * k, n)
+        return _block_toeplitz(a, rows, k) @ b[:k].reshape(k * n, n)
 
-    return np.abs(product(w1, w2) - product(w2, w1)).max()
+    return np.abs(product(a1, a2) - product(a2, a1)).max()
 
 
 @dataclass(frozen=True)
