@@ -197,12 +197,22 @@ def _symbol_apply(blocks: np.ndarray, L: int) -> Callable:
     return apply
 
 
+def _pair_basis(rep: IsoRep2, tol: ToleranceConfig) -> np.ndarray:
+    """The route choice above, for ``cocycle_space`` and for the grid pair
+    of ``induced.grid_cocycle_pair_basis`` alike."""
+    if not rep.w1_is_shift:
+        return cocycle_pair_basis(rep.W1, rep.W2, tol)
+    tr, blocks = rep.trunc, rep.symbols[1]
+    apply_w2 = _dense_apply(rep.W2) if blocks is None else _symbol_apply(blocks, tr.L)
+    return shift_pair_basis(tr.n, tr.L, apply_w2, tol)
+
+
 def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSpace:
     """Interior-supported solutions of the three cocycle constraints.
 
-    The pair solve, ``shift_pair_basis`` when W1 is exactly 1 ⊗ S and
-    ``cocycle_pair_basis`` otherwise, gives an orthonormal basis of all
-    solutions; the interior ones are the kernel of its guard-band rows
+    The pair solve (``_pair_basis``: ``shift_pair_basis`` when W1 is exactly
+    1 ⊗ S, ``cocycle_pair_basis`` otherwise) gives an orthonormal basis of
+    all solutions; the interior ones are the kernel of its guard-band rows
     (cutoff at scale 1, the basis's norm), so the basis stays orthonormal.
     Solutions touching the guard band are truncation suspects; they are
     dropped and the space is flagged unstable when any were present. A
@@ -212,14 +222,8 @@ def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSp
     report = validate(rep, tol)
     if not report.ok:
         raise ValueError(f"representation fails validation: {report.as_dict()}")
-    tr = rep.trunc
-    if rep.w1_is_shift:
-        blocks = rep.symbols[1]
-        apply_w2 = _dense_apply(rep.W2) if blocks is None else _symbol_apply(blocks, tr.L)
-        full = shift_pair_basis(tr.n, tr.L, apply_w2, tol)
-    else:
-        full = cocycle_pair_basis(rep.W1, rep.W2, tol)
-    guard_rows = full[~np.tile(tr.level_mask(), 2)]
+    full = _pair_basis(rep, tol)
+    guard_rows = full[~np.tile(rep.trunc.level_mask(), 2)]
     inner = full if guard_rows.size == 0 else full @ nullspace(guard_rows, tol, scale=1.0)
     n = rep.dim
     basis = tuple(Cocycle2(eta10=v[:n], eta01=v[n:]) for v in inner.T.copy())

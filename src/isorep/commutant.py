@@ -5,10 +5,11 @@ and every P_i. The pair's star commutant on the full C^n ⊗ C^L
 (``pair_star_commutant_basis``) is exact algebra on the truncation when W1
 is the bare level shift 1 ⊗ S and W2 is Σ_k A_k ⊗ S^k: S and S* generate
 M_L, so every element is T0 ⊗ 1 with T0 in the star commutant of the A_k
-on C^n. Any other pair takes the dense solve of (W1, W2) on C^{nL}. The
-truncated oracle counts that space; the preset cross-checks compare it with
-the structured answer, and the solver itself is tested against
-``linalg.intertwiner_space``.
+on C^n, since the S^k, k < L, are independent. Any other pair takes the
+dense solve of (W1, W2) on C^{nL}. The truncated oracle and the grid check
+count that space by its T0, forming no T0 ⊗ 1; the preset cross-checks
+compare it with the structured answer, and the solver itself is tested
+against ``linalg.intertwiner_space``.
 
 The solver gives the *-intertwiners {T : A T = T B, A* T = T B*} of two lists
 of generators, and the star commutant is its case B = A. It works by
@@ -192,42 +193,42 @@ def pair_star_commutant_basis(
     rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
 ) -> list[np.ndarray]:
     """Orthonormal basis of the pair's star commutant on C^n ⊗ C^L: every T
-    with T W = W T and T W* = W* T for W = W1, W2.
+    with T W = W T and T W* = W* T for W = W1, W2. A level-shift pair's is
+    T0 ⊗ 1_L/√L over the T0 of ``_symbol_star_commutant``; every other pair
+    takes the dense solve of (W1, W2)."""
+    t0s = _symbol_star_commutant(rep, tol, seed)
+    if t0s is None:
+        return star_commutant_basis([rep.W1, rep.W2], tol, seed)
+    levels = np.eye(rep.trunc.L) / np.sqrt(rep.trunc.L)
+    return [kron(t0, levels) for t0 in t0s]
 
-    The route is read off the pair's symbols. When W1 is exactly 1 ⊗ S and
-    W2 is exactly Σ_{k ≤ guard} A_k ⊗ S^k (``IsoRep2.pair_symbol``), the
-    basis is T0 ⊗ 1_L/√L, T0 over
-    ``star_commutant_basis`` of the nonzero A_k. This is exact algebra on
-    the truncation: S and S* generate M_L, so T = T0 ⊗ 1, and since the S^k,
-    k < L, are independent, T0 ⊗ 1 commutes with W2 and W2* iff T0 commutes
-    with every A_k and A_k*. Every other pair takes the dense solve of
-    (W1, W2).
-    """
+
+def _symbol_star_commutant(rep: IsoRep2, tol: ToleranceConfig, seed: int) -> list | None:
+    """The T0 of a level-shift pair's star commutant T0 ⊗ 1, exact on the
+    truncation: one ``star_commutant_basis`` of the nonzero A_k of
+    ``IsoRep2.pair_symbol`` on C^n. None for any other pair."""
     blocks = rep.pair_symbol
     if blocks is None:
-        return star_commutant_basis([rep.W1, rep.W2], tol, seed)
+        return None
     # W2 = 0 leaves T0 free: the star commutant of the zero block is M_n
     nonzero = [a for a in blocks if a.any()] or [blocks[0]]
-    levels = np.eye(rep.trunc.L) / np.sqrt(rep.trunc.L)
-    return [kron(t0, levels) for t0 in star_commutant_basis(nonzero, tol, seed)]
+    return star_commutant_basis(nonzero, tol, seed)
 
 
 def truncated_commutant_oracle(
     rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
 ) -> int:
     """Commutant dimension of the pair on the full truncated space: the
-    number of independent T commuting with W1, W2 and their adjoints
-    (``pair_star_commutant_basis``).
-
-    For a level-shift pair (W1 = 1 ⊗ S, W2 = Σ_k A_k ⊗ S^k) the count is
-    exact on the truncation and solved on C^n; any other pair takes the
-    dense solve on C^{nL}. No interior filter is applied: an element T0 ⊗ 1
-    of the structured commutant preserves shift levels, so its interior
-    compression commutes with the compressed generators anyway. Either way
-    it is a count at fixed L; trust it only when it agrees with the
-    structured formula or is stable in L.
+    number of independent T commuting with W1, W2 and their adjoints, the
+    space of ``pair_star_commutant_basis``, counted by its T0 alone for a
+    level-shift pair. No interior filter is applied: an element T0 ⊗ 1 of
+    the structured commutant preserves shift levels, so its interior
+    compression commutes with the compressed generators anyway. It is a
+    count at fixed L; trust it only when it agrees with the structured
+    formula or is stable in L.
     """
-    return len(pair_star_commutant_basis(rep, tol, seed))
+    t0s = _symbol_star_commutant(rep, tol, seed)
+    return len(star_commutant_basis([rep.W1, rep.W2], tol, seed) if t0s is None else t0s)
 
 
 def is_irreducible(

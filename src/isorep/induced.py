@@ -29,34 +29,30 @@ one residual per distinct block. Step-cocycle additivity and the 1-d cocycle
 solve read cell maps and blocks too. ``V`` and the adjoints are the scatters
 of ``cells``, kept as the dense references.
 
-Both 2-d solves on a fiber whose W1 is exactly 1 ⊗ S read the grid in the
-shift coordinates (y cell, h, level·M + M − 1 − x cell). There V(1/M, 0) is
-again 1 ⊗ S′ on C^{Mn} ⊗ C^{ML}: x cell c < M − 1 reads cell c + 1, one
-place down, and x cell M − 1 reads W1 of x cell 0, one level up. The pair
-cocycle solve takes ``shift_pair_basis`` there, with V(0, 1/M) applied cell
-by cell. When W2 is also Σ_k A_k ⊗ S^k, the grid pair is itself a
-level-shift pair, V(0, 1/M) = Σ_k B_k ⊗ S′^{kM} (``_grid_symbol``), and the
-grid star commutant is T0 ⊗ 1 with T0 in the star commutant of the B_k on
-C^{Mn}. That is exact algebra on the truncation for any such pair, pure or
-not: it does not assume the theorem's answer 1 ⊗ σ′, and a non-pure pair's
-extra dimensions appear in T0. Any other fiber takes the dense generators.
+A fiber whose W1 is exactly 1 ⊗ S has a grid pair (``GridRep2.pair``), the
+generators in the shift coordinates (y cell, h, level·M + M − 1 − x cell).
+For a level-shift fiber it is a level-shift pair built from its symbols, and
+the 2-d cocycle solve and commutant count are that pair's own: exact algebra
+on the truncation, pure or not, that does not assume the theorem's answer
+1 ⊗ σ′. Other fibers take the per-cell kernels and the dense generators.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from operator import add
 from typing import Callable
 
 import numpy as np
 
-from .commutant import star_commutant_basis, structured_commutant_basis
+from .commutant import _symbol_star_commutant, star_commutant_basis, structured_commutant_basis
 from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, numerical_rank
 from .repmodel import (
-    IsoRep2, TruncationParams, interior_isometry_deviation, sigma_power, truncated_shift,
+    IsoRep2, TruncationParams, _shift_symbol, interior_isometry_deviation, sigma_power,
+    truncated_shift,
 )
-from .cocycle import Cocycle2, evaluate, pair_basis_from_kernels, shift_pair_basis
+from .cocycle import Cocycle2, _pair_basis, evaluate, pair_basis_from_kernels
 
 __all__ = [
     "GridRep1",
@@ -348,6 +344,34 @@ class GridRep2(_GridTranslations):
     def _power(self, a: int, b: int) -> np.ndarray:
         return sigma_power(self.rep, a, b)
 
+    @cached_property
+    def pair(self) -> IsoRep2 | None:
+        """The grid pair, with truncation (Mn, ML, M·guard), when the fiber's
+        W1 is exactly 1 ⊗ S; else None. x cell M − 1 reads W1 of x cell 0, one
+        level up, so V(1/M, 0) = 1 ⊗ S′. V(0, 1/M) keeps the x cell, so S^k is
+        S′^{kM}; on C^{Mn}, y cell c < M − 1 reads c + 1 (Z) and y cell M − 1
+        reads W2 of cell 0 (E_{M−1,0}). A level-shift fiber's grid pair is built
+        from B_0 = Z ⊗ 1_n + E_{M−1,0} ⊗ A_0 and B_{kM} = E_{M−1,0} ⊗ A_k, with
+        no dense array; any other holds the dense generators in shift order."""
+        rep, m = self.rep, self.M
+        if not rep.w1_is_shift:
+            return None
+        n, blocks = rep.trunc.n, rep.pair_symbol
+        trunc = TruncationParams(m * n, m * rep.trunc.L, m * rep.trunc.guard)
+        if blocks is None:
+            order = np.ix_(*[_shift_order(self)] * 2)
+            return IsoRep2(self.V(1 / m, 0)[order], self.V(0, 1 / m)[order], trunc)
+        out = np.zeros((trunc.guard + 1, m, n, m, n), dtype=complex)
+        out[0] = kron(np.eye(m, k=1), np.eye(n)).reshape(m, n, m, n)
+        out[::m, m - 1, :, 0] = blocks
+        return IsoRep2._from_symbols((_shift_symbol(trunc), out.reshape(-1, m * n, m * n)), trunc)
+
+
+def _shift_order(grid: GridRep2) -> np.ndarray:
+    """The grid coordinate at each position of the shift coordinates."""
+    m, tr = grid.M, grid.rep.trunc
+    return np.arange(grid.dim).reshape(m, m, tr.n, tr.L).transpose(1, 2, 3, 0)[..., ::-1].ravel()
+
 
 def induce_2d(rep: IsoRep2, m: int) -> GridRep2:
     return GridRep2(M=_cell_count(m), rep=rep)
@@ -381,49 +405,20 @@ def grid_adjoint_kernel(
     return out.reshape(grid.dim, -1)
 
 
-def _grid_symbol(grid: GridRep2) -> np.ndarray | None:
-    """The blocks B_0 … B_guard, stacked, of V(0, 1/M) = Σ_k B_k ⊗ S′^{kM} in
-    the shift coordinates, when W1 is exactly 1 ⊗ S and W2 is exactly
-    Σ_k A_k ⊗ S^k (``IsoRep2.pair_symbol``); else None.
-
-    V(0, 1/M) keeps the x cell, so S^k on levels is S′^{kM} on positions. On
-    C^{Mn}, y cell c < M − 1 reads cell c + 1 (Z = Σ_{y<M−1} E_{y,y+1}) and
-    y cell M − 1 reads W2 of cell 0 (the wrap E_{M−1,0}), so
-    B_0 = Z ⊗ 1_n + E_{M−1,0} ⊗ A_0 and B_k = E_{M−1,0} ⊗ A_k.
-    """
-    blocks = grid.rep.pair_symbol
-    if blocks is None:
-        return None
-    m, n = grid.M, grid.rep.trunc.n
-    out = np.zeros((len(blocks), m, n, m, n), dtype=complex)
-    out[:, m - 1, :, 0] = blocks
-    out[0] += kron(np.eye(m, k=1), np.eye(n)).reshape(m, n, m, n)
-    return out.reshape(len(blocks), m * n, m * n)
-
-
 def grid_cocycle_pair_basis(grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """``cocycle_pair_basis`` of the generators V(1/M, 0) and V(0, 1/M), with
-    V applied cell by cell.
-
-    When the fiber's W1 is exactly 1 ⊗ S, V(1/M, 0) is 1 ⊗ S′ in the shift
-    coordinates, so ``shift_pair_basis`` solves the pair. Any other fiber
-    takes the compatibility solve on the per-cell adjoint kernels.
-    """
-    m, step, tr = grid.M, 1 / grid.M, grid.rep.trunc
-    if not grid.rep.w1_is_shift:
+    """``cocycle_pair_basis`` of the generators V(1/M, 0) and V(0, 1/M): the
+    solve ``cocycle_space`` takes, on the grid pair (``GridRep2.pair``) and
+    mapped back from the shift coordinates; with no grid pair, the
+    compatibility solve on the per-cell adjoint kernels."""
+    pair = grid.pair
+    if pair is None:
+        step = 1 / grid.M
         k1, k2 = (grid_adjoint_kernel(grid, ts, tol) for ts in ((step, 0), (0, step)))
         return pair_basis_from_kernels(
             k1, k2, grid.apply((step, 0), k2), grid.apply((0, step), k1), tol
         )
-    # position k of the shift order holds grid coordinate order[k]
-    order = np.arange(grid.dim).reshape(m, m, tr.n, tr.L).transpose(1, 2, 3, 0)[..., ::-1].ravel()
-    back = np.argsort(order)
-
-    def apply_w2(x: np.ndarray, sign: int) -> np.ndarray:
-        return grid.apply((0, step), x[back], sign)[order]
-
-    basis = shift_pair_basis(m * tr.n, m * tr.L, apply_w2, tol)
-    return basis.reshape(2, grid.dim, -1)[:, back].reshape(2 * grid.dim, -1)
+    back = np.argsort(_shift_order(grid))
+    return _pair_basis(pair, tol).reshape(2, grid.dim, -1)[:, back].reshape(2 * grid.dim, -1)
 
 
 def lift_cocycle_2d(c: Cocycle2, grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) -> StepCocycle:
@@ -464,20 +459,17 @@ def induced_commutant_check_2d(
     permutation, and [1 ⊗ T, V(s, t)] holds T·B − B·T where V(s, t) holds the
     fiber block B. At grid times in [0, 1]² those blocks are W1^a W2^b with
     a, b ∈ {0, 1}, so the residual is checked on these four blocks, without a
-    dense grid product. The generators' interior isometry residual is read
-    per cell too: V*V is cell-diagonal with blocks B*B, B ∈ {1, W1, W2}.
+    dense grid product; for a level-shift fiber, on its symbol, as
+    max_k |T0 A_k − A_k T0|: T0 ⊗ 1 commutes with W1 = 1 ⊗ S exactly, and the
+    level blocks of W2 and W1W2 are the A_k. The interior isometry residual
+    is read per cell: V*V is cell-diagonal with blocks B*B, B ∈ {1, W1, W2}.
 
     Direction two: the star commutant of the grid generators must have
     exactly the structured dimension. It is counted without an interior
     filter (an ampliated T0 ⊗ 1 preserves shift levels, so its interior
-    compression always commutes). For a level-shift fiber the grid pair is
-    1 ⊗ S′ and Σ_k B_k ⊗ S′^{kM} in shift coordinates (``_grid_symbol``).
-    S′ and S′* generate M_{ML} and the S′^{kM}, kM < ML, are independent, so
-    the grid star commutant is T0 ⊗ 1 with T0 in the star commutant of the
-    nonzero B_k: one ``star_commutant_basis`` call on C^{Mn}, exact on the
-    truncation. Any other fiber takes the dense generators V(1/M, 0) and
-    V(0, 1/M). Neither route assumes the theorem's answer: every dimension
-    of the grid commutant beyond 1 ⊗ σ′ is counted.
+    compression always commutes): by the T0 of the grid pair on C^{Mn} for
+    a level-shift fiber, else on the dense generators. Neither route assumes
+    the theorem's answer: every dimension beyond 1 ⊗ σ′ is counted.
 
     The second direction only holds for strongly pure pairs. When a
     generator has a unitary direct summand, the periodic fiber it fixes makes
@@ -492,22 +484,21 @@ def induced_commutant_check_2d(
     # non-isometric input shows up here
     step, mask = 1 / grid.M, rep.trunc.level_mask()
     iso_worst = float(np.max([grid.isometry_deviation(ts, mask) for ts in ((step, 0), (0, step))]))
-    blocks = np.array([sigma_power(rep, a, b) for a in (0, 1) for b in (0, 1)])
-    fiber_ops = [kron(t0, np.eye(rep.trunc.L)) for t0 in base]
-    worst = float(np.max([np.abs(t @ blocks - blocks @ t).max() for t in fiber_ops], initial=0.0))
-
-    symbol = _grid_symbol(grid)
-    # B_0 holds Z ≠ 0; a zero B_k adds no relation
-    gens = [grid.V(step, 0), grid.V(0, step)] if symbol is None else [b for b in symbol if b.any()]
-    grid_dim = len(star_commutant_basis(gens, tol, seed))
+    blocks = rep.pair_symbol
+    if blocks is None:
+        blocks = np.array([sigma_power(rep, a, b) for a in (0, 1) for b in (0, 1)])
+        ops = [kron(t0, np.eye(rep.trunc.L)) for t0 in base]
+        grid_dim = len(star_commutant_basis([grid.V(step, 0), grid.V(0, step)], tol, seed))
+    else:
+        ops, grid_dim = base, len(_symbol_star_commutant(grid.pair, tol, seed))
+    worst = float(np.max([np.abs(t @ blocks - blocks @ t).max() for t in ops], initial=0.0))
 
     return InducedCommutantReport(
         structured_dim=len(base),
         grid_commutant_dim=grid_dim,
         tensor_direction_residual=worst,
         grid_isometry_residual=iso_worst,
-        tensor_direction_ok=worst <= tol.identity_tol
-        and iso_worst <= tol.identity_tol,
+        tensor_direction_ok=worst <= tol.identity_tol and iso_worst <= tol.identity_tol,
         generic_direction_ok=grid_dim == len(base),
         tolerance=tol.identity_tol,
     )

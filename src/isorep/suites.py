@@ -12,10 +12,10 @@ law, index and commutant preservation) is written once below and called by
 semigroup and axis-flip checks key each cell by integers read off the grid's
 cached layouts (block-table rows, and whether the sources agree) and compare
 each distinct key's blocks once, never dense products; kernel dimensions,
-isometry residuals and the adjoint pairing read cells too, the 2-d cocycle
-solve runs in shift coordinates, the 1-d one on per-cell kernels, and the
-commutant count on the grid symbol's C^{Mn} blocks, so no battery assembles
-a dense grid translation.
+isometry residuals and the adjoint pairing read cells too, the 1-d cocycle
+solve runs on per-cell kernels, and the 2-d one and the commutant count on
+the grid pair's symbols (``GridRep2.pair``), so no battery assembles a
+dense grid translation.
 """
 from __future__ import annotations
 

@@ -699,8 +699,9 @@ def test_oracle_count_on_perturbed_pair_ignores_basis_choice(monkeypatch):
 def _rotate_returned_bases(monkeypatch):
     """Make star_commutant_basis return its basis rotated by a fresh random
     unitary on every call: another orthonormal basis of the same space.
-    The oracle reaches it through pair_star_commutant_basis, the grid check
-    through its own binding in isorep.induced."""
+    The oracle, and the grid check of a level-shift fiber, reach it in
+    isorep.commutant; the dense grid check through its own binding in
+    isorep.induced."""
     solve = star_commutant_basis
     rng = np.random.default_rng(11)
 
@@ -798,12 +799,22 @@ def test_grid_symbol_route_matches_the_dense_grid_commutant(rep, m):
         calls.append((mats, star_commutant_basis(mats, tol, seed)))
         return calls[-1][1]
 
-    with mock.patch.object(isorep.induced, "star_commutant_basis", recorded):
+    with mock.patch.object(isorep.commutant, "star_commutant_basis", recorded):
         dim = induced_commutant_check_2d(grid).grid_commutant_dim
-    # one solve, on the Mn×Mn blocks of the grid symbol
-    ((mats, t0s),) = calls
+    # the structured solve on C^n, then one grid solve, on the Mn×Mn blocks of
+    # the grid pair's symbol
+    (structured, _), (mats, t0s) = calls
+    assert all(np.shape(a) == (rep.trunc.n,) * 2 for a in structured)
     assert all(np.shape(b) == (m * rep.trunc.n,) * 2 for b in mats)
     order = _grid_coordinates_in_shift_order(m, rep.trunc)
+    # the grid pair is the dense grid generators in shift order, entry for entry
+    shift_order = np.ix_(order, order)
+    assert np.array_equal(grid.pair.W1, grid.V(1 / m, 0)[shift_order])
+    assert np.array_equal(grid.pair.W2, grid.V(0, 1 / m)[shift_order])
+    # one ulp off 1 ⊗ S: no grid pair
+    w1 = rep.W1.copy()
+    w1[1, 0] = np.nextafter(1.0, 2.0)
+    assert induce_2d(replace(rep, W1=w1), m).pair is None
     levels = np.eye(m * rep.trunc.L) / np.sqrt(m * rep.trunc.L)
     basis = []
     for t0 in t0s:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from isorep import induced, suites
+from isorep import cocycle, induced, suites
 from isorep.cocycle import Cocycle2, cocycle_pair_basis, cocycle_space
 from isorep.commutant import star_commutant_basis, structured_commutant_basis
 from isorep.induced import (
@@ -983,14 +983,16 @@ def _altered_pair(kind, n, seed):
 def test_altered_family_pairs_take_the_fallback_kernel(kind, n, seed):
     # the family describes the pair as built, not this one: the grid pair
     # solve reads its route off the altered W1. Only level_scaled and
-    # foreign_w2 keep W1 = 1 ⊗ S and take the shift coordinates; the others
-    # take the per-cell kernels, and both match the dense generators
+    # foreign_w2 keep W1 = 1 ⊗ S and take the shift solve that cocycle_space
+    # shares, on the grid pair; the others take the per-cell kernels, and
+    # both match the dense generators
     rep = _altered_pair(kind, n, seed)
     shift = kind in ("level_scaled", "foreign_w2")
     assert is_level_shift(rep.W1, rep.trunc) == shift
     grid = induce_2d(rep, 2)
+    assert (grid.pair is not None) == shift
     with mock.patch.object(
-        induced, "shift_pair_basis", wraps=induced.shift_pair_basis
+        cocycle, "shift_pair_basis", wraps=cocycle.shift_pair_basis
     ) as shift_route, mock.patch.object(
         induced, "grid_adjoint_kernel", wraps=grid_adjoint_kernel
     ) as kernel_route:
@@ -1142,7 +1144,8 @@ def test_grid_commutant_dims_table(name, m, dim):
 
 def test_induced_commutant_check_fits_in_memory_at_m6():
     # a star commutant of the dense generators at N = 1152 needs about 650 MB;
-    # the symbol solve works on C^{Mn} = C^24
+    # the symbol solve works on C^{Mn} = C^24 and counts its T0 without
+    # forming T0 ⊗ 1, so the peak stays below one N×N complex array (21 MB)
     grid = induce_2d(build_reflection_rep(EX2_VECTOR, TruncationParams(4, 8, 3)), 6)
     tracemalloc.start()
     try:
@@ -1151,7 +1154,7 @@ def test_induced_commutant_check_fits_in_memory_at_m6():
     finally:
         tracemalloc.stop()
     assert report.ok and report.grid_commutant_dim == 1
-    assert peak < 100 * 2**20
+    assert peak < grid.dim**2 * np.dtype(complex).itemsize
 
 
 # --- route guards ----------------------------------------------------------------------
@@ -1185,8 +1188,8 @@ GUARDED_BATTERIES = {
 @pytest.mark.parametrize("battery", GUARDED_BATTERIES)
 def test_batteries_assemble_no_dense_translation(monkeypatch, battery):
     # every check reads cells: kernels, isometry residuals, the pairing and the
-    # axis flip per cell, the cocycle solves on per-cell kernels and the
-    # commutant count on the grid symbol
+    # axis flip per cell, the 1-d cocycle solve on per-cell kernels, and the
+    # 2-d cocycle solve and commutant count on the grid pair's symbols
     calls = _count_dense_translations(monkeypatch)
     assert GUARDED_BATTERIES[battery]().passed
     assert calls == []
