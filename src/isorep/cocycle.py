@@ -11,11 +11,14 @@ levels.
 A pair whose W1 is exactly the level shift 1 ⊗ S (``IsoRep2.w1_is_shift``,
 read from the pair's symbol) takes ``shift_pair_basis``: ker W1* is
 C^n ⊗ δ_0, so eta10 = a ⊗ δ_0, and 1 − W1 is invertible on the truncation,
-so the relation fixes eta01 from a. Only W2*·eta01 = 0 is left, an n-column
-solve. When W2 has a symbol A_0 … A_guard, W2 and W2* are applied through
-its blocks, so a family pair's solve forms no N×N array; otherwise through
-the dense W2. Every other pair takes ``cocycle_pair_basis``, the dense
-reference.
+so the relation fixes eta01 from a: it is the running sum over the levels
+of a ⊗ δ_0 − W2·(a ⊗ δ_0). Only W2*·eta01 = 0 is left, an n-column solve.
+W2·(e_h ⊗ δ_0) is W2's level-0 column h: when W2 has a symbol A_0 …
+A_guard, its level ℓ is A_ℓ e_h, read off the blocks, and W2* is applied
+through them, so a family pair's solve forms no N×N array; otherwise both
+come from the dense W2. Every other pair takes ``cocycle_pair_basis``, the
+dense reference. The tall kernels of these solves go through the R factor
+of their QR (``linalg.nullspace``).
 """
 from __future__ import annotations
 
@@ -149,52 +152,46 @@ def pair_basis_from_kernels(
 
 
 def shift_pair_basis(
-    n: int, L: int, apply_w2: Callable, tol: ToleranceConfig = DEFAULT_TOL
+    w2_cols: np.ndarray, apply_w2_adj: Callable, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
-    """``cocycle_pair_basis`` of (1 ⊗ S, W2) on C^n ⊗ C^L, where
-    apply_w2(x, sign) is W2·x (sign −1: W2*·x).
+    """``cocycle_pair_basis`` of (1 ⊗ S, W2) on C^n ⊗ C^L, given W2's
+    level-0 columns w2_cols (N×n, column h is W2·(e_h ⊗ δ_0)) and
+    apply_w2_adj(x) = W2*·x.
 
     eta10 = a ⊗ δ_0 spans ker (1 ⊗ S)*, and (1 − 1 ⊗ S)^{-1} is the running
     sum over the levels, so eta01 = (1 − W1)^{-1}(1 − W2)·eta10 is linear in
-    a. The pairs are the kernel of the N×n matrix W2*·eta01, cut at scale 1
-    as the dense solve is, and one QR makes them orthonormal.
+    a: column h is the running sum of e_h ⊗ δ_0 minus column h of w2_cols.
+    The pairs are the kernel of the N×n matrix W2*·eta01, cut at scale 1 as
+    the dense solve is, and one QR makes them orthonormal.
     """
-    eta10 = np.zeros((n * L, n))
-    eta10[np.arange(n) * L, np.arange(n)] = 1.0  # column h is e_h ⊗ δ_0
-    eta01 = np.cumsum((eta10 - apply_w2(eta10, 1)).reshape(n, L, n), axis=1).reshape(n * L, n)
-    coeffs = nullspace(apply_w2(eta01, -1), tol, scale=1.0)
-    return np.linalg.qr(np.vstack([eta10, eta01]) @ coeffs)[0]
+    size, n = w2_cols.shape
+    eta10 = np.zeros((n, size // n, n))
+    eta10[:, 0] = np.eye(n)  # column h is e_h ⊗ δ_0
+    eta01 = np.cumsum(eta10 - w2_cols.reshape(eta10.shape), axis=1).reshape(size, n)
+    coeffs = nullspace(apply_w2_adj(eta01), tol, scale=1.0)
+    return np.linalg.qr(np.vstack([eta10.reshape(size, n), eta01]) @ coeffs)[0]
 
 
-def _dense_apply(w: np.ndarray) -> Callable:
-    # W*·x as (x*·W)*, which copies no N×N array
-    return lambda x, sign: w @ x if sign > 0 else (x.conj().T @ w).conj().T
+def _symbol_columns(blocks: np.ndarray, L: int) -> np.ndarray:
+    """The level-0 columns of W = Σ_k A_k ⊗ S^k on C^n ⊗ C^L: level ℓ of
+    column h is A_ℓ e_h."""
+    n = blocks.shape[1]
+    cols = np.zeros((n, L, n), dtype=complex)
+    cols[:, : len(blocks)] = blocks.transpose(1, 0, 2)
+    return cols.reshape(n * L, n)
 
 
-def _symbol_apply(blocks: np.ndarray, L: int) -> Callable:
-    """apply(x, sign) for W = Σ_k A_k ⊗ S^k on C^n ⊗ C^L through its symbol:
-    (W·x)_ℓ = Σ_k A_k x_{ℓ−k} and (W*·x)_ℓ = Σ_k A_k* x_{ℓ+k}, one matmul
-    of the nonzero A_k (A_k*) side by side with the copies of x shifted k
-    levels up (down), stacked."""
-    offsets = [k for k, a in enumerate(blocks) if a.any()]
-    n, stack = blocks.shape[1], blocks[offsets]
-    # row i of [A_k …] and of [A_k* …]: entries stack[k, i, j] and conj(stack[k, j, i])
-    rows = {
-        1: stack.transpose(1, 0, 2).reshape(n, -1),
-        -1: stack.conj().transpose(2, 0, 1).reshape(n, -1),
-    }
-
-    def apply(x: np.ndarray, sign: int) -> np.ndarray:
-        x = x.reshape(n, L, -1)
-        shifted = np.zeros((len(offsets), *x.shape), dtype=complex)
-        for copy, k in zip(shifted, offsets):
-            if sign > 0:
-                copy[:, k:] = x[:, : L - k]
-            else:
-                copy[:, : L - k] = x[:, k:]
-        return (rows[sign] @ shifted.reshape(len(offsets) * n, -1)).reshape(n * L, -1)
-
-    return apply
+def _symbol_adjoint(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W*·x for W = Σ_k A_k ⊗ S^k through its symbol: (W*·x)_ℓ = Σ_k A_k*
+    x_{ℓ+k}, one n×n product per nonzero A_k on the levels it reaches, so
+    no temporary is larger than x or the symbol."""
+    n, width = blocks.shape[1], x.shape[1]
+    x = x.reshape(n, -1)  # row h holds x's (level, column) entries, level-major
+    out = np.zeros(x.shape, dtype=complex)
+    adjoints = blocks.conj().transpose(0, 2, 1)
+    for k in np.flatnonzero(blocks.any(axis=(1, 2))):
+        out[:, : x.shape[1] - k * width] += adjoints[k] @ x[:, k * width :]
+    return out.reshape(-1, width)
 
 
 def _pair_basis(rep: IsoRep2, tol: ToleranceConfig) -> np.ndarray:
@@ -202,9 +199,14 @@ def _pair_basis(rep: IsoRep2, tol: ToleranceConfig) -> np.ndarray:
     of ``induced.grid_cocycle_pair_basis`` alike."""
     if not rep.w1_is_shift:
         return cocycle_pair_basis(rep.W1, rep.W2, tol)
-    tr, blocks = rep.trunc, rep.symbols[1]
-    apply_w2 = _dense_apply(rep.W2) if blocks is None else _symbol_apply(blocks, tr.L)
-    return shift_pair_basis(tr.n, tr.L, apply_w2, tol)
+    L, blocks = rep.trunc.L, rep.symbols[1]
+    if blocks is None:
+        w2 = rep.W2
+        # W2*·x as (x*·W2)*, which copies no N×N array
+        return shift_pair_basis(w2[:, ::L], lambda x: (x.conj().T @ w2).conj().T, tol)
+    return shift_pair_basis(
+        _symbol_columns(blocks, L), lambda x: _symbol_adjoint(blocks, x), tol
+    )
 
 
 def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSpace:

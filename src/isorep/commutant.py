@@ -1,15 +1,15 @@
 """Commutants, irreducibility, and unitary equivalence.
 
 One solver, three spaces. The structured space is the commutant on C^n of U
-and every P_i. The pair's star commutant on the full C^n ⊗ C^L
-(``pair_star_commutant_basis``) is exact algebra on the truncation when W1
-is the bare level shift 1 ⊗ S and W2 is Σ_k A_k ⊗ S^k: S and S* generate
-M_L, so every element is T0 ⊗ 1 with T0 in the star commutant of the A_k
-on C^n, since the S^k, k < L, are independent. Any other pair takes the
-dense solve of (W1, W2) on C^{nL}. The truncated oracle and the grid check
-count that space by its T0, forming no T0 ⊗ 1; the preset cross-checks
-compare it with the structured answer, and the solver itself is tested
-against ``linalg.intertwiner_space``.
+and every P_i. The pair's star commutant on the full C^n ⊗ C^L is exact
+algebra on the truncation when W1 is the bare level shift 1 ⊗ S and W2 is
+Σ_k A_k ⊗ S^k: S and S* generate M_L, so every element is T0 ⊗ 1 with T0
+in the star commutant of the A_k on C^n, since the S^k, k < L, are
+independent. The truncated oracle and the grid check count that space by
+its T0 (``_symbol_star_commutant``), forming no T0 ⊗ 1; any other pair takes
+the dense solve of (W1, W2) on C^{nL}. The preset cross-checks compare the
+count with the structured answer, and the solver itself is tested against
+``linalg.intertwiner_space``.
 
 The solver gives the *-intertwiners {T : A T = T B, A* T = T B*} of two lists
 of generators, and the star commutant is its case B = A. It works by
@@ -189,20 +189,6 @@ def star_commutant_basis(
     return star_intertwiner_basis([(a, a) for a in mats], tol, seed)
 
 
-def pair_star_commutant_basis(
-    rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> list[np.ndarray]:
-    """Orthonormal basis of the pair's star commutant on C^n ⊗ C^L: every T
-    with T W = W T and T W* = W* T for W = W1, W2. A level-shift pair's is
-    T0 ⊗ 1_L/√L over the T0 of ``_symbol_star_commutant``; every other pair
-    takes the dense solve of (W1, W2)."""
-    t0s = _symbol_star_commutant(rep, tol, seed)
-    if t0s is None:
-        return star_commutant_basis([rep.W1, rep.W2], tol, seed)
-    levels = np.eye(rep.trunc.L) / np.sqrt(rep.trunc.L)
-    return [kron(t0, levels) for t0 in t0s]
-
-
 def _symbol_star_commutant(rep: IsoRep2, tol: ToleranceConfig, seed: int) -> list | None:
     """The T0 of a level-shift pair's star commutant T0 ⊗ 1, exact on the
     truncation: one ``star_commutant_basis`` of the nonzero A_k of
@@ -219,10 +205,10 @@ def truncated_commutant_oracle(
     rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
 ) -> int:
     """Commutant dimension of the pair on the full truncated space: the
-    number of independent T commuting with W1, W2 and their adjoints, the
-    space of ``pair_star_commutant_basis``, counted by its T0 alone for a
-    level-shift pair. No interior filter is applied: an element T0 ⊗ 1 of
-    the structured commutant preserves shift levels, so its interior
+    number of independent T commuting with W1, W2 and their adjoints,
+    counted by the T0 of its elements T0 ⊗ 1 (``_symbol_star_commutant``)
+    for a level-shift pair. No interior filter is applied: an element
+    T0 ⊗ 1 of the structured commutant preserves shift levels, so its interior
     compression commutes with the compressed generators anyway. It is a
     count at fixed L; trust it only when it agrees with the structured
     formula or is stable in L.

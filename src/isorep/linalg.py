@@ -76,7 +76,10 @@ def nullspace(
 
     Returns an (n, k) array whose columns span {v : a @ v ≈ 0}. The rank
     decision is relative: singular values below ``rank_tol * s_max`` are
-    treated as zero, and a zero matrix yields the full identity basis.
+    treated as zero, and a zero matrix yields the full identity basis. A
+    matrix with more rows than columns is first reduced to the R factor of
+    its QR, whose SVD has the same singular values and right vectors; wide
+    and square matrices take the SVD directly.
 
     When ``a`` is a difference of unit-scale operators (e.g. U - 1 for a
     unitary U) pass ``scale=1.0``: otherwise a numerically-zero matrix has
@@ -86,10 +89,12 @@ def nullspace(
     a = _as_complex_matrix(a)
     if a.size == 0:
         raise ValueError("nullspace of an empty matrix is undefined")
-    # the full vh is needed to read kernel rows; the left factor is not, and
-    # for tall systems the reduced form already carries all of vh
-    full = a.shape[0] < a.shape[1]
-    _, s, vh = np.linalg.svd(a, full_matrices=full)
+    if a.shape[0] > a.shape[1]:
+        # a = QR with Q's columns orthonormal, so the square R has a's
+        # singular values and right vectors, and its SVD forms no tall U
+        a = np.linalg.qr(a, mode="r")
+    # the full vh is needed to read kernel rows of a wide matrix
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = _rank_from_singular_values(s, tol, scale)
     return vh[rank:].conj().T
 

@@ -18,8 +18,10 @@ dense W1 and W2 are formed only when read. For a pair whose generators both
 have a symbol, every interior block of W*W − 1 repeats one of block row 0
 or its adjoint, and every interior block of [W1, W2] repeats one of block
 column 0 or is 0, so ``validate`` multiplies only those, formed from the
-symbols; any other pair takes the masked dense products. A pair with a
-non-finite entry fails before anything is multiplied.
+symbols. When W1 is exactly 1 ⊗ S, its isometry and commutation
+deviations are exactly 0, and only W2's block row is formed. Any other pair
+takes the masked dense products. A pair with a non-finite entry fails
+before anything is multiplied.
 
 ``level_shift_symbol`` tells, exactly, whether a matrix is Σ_k A_k ⊗ S^k,
 and returns the A_k; ``is_level_shift`` whether it is the bare level shift
@@ -184,22 +186,29 @@ class ProjectionFamily:
         eye = np.eye(n)
         if max(_dev(u.conj().T @ u, eye), _dev(u @ u.conj().T, eye)) > tol.identity_tol:
             raise ValueError("U is not unitary at identity_tol")
-        total = np.zeros((n, n), dtype=complex)
-        for i, p in enumerate(self.projections):
-            p = np.asarray(p, dtype=complex)
+        ps = [np.asarray(p, dtype=complex) for p in self.projections]
+        for i, p in enumerate(ps):
             if p.shape != (n, n):
                 raise ValueError(f"P_{i + 1} has shape {p.shape}, expected {(n, n)}")
-            if not np.isfinite(p).all():
-                raise ValueError(f"P_{i + 1} has non-finite entries")
-            if _dev(p, p.conj().T) > tol.identity_tol:
-                raise ValueError(f"P_{i + 1} is not self-adjoint")
-            if _dev(p @ p, p) > tol.identity_tol:
-                raise ValueError(f"P_{i + 1} is not idempotent")
-            for j, q in enumerate(self.projections[:i]):
-                if np.max(np.abs(p @ q)) > tol.identity_tol:
-                    raise ValueError(f"P_{i + 1} P_{j + 1} != 0: projections not orthogonal")
-            total += p
-        if _dev(total, eye) > tol.identity_tol:
+        stack = np.array(ps).reshape(len(ps), n, n)
+
+        def first(fails: np.ndarray, what: str) -> None:
+            # each test runs on all P_i at once and names the first that fails it
+            if fails.any():
+                raise ValueError(f"P_{fails.argmax() + 1} {what}")
+
+        first(~np.isfinite(stack).all(axis=(1, 2)), "has non-finite entries")
+        first(_devs(stack, stack.conj().transpose(0, 2, 1), tol), "is not self-adjoint")
+        first(_devs(stack @ stack, stack, tol), "is not idempotent")
+        # P_i against [P_1 … P_{i−1}] side by side: O(d·n²) memory, no d²n² Gram
+        side_by_side = stack.transpose(1, 0, 2).reshape(n, -1)
+        for i in range(1, len(ps)):
+            products = (stack[i] @ side_by_side[:, : i * n]).reshape(n, i, n)
+            fails = _devs(products.transpose(1, 0, 2), 0.0, tol)
+            if fails.any():
+                j = fails.argmax()
+                raise ValueError(f"P_{i + 1} P_{j + 1} != 0: projections not orthogonal")
+        if _dev(stack.sum(axis=0), eye) > tol.identity_tol:
             raise ValueError("projections do not sum to the identity")
 
     def q_complement(self, k: int) -> np.ndarray:
@@ -212,6 +221,12 @@ class ProjectionFamily:
 
 def _dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
+
+
+def _devs(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """For each matrix of the stack a − b, whether its max-abs entry exceeds
+    identity_tol."""
+    return np.abs(a - b).max(axis=(1, 2), initial=0.0) > tol.identity_tol
 
 
 @dataclass(frozen=True, init=False)
@@ -536,6 +551,11 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
       [W1, W2] on or below the diagonal is a copy of one in block column 0,
       and those above it are 0.
 
+    When W1 is exactly 1 ⊗ S (``IsoRep2.pair_symbol``), only W2's Gram is
+    formed: 1 ⊗ S is an isometry on the interior, and Σ_k A_k ⊗ S^k commutes
+    with it, so both other deviations are exactly 0.0, as the products
+    above return them (their terms are A_k times 0 or 1).
+
     Any other pair takes the masked dense products. The two routes agree up
     to the order of their sums. A non-finite entry anywhere, guard band
     included, makes every deviation NaN and the report fail; a symbol is
@@ -543,7 +563,9 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
     """
     tr = rep.trunc
     a1, a2 = rep.symbols
-    if a1 is not None and a2 is not None:
+    if rep.pair_symbol is not None:
+        devs = (0.0, _symbol_isometry_deviation(a2, tr), 0.0)
+    elif a1 is not None and a2 is not None:
         devs = (
             _symbol_isometry_deviation(a1, tr),
             _symbol_isometry_deviation(a2, tr),

@@ -1,11 +1,13 @@
 """Random pairs whose W1 is exactly the level shift 1 ⊗ S and whose W2 is
 Σ_k A_k ⊗ S^k for a random inner symbol, shared by the cocycle and
-commutant tests."""
+commutant tests, and the pair star commutant basis they check the T0 count
+against."""
 from functools import reduce
 
 import numpy as np
 
-from isorep.linalg import kron
+from isorep import commutant
+from isorep.linalg import DEFAULT_TOL, kron
 from isorep.repmodel import IsoRep2, TruncationParams, truncated_shift
 
 
@@ -56,3 +58,15 @@ def inner_shift_pair(rng, n, factors, guard, interior):
         w2[:, levels + offset, :, levels] = a
     w1 = kron(np.eye(n), truncated_shift(trunc.L))
     return IsoRep2(W1=w1, W2=w2.reshape(trunc.dim, trunc.dim), trunc=trunc)
+
+
+def pair_star_commutant_basis(rep, tol=DEFAULT_TOL, seed=0):
+    """Orthonormal basis of the pair's star commutant on C^n ⊗ C^L: every T
+    with T W = W T and T W* = W* T for W = W1, W2. A level-shift pair's is
+    T0 ⊗ 1_L/√L over the T0 of ``commutant._symbol_star_commutant``; every
+    other pair takes the dense solve of (W1, W2)."""
+    t0s = commutant._symbol_star_commutant(rep, tol, seed)
+    if t0s is None:
+        return commutant.star_commutant_basis([rep.W1, rep.W2], tol, seed)
+    levels = np.eye(rep.trunc.L) / np.sqrt(rep.trunc.L)
+    return [kron(t0, levels) for t0 in t0s]

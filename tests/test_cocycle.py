@@ -507,10 +507,6 @@ def shift_pairs(draw):
     return build_projection_family_rep(fam, trunc)
 
 
-def _dense_apply(w):
-    return lambda x, sign: (w if sign > 0 else w.conj().T) @ x
-
-
 @settings(max_examples=80, deadline=None)
 @given(shift_pairs())
 # a degree-3 symbol on one interior level: 2 solutions kept, 1 discarded
@@ -525,7 +521,8 @@ def test_shift_route_matches_the_dense_pair_basis(rep):
     guard_rows = full[~np.tile(tr.level_mask(), 2)]
     inner = full @ nullspace(guard_rows, scale=1.0) if full.shape[1] else full
     assert (space.dim, space.discarded) == (inner.shape[1], full.shape[1] - inner.shape[1])
-    shift = shift_pair_basis(tr.n, tr.L, _dense_apply(rep.W2))
+    # fed the dense W2's level-0 columns and its adjoint
+    shift = shift_pair_basis(rep.W2[:, :: tr.L], lambda x: rep.W2.conj().T @ x)
     basis = np.array([c.stacked() for c in space.basis], dtype=complex).reshape(-1, 2 * rep.dim).T
     for got, want in ((shift, full), (basis, inner)):
         assert got.shape == want.shape

@@ -16,7 +16,6 @@ from isorep.commutant import (
     _random_algebra_element,
     are_unitarily_equivalent,
     is_irreducible,
-    pair_star_commutant_basis,
     star_commutant_basis,
     star_intertwiner_basis,
     structured_commutant_basis,
@@ -39,7 +38,12 @@ from isorep.repmodel import (
     reparametrize,
 )
 from isorep.suites import seeded_random_family, verify_suite
-from symbol_pairs import inner_shift_pair, random_rank_projections, unitary
+from symbol_pairs import (
+    inner_shift_pair,
+    pair_star_commutant_basis,
+    random_rank_projections,
+    unitary,
+)
 
 EX2_VECTOR = np.array([0.5, 0.5, 0.5, 0.5])
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from isorep.induced import induce_2d
 from isorep.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _rank_from_singular_values,
     adjoint_kernel,
     intertwiner_space,
     kron,
@@ -137,6 +140,65 @@ def test_nullspace_noise_scale_anchor():
     noise = q @ np.eye(3) @ q.conj().T - np.eye(3)
     assert np.max(np.abs(noise)) < 1e-13
     assert nullspace(noise, scale=1.0).shape[1] == 3
+
+
+def _svd_kernel(a, scale=0.0):
+    """The kernel read off the SVD of ``a`` itself, with the rank cut of
+    ``nullspace``: the route before tall inputs went through their R factor."""
+    a = np.asarray(a, dtype=complex)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vh[_rank_from_singular_values(s, DEFAULT_TOL, scale) :].conj().T
+
+
+def _orthonormal(rng, m, n):
+    return np.linalg.qr(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))[0]
+
+
+@st.composite
+def tall_kernel_inputs(draw):
+    """(a, scale, kernel dimension) for an m×n matrix with m > n: a planted
+    kernel of every dimension 0 … n, the zero matrix, or rounding noise cut
+    at scale 1, whose kernel is everything."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    m = n + draw(st.integers(1, 2 * n + 4))
+    kind = draw(st.sampled_from(["planted", "zero", "noise"]))
+    if kind == "zero":
+        return np.zeros((m, n)), 0.0, n
+    if kind == "noise":
+        return 1e-14 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))), 1.0, n
+    k = draw(st.integers(0, n))
+    v = _orthonormal(rng, n, n)
+    s = rng.uniform(0.5, 2.0, size=n - k)
+    return _orthonormal(rng, m, n - k) @ np.diag(s) @ v[:, : n - k].conj().T, 0.0, k
+
+
+@settings(max_examples=120, deadline=None)
+@given(tall_kernel_inputs())
+def test_tall_kernels_through_the_r_factor_match_the_svd(case):
+    a, scale, dim = case
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        got = nullspace(a, scale=scale)
+    assert qr.call_count == 1
+    want = _svd_kernel(a, scale)
+    assert got.shape == want.shape == (a.shape[1], dim)
+    assert np.allclose(got.conj().T @ got, np.eye(dim), rtol=0.0, atol=1e-12)
+    distance = np.abs(got @ got.conj().T - want @ want.conj().T)
+    assert np.max(distance, initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 4), st.booleans())
+def test_wide_and_square_kernels_take_the_svd_unchanged(seed, m, extra, deficient):
+    # byte for byte the SVD of a itself, with no QR
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m + extra)) + 1j * rng.normal(size=(m, m + extra))
+    if deficient:
+        a[-1] = a[0]
+    with mock.patch.object(np.linalg, "qr", side_effect=AssertionError("qr")):
+        got = nullspace(a)
+    want = _svd_kernel(a)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # --- adjoint_kernel ---------------------------------------------------------------

@@ -26,6 +26,7 @@ from isorep.repmodel import (
     truncated_shift,
     validate,
 )
+from symbol_pairs import random_rank_projections, unitary
 
 
 def coord_projections(n):
@@ -479,6 +480,73 @@ def test_family_check_rejects_non_finite(where):
         projections[1] = projections[1] * np.nan
     with pytest.raises(ValueError, match="non-finite"):
         ProjectionFamily(projections=tuple(projections), unitary=u).check()
+
+
+def _looped_check(fam, tol=DEFAULT_TOL):
+    """The projection tests of ``ProjectionFamily.check`` one P_i at a time,
+    each P_i against every earlier one: the reference for the batched tests."""
+    n = fam.n
+    total = np.zeros((n, n), dtype=complex)
+    for i, p in enumerate(fam.projections):
+        p = np.asarray(p, dtype=complex)
+        if p.shape != (n, n):
+            raise ValueError(f"P_{i + 1} has shape {p.shape}, expected {(n, n)}")
+        if not np.isfinite(p).all():
+            raise ValueError(f"P_{i + 1} has non-finite entries")
+        if np.max(np.abs(p - p.conj().T)) > tol.identity_tol:
+            raise ValueError(f"P_{i + 1} is not self-adjoint")
+        if np.max(np.abs(p @ p - p)) > tol.identity_tol:
+            raise ValueError(f"P_{i + 1} is not idempotent")
+        for j, q in enumerate(fam.projections[:i]):
+            if np.max(np.abs(p @ q)) > tol.identity_tol:
+                raise ValueError(f"P_{i + 1} P_{j + 1} != 0: projections not orthogonal")
+        total += p
+    if np.max(np.abs(total - np.eye(n))) > tol.identity_tol:
+        raise ValueError("projections do not sum to the identity")
+
+
+def _message(check, fam):
+    try:
+        check(fam)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def single_fault_families(draw):
+    """A family of random-rank projections with one P_i broken in one way:
+    wrong shape, a NaN, not self-adjoint, not idempotent, overlapping the
+    others, or left out; or none broken."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    projections = list(random_rank_projections(rng, n))
+    i = draw(st.integers(0, len(projections) - 1))
+    p = projections[i].copy()
+    fault = draw(
+        st.sampled_from(["none", "shape", "nan", "adjoint", "idempotent", "overlap", "missing"])
+    )
+    if fault == "shape":
+        p = np.eye(n + 1, dtype=complex)
+    elif fault == "nan":
+        p[int(rng.integers(n)), int(rng.integers(n))] = np.nan
+    elif fault == "adjoint":
+        p[0, -1] += 1e-6j
+    elif fault == "idempotent":
+        p = 1.5 * p
+    elif fault == "overlap":
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        p = np.outer(v, v.conj()) / np.vdot(v, v)
+    projections[i] = p
+    if fault == "missing":
+        del projections[i]
+    return ProjectionFamily(projections=tuple(projections), unitary=unitary(rng, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(single_fault_families())
+def test_family_check_names_a_single_fault_as_the_looped_tests_do(fam):
+    assert _message(ProjectionFamily.check, fam) == _message(_looped_check, fam)
 
 
 @pytest.mark.parametrize("devs", [(0.0, np.nan, 0.0), (np.nan, 0.0, 0.0), (0.0, 0.0, np.nan)])

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isorep import repmodel
-from isorep.cocycle import cocycle_space, index, probe_truncation
-from isorep.commutant import (
-    are_unitarily_equivalent,
-    pair_star_commutant_basis,
-    star_intertwiner_basis,
+from isorep import cocycle, repmodel
+from isorep.cocycle import (
+    cocycle_pair_basis,
+    cocycle_space,
+    index,
+    probe_truncation,
+    shift_pair_basis,
 )
+from isorep.commutant import are_unitarily_equivalent, star_intertwiner_basis
 from isorep.induced import induce_2d
 from isorep.linalg import DEFAULT_TOL, kron
 from isorep.repmodel import (
@@ -34,7 +36,12 @@ from isorep.repmodel import (
     truncated_shift,
     validate,
 )
-from symbol_pairs import inner_shift_pair, random_rank_projections, unitary
+from symbol_pairs import (
+    inner_shift_pair,
+    pair_star_commutant_basis,
+    random_rank_projections,
+    unitary,
+)
 
 
 @contextmanager
@@ -159,6 +166,65 @@ def test_symbol_routes_match_the_dense_routes(rep):
     distance = np.abs(_projector(_stacked(space)) - _projector(_stacked(reference)))
     assert np.max(distance, initial=0.0) <= 1e-10
     assert commutant == dense_commutant
+
+
+@st.composite
+def shift_w1_pairs(draw):
+    """Pairs whose W1 is exactly 1 ⊗ S: family pairs built from their
+    symbols, random inner-symbol pairs, W2 = 0, and W2 of random blocks on a
+    random set of offsets up to the guard, the top one included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["family", "inner", "zero", "offsets"]))
+    if kind == "inner":
+        factors = draw(st.integers(1, 3))
+        guard = factors + draw(st.integers(0, 1))
+        return inner_shift_pair(rng, n, factors, guard, draw(st.integers(1, factors + 1)))
+    if kind == "family":
+        fam = ProjectionFamily(
+            projections=random_rank_projections(rng, n),
+            unitary=unitary(rng, n, int(rng.integers(0, n + 1))),
+        )
+        guard = max(fam.d - 1, 1) + draw(st.integers(0, 1))
+        return build_projection_family_rep(fam, TruncationParams(n, fam.d + guard + 3, guard))
+    guard = draw(st.integers(1, 3))
+    trunc = TruncationParams(n, guard + draw(st.integers(1, 2 * guard + 3)), guard)
+    blocks = np.zeros((guard + 1, n, n), dtype=complex)
+    if kind == "offsets":
+        blocks = _random_symbol(draw, rng, n, guard)
+        if draw(st.booleans()):
+            blocks[guard] = unitary(rng, n)
+    return IsoRep2(kron(np.eye(n), truncated_shift(trunc.L)), _from_blocks(blocks, trunc.L), trunc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shift_w1_pairs())
+def test_level_zero_columns_and_the_exact_shift_match_the_dense_routes(rep):
+    tr = rep.trunc
+    a1, a2 = rep.symbols
+    assert rep.pair_symbol is a2 is not None
+    # level ℓ of W2's level-0 column h is A_ℓ e_h
+    assert np.array_equal(cocycle._symbol_columns(a2, tr.L), rep.W2[:, :: tr.L])
+    want = cocycle_pair_basis(rep.W1, rep.W2)
+    for got in (
+        cocycle._pair_basis(rep, DEFAULT_TOL),
+        shift_pair_basis(rep.W2[:, :: tr.L], lambda x: rep.W2.conj().T @ x),
+    ):
+        assert got.shape == want.shape
+        assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(_projector(got) - _projector(want)), initial=0.0) <= 1e-10
+    report = validate(rep)
+    with dense_routes():
+        dense = _deviations(IsoRep2(rep.W1, rep.W2, tr))
+    np.testing.assert_allclose(_deviations(rep), dense, rtol=0.0, atol=1e-14)
+    assert report.isometry_dev_w1 == report.commutation_dev == 0.0
+    # the block-Toeplitz products of both generators give the same report
+    assert report == repmodel.ValidationReport(
+        repmodel._symbol_isometry_deviation(a1, tr),
+        repmodel._symbol_isometry_deviation(a2, tr),
+        repmodel._symbol_commutation_deviation(a1, a2, tr),
+        tol=DEFAULT_TOL.identity_tol,
+    )
 
 
 def _signed(rng, n):
