@@ -9,21 +9,26 @@ representation is that dimension, certified by agreement at two truncation
 levels.
 
 A pair whose W1 is exactly the level shift 1 ⊗ S (``IsoRep2.w1_is_shift``,
-read from the pair's symbol) takes ``shift_pair_basis``: ker W1* is
-C^n ⊗ δ_0, so eta10 = a ⊗ δ_0, and 1 − W1 is invertible on the truncation,
-so the relation fixes eta01 from a: it is the running sum over the levels
-of a ⊗ δ_0 − W2·(a ⊗ δ_0). Only W2*·eta01 = 0 is left, an n-column solve.
-W2·(e_h ⊗ δ_0) is W2's level-0 column h: when W2 has a symbol A_0 …
-A_guard, its level ℓ is A_ℓ e_h, read off the blocks, and W2* is applied
-through them, so a family pair's solve forms no N×N array; otherwise both
-come from the dense W2. Every other pair takes ``cocycle_pair_basis``, the
-dense reference. The tall kernels of these solves go through the R factor
-of their QR (``linalg.nullspace``).
+read from the pair's symbol) is solved on C^n: ker W1* is C^n ⊗ δ_0, so
+eta10 = a ⊗ δ_0, and 1 − W1 is invertible on the truncation, so the
+relation fixes eta01 from a: it is the running sum over the levels of
+a ⊗ δ_0 − W2·(a ⊗ δ_0). Only W2*·eta01 = 0 is left, an n-column system.
+When W2 has a symbol A_0 … A_guard, level ℓ of eta01 is c_{min(ℓ, top)}·a,
+for c_m = 1 − Σ_{j≤m} A_j and top the highest nonzero offset, and each
+level of W2*·eta01 is read off prefix sums of the block diagonals of the
+symbol Gram (``IsoRep2.gram_diagonals``, shared with ``validate``). Those
+level blocks take few distinct values, so the system, the Gram of the
+pairs and their guard-band rows are stacks of distinct n×n blocks, each
+weighted by the square root of its level count: the same singular values
+as the N-row arrays, which are never formed. The N-vectors of the pairs
+are formed once, at the end. A shift W1 with a dense W2 takes
+``shift_pair_basis`` on its N×n system; every other pair takes
+``cocycle_pair_basis``, the dense reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -152,69 +157,109 @@ def pair_basis_from_kernels(
 
 
 def shift_pair_basis(
-    w2_cols: np.ndarray, apply_w2_adj: Callable, tol: ToleranceConfig = DEFAULT_TOL
+    w2: np.ndarray, L: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
-    """``cocycle_pair_basis`` of (1 ⊗ S, W2) on C^n ⊗ C^L, given W2's
-    level-0 columns w2_cols (N×n, column h is W2·(e_h ⊗ δ_0)) and
-    apply_w2_adj(x) = W2*·x.
+    """``cocycle_pair_basis`` of (1 ⊗ S, w2) on C^n ⊗ C^L, for a dense w2
+    without a symbol.
 
     eta10 = a ⊗ δ_0 spans ker (1 ⊗ S)*, and (1 − 1 ⊗ S)^{-1} is the running
     sum over the levels, so eta01 = (1 − W1)^{-1}(1 − W2)·eta10 is linear in
-    a: column h is the running sum of e_h ⊗ δ_0 minus column h of w2_cols.
-    The pairs are the kernel of the N×n matrix W2*·eta01, cut at scale 1 as
-    the dense solve is, and one QR makes them orthonormal.
+    a: column h is the running sum of e_h ⊗ δ_0 minus w2's level-0 column
+    w2·(e_h ⊗ δ_0). The pairs are the kernel of the N×n matrix w2*·eta01,
+    cut at scale 1 as the dense solve is, and one QR makes them orthonormal.
     """
-    size, n = w2_cols.shape
-    eta10 = np.zeros((n, size // n, n))
+    size, n = len(w2), len(w2) // L
+    eta10 = np.zeros((n, L, n))
     eta10[:, 0] = np.eye(n)  # column h is e_h ⊗ δ_0
-    eta01 = np.cumsum(eta10 - w2_cols.reshape(eta10.shape), axis=1).reshape(size, n)
-    coeffs = nullspace(apply_w2_adj(eta01), tol, scale=1.0)
+    eta01 = np.cumsum(eta10 - w2[:, ::L].reshape(eta10.shape), axis=1).reshape(size, n)
+    # w2*·eta01 as (eta01*·w2)*, which copies no N×N array
+    coeffs = nullspace((eta01.conj().T @ w2).conj().T, tol, scale=1.0)
     return np.linalg.qr(np.vstack([eta10.reshape(size, n), eta01]) @ coeffs)[0]
 
 
-def _symbol_columns(blocks: np.ndarray, L: int) -> np.ndarray:
-    """The level-0 columns of W = Σ_k A_k ⊗ S^k on C^n ⊗ C^L: level ℓ of
-    column h is A_ℓ e_h."""
-    n = blocks.shape[1]
-    cols = np.zeros((n, L, n), dtype=complex)
-    cols[:, : len(blocks)] = blocks.transpose(1, 0, 2)
-    return cols.reshape(n * L, n)
+def _stack(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The n-column blocks each repeated weights[i] times, as √weights[i]·B_i
+    stacked: the same Gram, so the same singular values and right vectors."""
+    keep = weights > 0
+    scaled = np.sqrt(weights[keep])[:, None, None] * blocks[keep]
+    return scaled.reshape(-1, blocks.shape[-1])
 
 
-def _symbol_adjoint(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W*·x for W = Σ_k A_k ⊗ S^k through its symbol: (W*·x)_ℓ = Σ_k A_k*
-    x_{ℓ+k}, one n×n product per nonzero A_k on the levels it reaches, so
-    no temporary is larger than x or the symbol."""
-    n, width = blocks.shape[1], x.shape[1]
-    x = x.reshape(n, -1)  # row h holds x's (level, column) entries, level-major
-    out = np.zeros(x.shape, dtype=complex)
-    adjoints = blocks.conj().transpose(0, 2, 1)
-    for k in np.flatnonzero(blocks.any(axis=(1, 2))):
-        out[:, : x.shape[1] - k * width] += adjoints[k] @ x[:, k * width :]
-    return out.reshape(-1, width)
+def _symbol_pair_solve(rep: IsoRep2, tol: ToleranceConfig):
+    """The shift solve of a pair with W2 = Σ_k A_k ⊗ S^k, on C^n.
+
+    Let top be the highest offset of a nonzero A_k and c_m = 1 − Σ_{j≤m}
+    A_j, which stops changing at top. Level ℓ of eta01 is c_{min(ℓ, top)}·a,
+    and level ℓ of W2*·eta01 is Σ A_k* c_{min(ℓ+k, top)} over the nonzero A_k
+    with k ≤ L − 1 − ℓ, the ones that reach from ℓ. Expanding c, and giving
+    each A_k that does not reach its term A_k* c_top, makes it
+    B* − Σ_{δ ≤ min(ℓ, top)} G_δ − (Σ_{k > L−1−ℓ} A_k)* c_top, for B = Σ_k A_k
+    and G_δ = Σ_k A_k* A_{k+δ} the block diagonals of the symbol Gram
+    (``IsoRep2.gram_diagonals``). So a level's block depends only on
+    min(ℓ, top) and on how many A_k reach: each distinct block is stacked
+    once, weighted by √(its level count), and the Gram of the pairs and
+    their guard-band rows are the c's stacked the same way.
+    """
+    tr, blocks = rep.trunc, rep.pair_symbol
+    n, L = tr.n, tr.L
+    offsets = np.flatnonzero(blocks.any(axis=(1, 2)))
+    nz, top = len(offsets), offsets[-1] if len(offsets) else 0
+    lo = np.minimum(np.arange(L), top)
+    c = np.eye(n) - np.cumsum(blocks[: top + 1], axis=0)
+    # Σ_{δ ≤ m} G_δ for m = 0 … top, G_{−δ} = G_δ*
+    gram = rep.gram_diagonals(1)
+    below = gram[1:].sum(axis=0).conj().T + np.cumsum(gram[: top + 1], axis=0)
+    # (Σ_{a ≥ r} A_{k_a})* c_top, when the lowest r of the nz offsets reach
+    tails = np.zeros((nz + 1, n, n), dtype=complex)
+    tails[:nz] = np.cumsum(blocks[offsets[::-1]], axis=0)[::-1]
+    unreached = tails.conj().transpose(0, 2, 1) @ c[top]
+    reach = np.searchsorted(offsets, np.arange(L - 1, -1, -1), "right")
+    counts = np.bincount(lo * (nz + 1) + reach)
+    keys = np.flatnonzero(counts)
+    system = (np.eye(n) - c[top]).conj().T - below[keys // (nz + 1)] - unreached[keys % (nz + 1)]
+    coeffs = nullspace(_stack(system, counts[keys]), tol, scale=1.0)
+    # eta10 gives a, eta01 the c's over the levels: the Gram of the pairs is
+    # 1 + C*C for C the weighted c's times coeffs, and its Cholesky factor
+    # is the R factor of the stack [1; C], which makes the pairs orthonormal
+    levels = _stack(c, np.bincount(lo)) @ coeffs
+    chol = np.linalg.cholesky(np.eye(coeffs.shape[1]) + levels.conj().T @ levels)
+    x = coeffs @ np.linalg.inv(chol).conj().T
+    guard = _stack(c, np.bincount(lo[L - tr.guard :], minlength=top + 1)) @ x
+
+    def lift(y: np.ndarray) -> np.ndarray:
+        pairs = np.zeros((2, n, L, y.shape[1]), dtype=complex)
+        pairs[0, :, 0] = y
+        pairs[1] = (c @ y)[lo].transpose(1, 0, 2)
+        return pairs.reshape(2 * n * L, -1)
+
+    return x, guard, lift
+
+
+def _pair_solve(rep: IsoRep2, tol: ToleranceConfig):
+    """The route choice above, as (coords, guard, lift): the pairs are
+    lift(coords), orthonormal, and guard has the singular values and right
+    vectors of their guard-band rows."""
+    if rep.pair_symbol is not None:
+        return _symbol_pair_solve(rep, tol)
+    if rep.w1_is_shift:
+        full = shift_pair_basis(rep.W2, rep.trunc.L, tol)
+    else:
+        full = cocycle_pair_basis(rep.W1, rep.W2, tol)
+    return full, full[~np.tile(rep.trunc.level_mask(), 2)], lambda y: y
 
 
 def _pair_basis(rep: IsoRep2, tol: ToleranceConfig) -> np.ndarray:
-    """The route choice above, for ``cocycle_space`` and for the grid pair
-    of ``induced.grid_cocycle_pair_basis`` alike."""
-    if not rep.w1_is_shift:
-        return cocycle_pair_basis(rep.W1, rep.W2, tol)
-    L, blocks = rep.trunc.L, rep.symbols[1]
-    if blocks is None:
-        w2 = rep.W2
-        # W2*·x as (x*·W2)*, which copies no N×N array
-        return shift_pair_basis(w2[:, ::L], lambda x: (x.conj().T @ w2).conj().T, tol)
-    return shift_pair_basis(
-        _symbol_columns(blocks, L), lambda x: _symbol_adjoint(blocks, x), tol
-    )
+    """All cocycle pairs, orthonormal, guard band included: for
+    ``induced.grid_cocycle_pair_basis``."""
+    coords, _, lift = _pair_solve(rep, tol)
+    return lift(coords)
 
 
 def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSpace:
     """Interior-supported solutions of the three cocycle constraints.
 
-    The pair solve (``_pair_basis``: ``shift_pair_basis`` when W1 is exactly
-    1 ⊗ S, ``cocycle_pair_basis`` otherwise) gives an orthonormal basis of
-    all solutions; the interior ones are the kernel of its guard-band rows
+    The pair solve (``_pair_solve``) gives an orthonormal basis of all
+    solutions; the interior ones are the kernel of its guard-band rows
     (cutoff at scale 1, the basis's norm), so the basis stays orthonormal.
     Solutions touching the guard band are truncation suspects; they are
     dropped and the space is flagged unstable when any were present. A
@@ -224,12 +269,11 @@ def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSp
     report = validate(rep, tol)
     if not report.ok:
         raise ValueError(f"representation fails validation: {report.as_dict()}")
-    full = _pair_basis(rep, tol)
-    guard_rows = full[~np.tile(rep.trunc.level_mask(), 2)]
-    inner = full if guard_rows.size == 0 else full @ nullspace(guard_rows, tol, scale=1.0)
+    coords, guard, lift = _pair_solve(rep, tol)
+    inner = lift(coords if guard.size == 0 else coords @ nullspace(guard, tol, scale=1.0))
     n = rep.dim
     basis = tuple(Cocycle2(eta10=v[:n], eta01=v[n:]) for v in inner.T.copy())
-    discarded = full.shape[1] - len(basis)
+    discarded = coords.shape[1] - len(basis)
     return CocycleSpace(basis=basis, rep=rep, stable=discarded == 0, discarded=discarded)
 
 

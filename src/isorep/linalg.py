@@ -78,8 +78,9 @@ def nullspace(
     decision is relative: singular values below ``rank_tol * s_max`` are
     treated as zero, and a zero matrix yields the full identity basis. A
     matrix with more rows than columns is first reduced to the R factor of
-    its QR, whose SVD has the same singular values and right vectors; wide
-    and square matrices take the SVD directly.
+    its QR, whose SVD has the same singular values and right vectors, and a
+    tall single column needs only its norm; wide and square matrices take
+    the SVD directly.
 
     When ``a`` is a difference of unit-scale operators (e.g. U - 1 for a
     unitary U) pass ``scale=1.0``: otherwise a numerically-zero matrix has
@@ -89,6 +90,8 @@ def nullspace(
     a = _as_complex_matrix(a)
     if a.size == 0:
         raise ValueError("nullspace of an empty matrix is undefined")
+    if a.shape[1] == 1 < a.shape[0]:
+        return _column_nullspace(a, tol, scale)
     if a.shape[0] > a.shape[1]:
         # a = QR with Q's columns orthonormal, so the square R has a's
         # singular values and right vectors, and its SVD forms no tall U
@@ -97,6 +100,22 @@ def nullspace(
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = _rank_from_singular_values(s, tol, scale)
     return vh[rank:].conj().T
+
+
+def _column_nullspace(a: np.ndarray, tol: ToleranceConfig, scale: float) -> np.ndarray:
+    """``nullspace`` of a tall one-column matrix, whose one singular value
+    is its 2-norm: the kernel is C (the basis [1]) or 0, as the SVD route
+    gives them, byte for byte. The norm is taken of the column scaled by its
+    largest entry, so tiny and huge columns neither underflow nor overflow.
+    A NaN fails as the SVD route fails on it; an infinite entry makes that
+    route's singular value NaN, which the rank rule counts as zero."""
+    if np.isnan(a).any():
+        raise np.linalg.LinAlgError("SVD did not converge")
+    moduli = np.abs(a)
+    top = moduli.max()
+    norm = top * np.linalg.norm(moduli / top) if 0.0 < top < np.inf else top
+    rank = _rank_from_singular_values(np.array([norm]), tol, scale)
+    return np.ones((1, 1 - rank), dtype=complex).conj()
 
 
 def numerical_rank(
@@ -124,7 +143,7 @@ def _rank_from_singular_values(
 ) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol.rank_tol * max(float(s[0]), scale)))
+    return int(np.count_nonzero(s > tol.rank_tol * max(float(s[0]), scale)))
 
 
 def intertwiner_space(

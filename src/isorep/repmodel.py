@@ -16,12 +16,14 @@ The stacked A_0 … A_guard are the generator's *symbol*. A family pair is
 built from its symbols, A_1 = 1 for W1 and A_k = U P_{k+1} for W2, and its
 dense W1 and W2 are formed only when read. For a pair whose generators both
 have a symbol, every interior block of W*W − 1 repeats one of block row 0
-or its adjoint, and every interior block of [W1, W2] repeats one of block
-column 0 or is 0, so ``validate`` multiplies only those, formed from the
-symbols. When W1 is exactly 1 ⊗ S, its isometry and commutation
-deviations are exactly 0, and only W2's block row is formed. Any other pair
-takes the masked dense products. A pair with a non-finite entry fails
-before anything is multiplied.
+or its adjoint, the block diagonals Σ_k A_k* A_{k+δ} of the symbol Gram
+(``IsoRep2.gram_diagonals``, formed once per pair and shared with the
+cocycle solve), and every interior block of [W1, W2] repeats one of block
+column 0 or is 0, so ``validate`` reads or multiplies only those. When W1
+is exactly 1 ⊗ S, its isometry and commutation deviations are exactly 0,
+and only W2's Gram diagonals are read. Any other pair takes the masked
+dense products. A pair with a non-finite entry fails before anything is
+multiplied.
 
 ``level_shift_symbol`` tells, exactly, whether a matrix is Σ_k A_k ⊗ S^k,
 and returns the A_k; ``is_level_shift`` whether it is the bare level shift
@@ -294,8 +296,11 @@ class IsoRep2:
 
     @property
     def w1_is_shift(self) -> bool:
-        """Whether W1 is exactly 1 ⊗ S: its symbol is (0, 1, 0, …)."""
-        return _is_shift_symbol(self.symbols[0], self.trunc)
+        """Whether W1 is exactly 1 ⊗ S: its symbol is (0, 1, 0, …); read at
+        most once per pair."""
+        if "w1_is_shift" not in self._memo:
+            self._memo["w1_is_shift"] = _is_shift_symbol(self.symbols[0], self.trunc)
+        return self._memo["w1_is_shift"]
 
     @property
     def pair_symbol(self) -> np.ndarray | None:
@@ -303,10 +308,38 @@ class IsoRep2:
         and W2 exactly Σ_k A_k ⊗ S^k; else None."""
         return self.symbols[1] if self.w1_is_shift else None
 
+    def gram_diagonals(self, i: int) -> np.ndarray | None:
+        """The block diagonals G_δ = Σ_k A_k* A_{k+δ} of generator i's
+        symbol Gram, for 0 ≤ δ ≤ guard (G_{−δ} = G_δ*), or None without a
+        symbol; formed at most once per pair, read-only."""
+        key = ("gram", i)
+        if key not in self._memo:
+            blocks = self.symbols[i]
+            self._memo[key] = (
+                None if blocks is None else _read_only(_gram_diagonals(blocks, self.trunc))
+            )
+        return self._memo[key]
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _gram_diagonals(blocks: np.ndarray, trunc: TruncationParams) -> np.ndarray:
+    """``IsoRep2.gram_diagonals`` of a symbol, read off block row 0 of W*W:
+    block (0, δ) is G_δ*. It is the product of W's block column 0 with the
+    block-Toeplitz matrix of the symbol, whose sums run over the rows in W's
+    order, as the dense route's do, which keeps their roundings close. The
+    lags that ``validate`` reads, δ below min(guard + 1, interior levels),
+    are one product of their own: BLAS can round a column differently in a
+    wider product, and a short truncation reads fewer lags than the solve."""
+    n, rows = trunc.n, trunc.guard + 1
+    read = min(rows, trunc.interior_levels) * n
+    col0 = _block_toeplitz(blocks, rows, 1).conj().T
+    toeplitz = _block_toeplitz(blocks, rows, rows)
+    row0 = np.hstack([col0 @ np.ascontiguousarray(toeplitz[:, :read]), col0 @ toeplitz[:, read:]])
+    return row0.reshape(n, rows, n).transpose(1, 2, 0).conj()
 
 
 def _shift_symbol(trunc: TruncationParams) -> np.ndarray:
@@ -545,15 +578,16 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
     - the Gram block of interior levels (ℓ, ℓ + δ) is Σ_k A_k* A_{k−δ} for
       every ℓ, since the rows it sums over stop at ℓ + guard ≤ L − 1, so
       every interior block of W*W − 1 is a copy, or the adjoint of a copy,
-      of one in block row 0;
+      of one in block row 0, read off the block diagonals of the symbol
+      Gram (``IsoRep2.gram_diagonals``);
     - the commutator block (ℓ + δ, ℓ) is Σ_k A1_{δ−k} A2_k − (swap), whose
       inner levels ℓ … ℓ + δ all exist, so every interior block of
       [W1, W2] on or below the diagonal is a copy of one in block column 0,
       and those above it are 0.
 
     When W1 is exactly 1 ⊗ S (``IsoRep2.pair_symbol``), only W2's Gram is
-    formed: 1 ⊗ S is an isometry on the interior, and Σ_k A_k ⊗ S^k commutes
-    with it, so both other deviations are exactly 0.0, as the products
+    read: 1 ⊗ S is an isometry on the interior, and Σ_k A_k ⊗ S^k commutes
+    with it, so both other deviations are exactly 0.0, as the routes
     above return them (their terms are A_k times 0 or 1).
 
     Any other pair takes the masked dense products. The two routes agree up
@@ -564,11 +598,11 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
     tr = rep.trunc
     a1, a2 = rep.symbols
     if rep.pair_symbol is not None:
-        devs = (0.0, _symbol_isometry_deviation(a2, tr), 0.0)
+        devs = (0.0, _gram_isometry_deviation(rep.gram_diagonals(1), tr), 0.0)
     elif a1 is not None and a2 is not None:
         devs = (
-            _symbol_isometry_deviation(a1, tr),
-            _symbol_isometry_deviation(a2, tr),
+            _gram_isometry_deviation(rep.gram_diagonals(0), tr),
+            _gram_isometry_deviation(rep.gram_diagonals(1), tr),
             _symbol_commutation_deviation(a1, a2, tr),
         )
     elif not all(np.isfinite(w).all() for w in (rep.W1, rep.W2)):
@@ -585,6 +619,16 @@ def validate(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRepo
     return ValidationReport(*map(float, devs), tol=tol.identity_tol)
 
 
+def _gram_isometry_deviation(diagonals: np.ndarray, trunc: TruncationParams) -> float:
+    """max|W*W − 1| over block row 0 of the interior, from the block
+    diagonals of the symbol Gram (``IsoRep2.gram_diagonals``): block (0, δ)
+    is Σ_k A_k* A_{k−δ} = G_δ*, for δ below min(guard + 1, interior
+    levels); the blocks right of those have no term and are exactly 0."""
+    row = diagonals[: min(trunc.guard + 1, trunc.interior_levels)].copy()
+    row[0] -= np.eye(trunc.n)
+    return np.abs(row).max()
+
+
 def _block_toeplitz(blocks: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The level blocks (ℓ < rows, j < cols) of Σ_k A_k ⊗ S^k, block (ℓ, j)
     = A_{ℓ−j}, as a (n·rows)×(cols·n) matrix: rows (h, ℓ) as in W, columns
@@ -595,18 +639,6 @@ def _block_toeplitz(blocks: np.ndarray, rows: int, cols: int) -> np.ndarray:
         width = min(len(blocks), rows - j)
         out[:, j : j + width, j] = blocks[:width].transpose(1, 0, 2)
     return out.reshape(n * rows, cols * n)
-
-
-def _symbol_isometry_deviation(blocks: np.ndarray, trunc: TruncationParams) -> float:
-    """max|W*W − 1| over block row 0 of the interior: column 0 of W, levels
-    0 … guard, against its columns at levels below k = min(guard + 1,
-    interior levels); the blocks right of k have no term and are exactly 0."""
-    n, rows = trunc.n, trunc.guard + 1
-    k = min(rows, trunc.interior_levels)
-    col0 = _block_toeplitz(blocks, rows, 1)
-    gram = col0.conj().T @ _block_toeplitz(blocks, rows, k)
-    gram[:, :n] -= np.eye(n)
-    return np.abs(gram).max()
 
 
 def _symbol_commutation_deviation(

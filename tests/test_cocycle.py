@@ -21,6 +21,7 @@ from isorep.cocycle import (
     index,
     index_formula_projection_family,
     pair_basis_from_kernels,
+    probe_truncation,
     restrict_to_subsemigroup,
     shift_pair_basis,
 )
@@ -521,8 +522,8 @@ def test_shift_route_matches_the_dense_pair_basis(rep):
     guard_rows = full[~np.tile(tr.level_mask(), 2)]
     inner = full @ nullspace(guard_rows, scale=1.0) if full.shape[1] else full
     assert (space.dim, space.discarded) == (inner.shape[1], full.shape[1] - inner.shape[1])
-    # fed the dense W2's level-0 columns and its adjoint
-    shift = shift_pair_basis(rep.W2[:, :: tr.L], lambda x: rep.W2.conj().T @ x)
+    # the shift route fed the dense W2
+    shift = shift_pair_basis(rep.W2, tr.L)
     basis = np.array([c.stacked() for c in space.basis], dtype=complex).reshape(-1, 2 * rep.dim).T
     for got, want in ((shift, full), (basis, inner)):
         assert got.shape == want.shape
@@ -586,6 +587,29 @@ def test_index_of_a_family_pair_takes_no_svd_wider_than_n(monkeypatch):
         widths.clear()
         assert index(build_projection_family_rep(fam)).to_json() == want
         assert widths and max(widths) <= width
+
+
+def test_index_of_the_n16_probe_pair_factors_no_array_of_n_rows(monkeypatch):
+    # the pair is solved on C^n: every QR and SVD factors a stack of at most
+    # 2·guard + 2 distinct n×n level blocks, never an N-row array, at N = 576
+    # and, certified at L + 4, at N = 640
+    rows = []
+
+    def spy(factor):
+        def call(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return factor(a, *args, **kwargs)
+
+        return call
+
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    fam = truncated_infinite_reflection_family(16)
+    trunc = probe_truncation(16, fam.d)
+    # the same pair as a finite family, so index() certifies it at L and L + 4
+    rep = build_projection_family_rep(ProjectionFamily(fam.projections, fam.unitary), trunc)
+    assert index(rep).to_json() == {"finite": 15}
+    assert rows and max(rows) <= (2 * trunc.guard + 2) * 16 < 640
 
 
 def test_index_of_a_family_pair_makes_no_dense_kernel_call():

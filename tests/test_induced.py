@@ -983,7 +983,7 @@ def _altered_pair(kind, n, seed):
 def test_altered_family_pairs_take_the_fallback_kernel(kind, n, seed):
     # the family describes the pair as built, not this one: the grid pair
     # solve reads its route off the altered W1. Only level_scaled and
-    # foreign_w2 keep W1 = 1 ⊗ S and take the shift solve that cocycle_space
+    # foreign_w2 keep W1 = 1 ⊗ S and take the pair solve that cocycle_space
     # shares, on the grid pair; the others take the per-cell kernels, and
     # both match the dense generators
     rep = _altered_pair(kind, n, seed)
@@ -992,7 +992,7 @@ def test_altered_family_pairs_take_the_fallback_kernel(kind, n, seed):
     grid = induce_2d(rep, 2)
     assert (grid.pair is not None) == shift
     with mock.patch.object(
-        cocycle, "shift_pair_basis", wraps=cocycle.shift_pair_basis
+        induced, "_pair_basis", wraps=cocycle._pair_basis
     ) as shift_route, mock.patch.object(
         induced, "grid_adjoint_kernel", wraps=grid_adjoint_kernel
     ) as kernel_route:

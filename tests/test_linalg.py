@@ -179,12 +179,73 @@ def test_tall_kernels_through_the_r_factor_match_the_svd(case):
     a, scale, dim = case
     with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
         got = nullspace(a, scale=scale)
-    assert qr.call_count == 1
+    # one column takes its norm instead (test_one_column_kernels_…)
+    assert qr.call_count == (a.shape[1] > 1)
     want = _svd_kernel(a, scale)
     assert got.shape == want.shape == (a.shape[1], dim)
     assert np.allclose(got.conj().T @ got, np.eye(dim), rtol=0.0, atol=1e-12)
     distance = np.abs(got @ got.conj().T - want @ want.conj().T)
     assert np.max(distance, initial=0.0) <= 1e-12
+
+
+def _r_factor_kernel(a, scale):
+    """The kernel of a tall matrix read off the SVD of its R factor: the
+    route a one-column matrix took before it took its norm."""
+    _, s, vh = np.linalg.svd(np.linalg.qr(a, mode="r"))
+    return vh[_rank_from_singular_values(s, DEFAULT_TOL, scale) :].conj().T
+
+
+INF, NAN = np.inf, np.nan
+ONE_COLUMNS = {
+    "zero": [0.0] * 5,
+    "tiny": [1e-300] * 5,
+    "subnormal": [5e-324, 0.0, 0.0, 0.0],
+    "below_cut": [1e-12j] * 3,
+    "huge": [1e200] * 3,
+    "largest": [1e308, -1e308],
+    "inf": [1.0, INF],
+    "minus_inf": [-INF, 0.0, 0.0],
+    "complex_inf": [complex(INF, INF), 1.0],
+    "inf_nan": [complex(INF, NAN), 0.0],
+    "nan": [1.0, NAN],
+    "nan_imag": [complex(0.0, NAN), 1.0],
+}
+
+
+def _assert_one_column_route(a, scale):
+    try:
+        want = _r_factor_kernel(a, scale)
+    except np.linalg.LinAlgError:
+        want = None
+    fail = AssertionError("a factorization")
+    with mock.patch.object(np.linalg, "qr", side_effect=fail), mock.patch.object(
+        np.linalg, "svd", side_effect=fail
+    ):
+        if want is None:
+            with pytest.raises(np.linalg.LinAlgError):
+                nullspace(a, scale=scale)
+            return
+        got = nullspace(a, scale=scale)
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+@pytest.mark.parametrize("name", sorted(ONE_COLUMNS))
+def test_one_column_kernels_take_the_norm_and_keep_the_svd_route_bytes(name, scale):
+    _assert_one_column_route(np.array(ONE_COLUMNS[name], dtype=complex).reshape(-1, 1), scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 100),
+    st.integers(-320, 300),
+    st.sampled_from([0.0, 1.0]),
+)
+def test_random_one_column_kernels_keep_the_svd_route_bytes(seed, m, exponent, scale):
+    rng = np.random.default_rng(seed)
+    a = 10.0**exponent * (rng.normal(size=(m, 1)) + 1j * rng.normal(size=(m, 1)))
+    _assert_one_column_route(a, scale)
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,7 +23,7 @@ from isorep.cocycle import (
 )
 from isorep.commutant import are_unitarily_equivalent, star_intertwiner_basis
 from isorep.induced import induce_2d
-from isorep.linalg import DEFAULT_TOL, kron
+from isorep.linalg import DEFAULT_TOL, kron, nullspace
 from isorep.repmodel import (
     IsoRep2,
     ProjectionFamily,
@@ -143,9 +143,19 @@ def _top_offset_pair(n=2, guard=2):
     return IsoRep2(*(_from_blocks(a, trunc.L) for a in blocks), trunc)
 
 
+def _reparam_preset_pair():
+    """The reparam preset's (1, 1), (2, 1) pair: two symbols, W1 not the
+    shift."""
+    base = build_reflection_rep(np.full(4, 0.5), TruncationParams(4, 16, 3))
+    rep = reparametrize(base, (1, 1), (2, 1))
+    assert all(s is not None for s in rep.symbols) and not rep.w1_is_shift
+    return rep
+
+
 @settings(max_examples=150, deadline=None)
 @given(route_pairs())
 @example(_top_offset_pair())
+@example(_reparam_preset_pair())
 def test_symbol_routes_match_the_dense_routes(rep):
     wrapped = IsoRep2(W1=rep.W1, W2=rep.W2, trunc=rep.trunc)
     for carried, read in zip(rep.symbols, wrapped.symbols):
@@ -171,22 +181,28 @@ def test_symbol_routes_match_the_dense_routes(rep):
 @st.composite
 def shift_w1_pairs(draw):
     """Pairs whose W1 is exactly 1 ⊗ S: family pairs built from their
-    symbols, random inner-symbol pairs, W2 = 0, and W2 of random blocks on a
-    random set of offsets up to the guard, the top one included."""
+    symbols, random inner-symbol pairs, W2 = 0, W2 of random blocks on a
+    random set of offsets up to the guard, the top one included, and the
+    grid pairs of small family pairs at M = 2, 3. The truncations reach
+    L < 2·guard + 1 and guard = L − 1."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["family", "inner", "zero", "offsets"]))
+    kind = draw(st.sampled_from(["family", "inner", "zero", "offsets", "grid"]))
     if kind == "inner":
         factors = draw(st.integers(1, 3))
         guard = factors + draw(st.integers(0, 1))
         return inner_shift_pair(rng, n, factors, guard, draw(st.integers(1, factors + 1)))
-    if kind == "family":
+    if kind in ("family", "grid"):
+        n = min(n, 2) if kind == "grid" else n
         fam = ProjectionFamily(
             projections=random_rank_projections(rng, n),
             unitary=unitary(rng, n, int(rng.integers(0, n + 1))),
         )
-        guard = max(fam.d - 1, 1) + draw(st.integers(0, 1))
-        return build_projection_family_rep(fam, TruncationParams(n, fam.d + guard + 3, guard))
+        guard = max(fam.d - 1, 1) + draw(st.integers(0, 3))
+        rep = build_projection_family_rep(
+            fam, TruncationParams(n, fam.d + guard + draw(st.integers(0, 3)), guard)
+        )
+        return rep if kind == "family" else induce_2d(rep, draw(st.integers(2, 3))).pair
     guard = draw(st.integers(1, 3))
     trunc = TruncationParams(n, guard + draw(st.integers(1, 2 * guard + 3)), guard)
     blocks = np.zeros((guard + 1, n, n), dtype=complex)
@@ -197,34 +213,89 @@ def shift_w1_pairs(draw):
     return IsoRep2(kron(np.eye(n), truncated_shift(trunc.L)), _from_blocks(blocks, trunc.L), trunc)
 
 
+def _zero_w2_pair(n=2, L=4):
+    """W2 = 0 with guard L − 1: one interior level."""
+    trunc = TruncationParams(n, L, L - 1)
+    return IsoRep2(kron(np.eye(n), truncated_shift(L)), np.zeros((n * L, n * L)), trunc)
+
+
+def _first_kernel_system(solve):
+    """The matrix of the first ``nullspace`` call that solve() makes."""
+    systems = []
+
+    def spy(a, *args, **kwargs):
+        systems.append(a)
+        return nullspace(a, *args, **kwargs)
+
+    with mock.patch.object(cocycle, "nullspace", side_effect=spy):
+        solve()
+    return systems[0]
+
+
+def _assert_same_span(got, want):
+    assert got.shape == want.shape
+    assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(_projector(got) - _projector(want)), initial=0.0) <= 1e-10
+
+
 @settings(max_examples=150, deadline=None)
 @given(shift_w1_pairs())
-def test_level_zero_columns_and_the_exact_shift_match_the_dense_routes(rep):
+@example(_zero_w2_pair())
+# a reflection pair at L = 10 < 2·guard + 1
+@example(build_reflection_rep(np.full(4, 0.5), TruncationParams(4, 10, 6)))
+def test_symbol_solve_matches_the_dense_pair_basis_and_guard_filter(rep):
     tr = rep.trunc
     a1, a2 = rep.symbols
     assert rep.pair_symbol is a2 is not None
-    # level ℓ of W2's level-0 column h is A_ℓ e_h
-    assert np.array_equal(cocycle._symbol_columns(a2, tr.L), rep.W2[:, :: tr.L])
-    want = cocycle_pair_basis(rep.W1, rep.W2)
-    for got in (
-        cocycle._pair_basis(rep, DEFAULT_TOL),
-        shift_pair_basis(rep.W2[:, :: tr.L], lambda x: rep.W2.conj().T @ x),
-    ):
-        assert got.shape == want.shape
-        assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), rtol=0.0, atol=1e-12)
-        assert np.max(np.abs(_projector(got) - _projector(want)), initial=0.0) <= 1e-10
+    full = cocycle_pair_basis(rep.W1, rep.W2)
+    _assert_same_span(cocycle._pair_basis(rep, DEFAULT_TOL), full)
+    # the weighted stack of distinct level blocks has the Gram of the N×n
+    # system W2*·eta01, so the same singular values and right vectors; most
+    # random symbols have no cocycle, which the spans alone would not test
+    stack = _first_kernel_system(lambda: cocycle._pair_basis(rep, DEFAULT_TOL))
+    dense = _first_kernel_system(lambda: shift_pair_basis(rep.W2, tr.L))
+    want = dense.conj().T @ dense
+    atol = 1e-13 * max(1.0, np.abs(want).max())
+    np.testing.assert_allclose(stack.conj().T @ stack, want, rtol=0.0, atol=atol)
+    # the guard filter of the dense reference, against cocycle_space on C^n,
+    # which also runs on pairs that fail validation
+    guard_rows = full[~np.tile(tr.level_mask(), 2)]
+    inner = full @ nullspace(guard_rows, scale=1.0) if full.shape[1] else full
+    passing = repmodel.ValidationReport(0.0, 0.0, 0.0, tol=1.0)
+    with mock.patch.object(cocycle, "validate", return_value=passing):
+        space = cocycle_space(rep)
+    discarded = full.shape[1] - inner.shape[1]
+    assert (space.dim, space.stable, space.discarded) == (inner.shape[1], discarded == 0, discarded)
+    _assert_same_span(_stacked(space), inner)
     report = validate(rep)
     with dense_routes():
         dense = _deviations(IsoRep2(rep.W1, rep.W2, tr))
     np.testing.assert_allclose(_deviations(rep), dense, rtol=0.0, atol=1e-14)
     assert report.isometry_dev_w1 == report.commutation_dev == 0.0
-    # the block-Toeplitz products of both generators give the same report
+    # the route of two symbols gives the same report
     assert report == repmodel.ValidationReport(
-        repmodel._symbol_isometry_deviation(a1, tr),
-        repmodel._symbol_isometry_deviation(a2, tr),
+        repmodel._gram_isometry_deviation(rep.gram_diagonals(0), tr),
+        repmodel._gram_isometry_deviation(rep.gram_diagonals(1), tr),
         repmodel._symbol_commutation_deviation(a1, a2, tr),
         tol=DEFAULT_TOL.identity_tol,
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_gram_isometry_deviation_is_the_product_of_the_lags_it_reads(n, guard, extra, seed):
+    # block row 0 of W*W over the min(guard + 1, interior levels) lags that
+    # validate reads, as its own product, even where the solve reads more:
+    # BLAS may round a column differently inside a wider product
+    tr = TruncationParams(n, guard + min(extra, guard + 1), guard)
+    rng = np.random.default_rng(seed)
+    blocks = rng.normal(size=(guard + 1, n, n)) + 1j * rng.normal(size=(guard + 1, n, n))
+    rows = guard + 1
+    col0 = repmodel._block_toeplitz(blocks, rows, 1)
+    gram = col0.conj().T @ repmodel._block_toeplitz(blocks, rows, min(rows, tr.interior_levels))
+    gram[:, :n] -= np.eye(n)
+    got = repmodel._gram_isometry_deviation(repmodel._gram_diagonals(blocks, tr), tr)
+    assert got == np.abs(gram).max()
 
 
 def _signed(rng, n):
