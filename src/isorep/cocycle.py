@@ -13,15 +13,23 @@ read from the pair's symbol) is solved on C^n: ker W1* is C^n ⊗ δ_0, so
 eta10 = a ⊗ δ_0, and 1 − W1 is invertible on the truncation, so the
 relation fixes eta01 from a: it is the running sum over the levels of
 a ⊗ δ_0 − W2·(a ⊗ δ_0). Only W2*·eta01 = 0 is left, an n-column system.
-When W2 has a symbol A_0 … A_guard, level ℓ of eta01 is c_{min(ℓ, top)}·a,
-for c_m = 1 − Σ_{j≤m} A_j and top the highest nonzero offset, and each
-level of W2*·eta01 is read off prefix sums of the block diagonals of the
-symbol Gram (``IsoRep2.gram_diagonals``, shared with ``validate``). Those
-level blocks take few distinct values, so the system, the Gram of the
-pairs and their guard-band rows are stacks of distinct n×n blocks, each
-weighted by the square root of its level count: the same singular values
-as the N-row arrays, which are never formed. The N-vectors of the pairs
-are formed once, at the end. A shift W1 with a dense W2 takes
+When W2 has a symbol A_0 … A_top (top the highest nonzero offset), level ℓ
+of eta01 is c_{min(ℓ, top)}·a, for c_m = 1 − Σ_{j≤m} A_j.
+
+The closed form: when Θ(z) = Σ_k A_k z^k is inner and L ≥ 2·top + 1, the
+cocycles are exactly the a with Θ(1)a = a. Level top of W2*·eta01 reads
+Θ(1)*(1 − Θ(1))a, and Θ(1) is unitary; for such an a, c_top·a = 0, and each
+level ℓ < top reads Σ_{δ>ℓ} G_δ·a = 0, G_δ = Σ_k A_k* A_{k+δ} the block
+diagonals of the symbol Gram. So the solve is the n×n kernel of Θ(1) − 1,
+and eta01 ends below level top. Its three hypotheses: ``validate``'s
+isometry test has passed; top < L − guard, so that test read every lag
+G_δ, δ ≤ top, and Θ is inner, and no solution reaches the guard band; and
+L ≥ 2·top + 1, which follows as top ≤ guard. ``cocycle_space`` reads the
+first from its own ``validate``, ``induced.grid_cocycle_pair_basis`` from
+the fiber's. A symbol pair outside them (a short truncation, a symbol that
+is not inner) takes the fallback, the truncated solve on stacks of the
+distinct level blocks (``_symbol_pair_solve``), which there finds fewer
+cocycles than the closed form. A shift W1 with a dense W2 takes
 ``shift_pair_basis`` on its N×n system; every other pair takes
 ``cocycle_pair_basis``, the dense reference.
 """
@@ -186,7 +194,9 @@ def _stack(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _symbol_pair_solve(rep: IsoRep2, tol: ToleranceConfig):
-    """The shift solve of a pair with W2 = Σ_k A_k ⊗ S^k, on C^n.
+    """The fallback for symbol pairs outside the closed form's hypotheses
+    (short truncations, symbols that are not inner): the truncated shift
+    solve of a pair with W2 = Σ_k A_k ⊗ S^k, on C^n.
 
     Let top be the highest offset of a nonzero A_k and c_m = 1 − Σ_{j≤m}
     A_j, which stops changing at top. Level ℓ of eta01 is c_{min(ℓ, top)}·a,
@@ -235,11 +245,47 @@ def _symbol_pair_solve(rep: IsoRep2, tol: ToleranceConfig):
     return x, guard, lift
 
 
-def _pair_solve(rep: IsoRep2, tol: ToleranceConfig):
+def _fixed_space(theta1: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Orthonormal basis of ker(Θ(1) − 1). Θ(1) − 1 is a difference of
+    unit-scale operators, so the rank decision is anchored at scale 1 rather
+    than at the largest (possibly pure-noise) singular value."""
+    return nullspace(theta1 - np.eye(len(theta1)), tol, scale=1.0)
+
+
+def _closed_form_solve(blocks: np.ndarray, trunc: TruncationParams, tol: ToleranceConfig):
+    """The closed form of a level-shift pair with an inner symbol
+    A_0 … A_top (module docstring): the a with Θ(1)a = a, eta01 = c_ℓ·a on
+    the levels ℓ < top. The Gram of the pairs is 1 + Σ_{ℓ<top} y*c_ℓ*c_ℓy,
+    and its Cholesky factor makes them orthonormal. No pair reaches the
+    guard band, whose rows are returned empty."""
+    n, L, top = trunc.n, trunc.L, len(blocks) - 1
+    theta = np.cumsum(blocks, axis=0)
+    coeffs = _fixed_space(theta[top], tol)
+    c = np.eye(n) - theta[:top]
+    levels = (c @ coeffs).reshape(top * n, coeffs.shape[1])
+    chol = np.linalg.cholesky(np.eye(coeffs.shape[1]) + levels.conj().T @ levels)
+    x = coeffs @ np.linalg.inv(chol).conj().T
+
+    def lift(y: np.ndarray) -> np.ndarray:
+        pairs = np.zeros((2, n, L, y.shape[1]), dtype=complex)
+        pairs[0, :, 0] = y
+        pairs[1, :, :top] = (c @ y).transpose(1, 0, 2)
+        return pairs.reshape(2 * n * L, -1)
+
+    return x, x[:0], lift
+
+
+def _pair_solve(rep: IsoRep2, tol: ToleranceConfig, inner: bool):
     """The route choice above, as (coords, guard, lift): the pairs are
     lift(coords), orthonormal, and guard has the singular values and right
-    vectors of their guard-band rows."""
-    if rep.pair_symbol is not None:
+    vectors of their guard-band rows. ``inner`` is whether the pair, or the
+    fiber of a grid pair, has passed ``validate``'s isometry test."""
+    blocks = rep.pair_symbol
+    if blocks is not None:
+        nonzero = np.flatnonzero(blocks.any(axis=(1, 2)))
+        top = nonzero[-1] if len(nonzero) else 0
+        if inner and top < rep.trunc.interior_levels:
+            return _closed_form_solve(blocks[: top + 1], rep.trunc, tol)
         return _symbol_pair_solve(rep, tol)
     if rep.w1_is_shift:
         full = shift_pair_basis(rep.W2, rep.trunc.L, tol)
@@ -248,10 +294,10 @@ def _pair_solve(rep: IsoRep2, tol: ToleranceConfig):
     return full, full[~np.tile(rep.trunc.level_mask(), 2)], lambda y: y
 
 
-def _pair_basis(rep: IsoRep2, tol: ToleranceConfig) -> np.ndarray:
+def _pair_basis(rep: IsoRep2, tol: ToleranceConfig, inner: bool) -> np.ndarray:
     """All cocycle pairs, orthonormal, guard band included: for
     ``induced.grid_cocycle_pair_basis``."""
-    coords, _, lift = _pair_solve(rep, tol)
+    coords, _, lift = _pair_solve(rep, tol, inner)
     return lift(coords)
 
 
@@ -262,14 +308,14 @@ def cocycle_space(rep: IsoRep2, tol: ToleranceConfig = DEFAULT_TOL) -> CocycleSp
     solutions; the interior ones are the kernel of its guard-band rows
     (cutoff at scale 1, the basis's norm), so the basis stays orthonormal.
     Solutions touching the guard band are truncation suspects; they are
-    dropped and the space is flagged unstable when any were present. A
-    family pair's solutions never reach the guard band, whose rows are then
-    rounding noise of about 1e-16 and keep every solution.
+    dropped and the space is flagged unstable when any were present. The
+    closed form's solutions end below level top, inside the interior, so it
+    has no guard rows and keeps every solution.
     """
     report = validate(rep, tol)
     if not report.ok:
         raise ValueError(f"representation fails validation: {report.as_dict()}")
-    coords, guard, lift = _pair_solve(rep, tol)
+    coords, guard, lift = _pair_solve(rep, tol, report.isometry_ok)
     inner = lift(coords if guard.size == 0 else coords @ nullspace(guard, tol, scale=1.0))
     n = rep.dim
     basis = tuple(Cocycle2(eta10=v[:n], eta01=v[n:]) for v in inner.T.copy())
@@ -360,14 +406,9 @@ def _index_growth_probe(fam: ProjectionFamily, tol: ToleranceConfig) -> IndexRes
 def index_formula_projection_family(
     fam: ProjectionFamily, tol: ToleranceConfig = DEFAULT_TOL
 ) -> int:
-    """dim ker(U - 1); for finite families this is the cocycle dimension.
-
-    U - 1 is a difference of unit-scale operators, so the rank decision is
-    anchored at scale 1 rather than at the largest (possibly pure-noise)
-    singular value.
-    """
-    u = np.asarray(fam.unitary, dtype=complex)
-    return nullspace(u - np.eye(u.shape[0]), tol, scale=1.0).shape[1]
+    """dim ker(U - 1); for finite families this is the cocycle dimension,
+    the closed form's kernel with Θ(1) = U Σ_i P_i = U."""
+    return _fixed_space(np.asarray(fam.unitary, dtype=complex), tol).shape[1]
 
 
 def evaluate_along_path(c: Cocycle2, rep: IsoRep2, path: list[int]) -> np.ndarray:

@@ -50,7 +50,7 @@ from .commutant import _symbol_star_commutant, star_commutant_basis, structured_
 from .linalg import DEFAULT_TOL, ToleranceConfig, adjoint_kernel, kron, numerical_rank
 from .repmodel import (
     IsoRep2, TruncationParams, _shift_symbol, interior_isometry_deviation, sigma_power,
-    truncated_shift,
+    truncated_shift, validate,
 )
 from .cocycle import Cocycle2, _pair_basis, evaluate, pair_basis_from_kernels
 
@@ -268,8 +268,12 @@ class StepCocycle:
         return self._values[e]
 
     def at(self, *ts) -> np.ndarray:
-        _, exponents = self.grid._cell_exponents(ts, 1)
-        return np.concatenate([self.lattice_value(*e) for e in exponents])
+        """The cell values at the grid times ts; each time's cell exponents
+        are kept in the grid's cache, keyed by its grid indices."""
+        cache, key = self.grid._cache, ("exponents", tuple(map(self.grid.grid_index, ts)))
+        if key not in cache:
+            cache[key] = self.grid._cell_exponents(ts, 1)[1]
+        return np.concatenate([self.lattice_value(*e) for e in cache[key]])
 
     def additivity_residual(self, a, b) -> float:
         """max |xi(a + b) − (xi(a) + V(a) xi(b))| at the grid times a and b
@@ -409,7 +413,10 @@ def grid_cocycle_pair_basis(grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) 
     """``cocycle_pair_basis`` of the generators V(1/M, 0) and V(0, 1/M): the
     solve ``cocycle_space`` takes, on the grid pair (``GridRep2.pair``) and
     mapped back from the shift coordinates; with no grid pair, the
-    compatibility solve on the per-cell adjoint kernels."""
+    compatibility solve on the per-cell adjoint kernels. The grid symbol
+    B_0 = Z ⊗ 1 + E_{M−1,0} ⊗ A_0, B_{kM} = E_{M−1,0} ⊗ A_k is inner exactly
+    when the fiber's is, so the closed form's innerness is the fiber's
+    ``validate``, which reads the fiber's memoized symbol Gram."""
     pair = grid.pair
     if pair is None:
         step = 1 / grid.M
@@ -417,8 +424,9 @@ def grid_cocycle_pair_basis(grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) 
         return pair_basis_from_kernels(
             k1, k2, grid.apply((step, 0), k2), grid.apply((0, step), k1), tol
         )
+    inner = grid.rep.pair_symbol is not None and validate(grid.rep, tol).isometry_ok
     back = np.argsort(_shift_order(grid))
-    return _pair_basis(pair, tol).reshape(2, grid.dim, -1)[:, back].reshape(2 * grid.dim, -1)
+    return _pair_basis(pair, tol, inner).reshape(2, grid.dim, -1)[:, back].reshape(2 * grid.dim, -1)
 
 
 def lift_cocycle_2d(c: Cocycle2, grid: GridRep2, tol: ToleranceConfig = DEFAULT_TOL) -> StepCocycle:

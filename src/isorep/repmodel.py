@@ -18,12 +18,12 @@ dense W1 and W2 are formed only when read. For a pair whose generators both
 have a symbol, every interior block of W*W − 1 repeats one of block row 0
 or its adjoint, the block diagonals Σ_k A_k* A_{k+δ} of the symbol Gram
 (``IsoRep2.gram_diagonals``, formed once per pair and shared with the
-cocycle solve), and every interior block of [W1, W2] repeats one of block
-column 0 or is 0, so ``validate`` reads or multiplies only those. When W1
-is exactly 1 ⊗ S, its isometry and commutation deviations are exactly 0,
-and only W2's Gram diagonals are read. Any other pair takes the masked
-dense products. A pair with a non-finite entry fails before anything is
-multiplied.
+cocycle solve's fallback), and every interior block of [W1, W2] repeats
+one of block column 0 or is 0, so ``validate`` reads or multiplies only
+those. When W1 is exactly 1 ⊗ S, its isometry and commutation deviations
+are exactly 0, and only W2's Gram diagonals are read. Any other pair takes
+the masked dense products. A pair with a non-finite entry fails before
+anything is multiplied.
 
 ``level_shift_symbol`` tells, exactly, whether a matrix is Σ_k A_k ⊗ S^k,
 and returns the A_k; ``is_level_shift`` whether it is the bare level shift

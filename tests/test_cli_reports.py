@@ -4,6 +4,9 @@ flags, run in process through ``isorep.cli.main``. Each report's exit code,
 stderr and every leaf outside ``meta`` that is not a float (ints, bools,
 strings and nulls: the integers and verdicts) must match
 ``cli_reports.json``. Floats are residuals, which rounding may move.
+A census run over the same reports, and over ``index()`` at the house
+truncations, asserts that every level-shift pair there takes the cocycle
+solve's closed form, never its distinct-block fallback.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_cli_reports.py``,
 only for a change meant to alter a report.
@@ -12,10 +15,19 @@ import contextlib
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from isorep import cocycle
 from isorep.cli import main
+from isorep.cocycle import index
+from isorep.repmodel import (
+    ProjectionFamily,
+    build_projection_family_rep,
+    truncated_infinite_reflection_family,
+)
 from isorep.suites import PRESETS
 
 EXPECTED = Path(__file__).with_name("cli_reports.json")
@@ -65,6 +77,29 @@ def test_cli_report_keeps_its_integers_and_verdicts(argv):
     got = run_report(argv)
     assert (got["exit"], got["stderr"]) == (expected["exit"], expected["stderr"])
     assert got["leaves"] == expected["leaves"]
+
+
+def test_level_shift_pairs_of_the_reports_and_house_truncations_take_the_closed_form():
+    # every preset, CLI command and index() at the default truncation
+    # (L = 8d, guard 2d) and at the growth probe's (L = 2d + 4, guard d + 1)
+    rng = np.random.default_rng(0)
+    families = []
+    for n in (2, 3, 5):
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        families.append(ProjectionFamily(tuple(np.diag(np.eye(n)[i]) for i in range(n)), q))
+    with mock.patch.object(
+        cocycle, "_closed_form_solve", wraps=cocycle._closed_form_solve
+    ) as closed, mock.patch.object(
+        cocycle, "_symbol_pair_solve", wraps=cocycle._symbol_pair_solve
+    ) as fallback:
+        for argv in REPORTS:
+            run_report(argv)
+        for fam in families:
+            index(build_projection_family_rep(fam))
+        probe = index(build_projection_family_rep(truncated_infinite_reflection_family(4)))
+    assert probe.kind == "unbounded_with_truncation"
+    assert fallback.call_count == 0
+    assert closed.call_count > 0
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ star commutant and unitary equivalence) must agree with the dense route on
 the same matrices, which these tests reach by hiding the symbols."""
 import tracemalloc
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from isorep.cocycle import (
     shift_pair_basis,
 )
 from isorep.commutant import are_unitarily_equivalent, star_intertwiner_basis
-from isorep.induced import induce_2d
+from isorep.induced import grid_cocycle_pair_basis, induce_2d
 from isorep.linalg import DEFAULT_TOL, kron, nullspace
 from isorep.repmodel import (
     IsoRep2,
@@ -55,6 +56,44 @@ def dense_routes():
 def _deviations(rep):
     report = validate(rep)
     return [report.isometry_dev_w1, report.isometry_dev_w2, report.commutation_dev]
+
+
+def _assert_same_deviations(got, dense):
+    # relative to the deviation's size: a random symbol's deviation reaches
+    # about 26, where an absolute 1e-14 is 3 ulp, within a change of
+    # summation order
+    np.testing.assert_allclose(got, dense, rtol=1e-14, atol=1e-14, equal_nan=True)
+
+
+def _passing(rep):
+    """A report that lets ``cocycle_space`` run on a pair that fails
+    validation, with the pair's own isometry verdict, which the closed form
+    reads."""
+    return SimpleNamespace(ok=True, isometry_ok=validate(rep).isometry_ok)
+
+
+@contextmanager
+def solve_routes():
+    """Spies on the closed form and on the distinct-block fallback."""
+    with mock.patch.object(
+        cocycle, "_closed_form_solve", wraps=cocycle._closed_form_solve
+    ) as closed, mock.patch.object(
+        cocycle, "_symbol_pair_solve", wraps=cocycle._symbol_pair_solve
+    ) as fallback:
+        yield closed, fallback
+
+
+def _top_offset(blocks):
+    nonzero = np.flatnonzero(blocks.any(axis=(1, 2)))
+    return nonzero[-1] if len(nonzero) else 0
+
+
+def _meets_the_closed_form_hypotheses(rep):
+    """The symbol passes the isometry test, L ≥ 2·top + 1, and top < L −
+    guard, so the test reads every lag of the symbol Gram (the second
+    follows from the third, as top ≤ guard)."""
+    tr, top = rep.trunc, _top_offset(rep.pair_symbol)
+    return validate(rep).isometry_ok and tr.L >= 2 * top + 1 and top < tr.L - tr.guard
 
 
 def _projector(basis):
@@ -164,7 +203,7 @@ def test_symbol_routes_match_the_dense_routes(rep):
     got = _deviations(rep)
     with dense_routes():
         dense = _deviations(wrapped)
-    np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-14, equal_nan=True)
+    _assert_same_deviations(got, dense)
     if not validate(rep).ok:
         return
     space = cocycle_space(rep)
@@ -248,21 +287,25 @@ def test_symbol_solve_matches_the_dense_pair_basis_and_guard_filter(rep):
     a1, a2 = rep.symbols
     assert rep.pair_symbol is a2 is not None
     full = cocycle_pair_basis(rep.W1, rep.W2)
-    _assert_same_span(cocycle._pair_basis(rep, DEFAULT_TOL), full)
-    # the weighted stack of distinct level blocks has the Gram of the N×n
-    # system W2*·eta01, so the same singular values and right vectors; most
-    # random symbols have no cocycle, which the spans alone would not test
-    stack = _first_kernel_system(lambda: cocycle._pair_basis(rep, DEFAULT_TOL))
-    dense = _first_kernel_system(lambda: shift_pair_basis(rep.W2, tr.L))
-    want = dense.conj().T @ dense
-    atol = 1e-13 * max(1.0, np.abs(want).max())
-    np.testing.assert_allclose(stack.conj().T @ stack, want, rtol=0.0, atol=atol)
+    isometric = validate(rep).isometry_ok
+    with solve_routes() as (closed, fallback):
+        _assert_same_span(cocycle._pair_basis(rep, DEFAULT_TOL, isometric), full)
+    assert closed.call_count + fallback.call_count == 1
+    if fallback.called:
+        # the weighted stack of distinct level blocks has the Gram of the
+        # N×n system W2*·eta01, so the same singular values and right
+        # vectors; most random symbols have no cocycle, which the spans
+        # alone would not test
+        stack = _first_kernel_system(lambda: cocycle._pair_basis(rep, DEFAULT_TOL, isometric))
+        dense = _first_kernel_system(lambda: shift_pair_basis(rep.W2, tr.L))
+        want = dense.conj().T @ dense
+        atol = 1e-13 * max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(stack.conj().T @ stack, want, rtol=0.0, atol=atol)
     # the guard filter of the dense reference, against cocycle_space on C^n,
     # which also runs on pairs that fail validation
     guard_rows = full[~np.tile(tr.level_mask(), 2)]
     inner = full @ nullspace(guard_rows, scale=1.0) if full.shape[1] else full
-    passing = repmodel.ValidationReport(0.0, 0.0, 0.0, tol=1.0)
-    with mock.patch.object(cocycle, "validate", return_value=passing):
+    with mock.patch.object(cocycle, "validate", return_value=_passing(rep)):
         space = cocycle_space(rep)
     discarded = full.shape[1] - inner.shape[1]
     assert (space.dim, space.stable, space.discarded) == (inner.shape[1], discarded == 0, discarded)
@@ -270,7 +313,7 @@ def test_symbol_solve_matches_the_dense_pair_basis_and_guard_filter(rep):
     report = validate(rep)
     with dense_routes():
         dense = _deviations(IsoRep2(rep.W1, rep.W2, tr))
-    np.testing.assert_allclose(_deviations(rep), dense, rtol=0.0, atol=1e-14)
+    _assert_same_deviations(_deviations(rep), dense)
     assert report.isometry_dev_w1 == report.commutation_dev == 0.0
     # the route of two symbols gives the same report
     assert report == repmodel.ValidationReport(
@@ -279,6 +322,83 @@ def test_symbol_solve_matches_the_dense_pair_basis_and_guard_filter(rep):
         repmodel._symbol_commutation_deviation(a1, a2, tr),
         tol=DEFAULT_TOL.identity_tol,
     )
+
+
+@st.composite
+def closed_form_pairs(draw):
+    """Level-shift pairs, with their grid when they are a grid pair: random
+    inner-symbol pairs (n ≤ 6, up to 4 factors) at interiors short and long,
+    family pairs, the grid pairs of small family pairs at M = 2, 3 (whose
+    truncations have L ≥ 2·top + 1), and random symbols, most of which are
+    not inner."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["inner", "family", "grid", "offsets"]))
+    if kind == "inner":
+        factors = draw(st.integers(1, 4))
+        guard = factors + draw(st.integers(0, 1))
+        n, interior = draw(st.integers(1, 6)), draw(st.integers(1, factors + 2))
+        return inner_shift_pair(rng, n, factors, guard, interior), None
+    if kind == "offsets":
+        n, guard = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        trunc = TruncationParams(n, guard + draw(st.integers(1, 2 * guard + 3)), guard)
+        w2 = _from_blocks(_random_symbol(draw, rng, n, guard), trunc.L)
+        return IsoRep2(kron(np.eye(n), truncated_shift(trunc.L)), w2, trunc), None
+    n = draw(st.integers(1, 2 if kind == "grid" else 4))
+    fam = ProjectionFamily(
+        projections=random_rank_projections(rng, n),
+        unitary=unitary(rng, n, int(rng.integers(0, n + 1))),
+    )
+    guard = max(fam.d - 1, 1) + draw(st.integers(0, 2))
+    rep = build_projection_family_rep(
+        fam, TruncationParams(n, fam.d + guard + draw(st.integers(0, 3)), guard)
+    )
+    if kind == "family":
+        return rep, None
+    grid = induce_2d(rep, draw(st.integers(2, 3)))
+    return grid.pair, grid
+
+
+def _half_read_pair():
+    """Θ(z) = (1 + i)/2 + (1 − i)/2·z² at L = 5, guard 3: validate reads lags
+    0 and 1 only, and passes, but G_2 = −i/2, so Θ is not inner. Θ(1) = 1,
+    while the truncated solve finds no cocycle."""
+    trunc = TruncationParams(1, 5, 3)
+    blocks = np.zeros((4, 1, 1), dtype=complex)
+    blocks[0], blocks[2] = (1 + 1j) / 2, (1 - 1j) / 2
+    rep = IsoRep2(truncated_shift(5), _from_blocks(blocks, 5), trunc)
+    assert validate(rep).ok
+    return rep, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_form_pairs())
+# the reflection pair at L = 10 < 2·top + 1, whose top offset is 3
+@example((build_reflection_rep(np.full(4, 0.5), TruncationParams(4, 10, 6)), None))
+# L = 2·top + 1 with top = L − guard: the lag top goes unread
+@example(_half_read_pair())
+def test_closed_form_matches_the_dense_pair_basis_and_guard_filter(drawn):
+    rep, grid = drawn
+    tr = rep.trunc
+    full = cocycle_pair_basis(rep.W1, rep.W2)
+    guard_rows = full[~np.tile(tr.level_mask(), 2)]
+    want = full @ nullspace(guard_rows, scale=1.0) if full.shape[1] else full
+    discarded = full.shape[1] - want.shape[1]
+    with solve_routes() as (closed, fallback), mock.patch.object(
+        cocycle, "validate", return_value=_passing(rep)
+    ):
+        space = cocycle_space(rep)
+    # the closed form exactly on the theorem's hypotheses, else the fallback
+    meets = _meets_the_closed_form_hypotheses(rep)
+    assert (closed.call_count, fallback.call_count) == ((1, 0) if meets else (0, 1))
+    assert (space.dim, space.stable, space.discarded) == (want.shape[1], discarded == 0, discarded)
+    _assert_same_span(_stacked(space), want)
+    if grid is not None:
+        # the grid solve reads innerness off the fiber's validation
+        step = 1 / grid.M
+        with solve_routes() as (closed, fallback):
+            got = grid_cocycle_pair_basis(grid)
+        assert (closed.call_count, fallback.call_count) == ((1, 0) if meets else (0, 1))
+        _assert_same_span(got, cocycle_pair_basis(grid.V(step, 0), grid.V(0, step)))
 
 
 @settings(max_examples=80, deadline=None)
